@@ -50,7 +50,7 @@ def main() -> int:
     ref = sn.solve(inst, np.zeros(inst.d), ref_cfg)
     assert ref.status == "converged", ref.status
     x_ref = ref.final_x
-    l = spectral(sn.hess_tot(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
+    l = spectral(sn.hess_L(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
 
     rng = np.random.default_rng(args.seed)
     pts = [x_ref + 0.15 * inst.R * rng.standard_normal(inst.d) for _ in range(10)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derivatives import grad
-from .hessian import g_terms, hess_L
+from .hessian import g_terms, hess_L, kernel
 from .model import DenominatorFloorWarning, ModelState, ProblemInstance, eval_forward
 from .oracle import spectral
 from .serialize import SCHEMA_VERSION
@@ -285,8 +285,8 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     lam_min, lam_max = math.inf, -math.inf
     for st in states:
         gb = grad(st, inst)
-        hb = hess_L(st, inst, entrywise=False)
-        lo, hi, _ = spectral(hb.B)
+        hb = hess_L(st, inst)
+        lo, hi, _ = spectral(kernel(st, inst))
         lam_min, lam_max = min(lam_min, lo), max(lam_max, hi)
         per_point.append(
             {

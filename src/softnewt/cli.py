@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,14 +19,14 @@ import numpy as np
 from . import bounds as bounds_mod
 from .derivatives import grad
 from .generate import gen_instance
-from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entry, hess_tot
-from .model import ProblemInstance, eval_forward, instance_from_json, instance_to_json
+from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entry, kernel, kernel_diag
+from .model import EvaluationOverflowError, ProblemInstance, eval_forward, instance_from_json, instance_to_json
 from .newton import NewtonConfig, RunReport, basin_check, solve
 from .oracle import FdConfig, fd_gradient, fd_hessian, spectral
 from .serialize import SCHEMA_VERSION, dump_path, dumps, load_path
 from .sketch import subsample, verify_sandwich
 
-THREADS_ENV = "SOFTNEWT_THREADS"
+EMIT_NAMES = ("report_json", "trace_csv", "bounds_json", "grad_json", "bterms_json")
 
 
 @dataclass
@@ -172,6 +170,9 @@ def cmd_run(args) -> int:
         emit=frozenset(args.emit.split(",")),
         reference=not args.no_reference,
     )
+    unknown = sorted(spec.emit.difference(EMIT_NAMES))
+    if unknown:
+        raise ConfigError(f"unknown --emit names {unknown}; known: {', '.join(EMIT_NAMES)}")
     inst = _load_instance(spec.instance_path)
     x0 = _build_x0(spec, inst)
     outdir = Path(spec.output_dir)
@@ -184,14 +185,15 @@ def cmd_run(args) -> int:
     report = solve(inst, x0, spec.config, x_ref=x_ref)
     bounds_report = None
     if "bounds_json" in spec.emit:
-        pts = [np.asarray(p, dtype=float) for p in report.iterates]
+        # the points the solver evaluated; an overflowing last iterate is left out
+        pts = [np.asarray(p, dtype=float) for p in report.iterates[: len(report.grad_norms)]]
         if x_ref is not None:
             pts.append(x_ref)
         if len(pts) >= 2:
             bounds_report = bounds_mod.probe_empirical(inst, pts)
     if x_ref is not None:
         st_ref = eval_forward(inst, x_ref)
-        l_ref = spec.config.l_estimate or float(np.linalg.eigvalsh(hess_tot(st_ref, inst).H_tot)[0])
+        l_ref = spec.config.l_estimate or float(np.linalg.eigvalsh(hess_L(st_ref, inst).H_tot)[0])
         report.basin_certificate = {
             "analytic": basin_check(x0, x_ref, M=bounds_mod.compute_constants(inst).M, l=l_ref)
         }
@@ -247,12 +249,8 @@ def cmd_run(args) -> int:
     return 0 if report.status == "converged" else 2
 
 
-def _verify_checks(inst: ProblemInstance, seed: int, trials: int, map_fn=map):
-    """Yield (name, passed, margin, detail) over every invariant suite.
-
-    ``map_fn`` lets independent per-point trials fan out to a worker pool; the
-    max-reductions below are order independent.
-    """
+def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
+    """Yield (name, passed, margin, detail) over every invariant suite."""
     rng = _rng(seed)
     d = inst.d
     xs = [0.35 * inst.R * rng.standard_normal(d) / math.sqrt(d) for _ in range(max(trials, 2))]
@@ -260,7 +258,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int, map_fn=map):
     def norm_dev(x):
         return abs(float(np.sum(np.abs(eval_forward(inst, x).f))) - 1.0)
 
-    dev_norm = max(map_fn(norm_dev, xs))
+    dev_norm = max(map(norm_dev, xs))
     yield "softmax_normalization", dev_norm <= 1e-12, dev_norm, "max |1 - ||f||_1|"
 
     def loss_at(x):
@@ -276,29 +274,30 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int, map_fn=map):
         gfd = fd_gradient(loss_at, x, cfg2)
         return float(np.linalg.norm(grad_at(x) - gfd)) / max(float(np.linalg.norm(gfd)), 1e-30)
 
-    worst = max(map_fn(grad_err, xs))
+    worst = max(map(grad_err, xs))
     yield "gradient_vs_finite_difference", worst <= 1e-6, worst, "relative l2 error"
 
     def hess_err(x):
-        H = hess_tot(eval_forward(inst, x), inst).H_tot
+        H = hess_L(eval_forward(inst, x), inst).H_tot
         Hfd = fd_hessian(grad_at, x, cfg2)
         return float(np.linalg.norm(H - Hfd)) / max(float(np.linalg.norm(Hfd)), 1e-30)
 
-    worst = max(map_fn(hess_err, xs[: min(len(xs), 10)]))
+    worst = max(map(hess_err, xs[: min(len(xs), 10)]))
     yield "hessian_vs_finite_difference", worst <= 1e-5, worst, "relative Frobenius error"
 
     worst = 0.0
     scale = 1.0
     for x in xs[: min(len(xs), 5)]:
         st = eval_forward(inst, x)
-        hb = hess_L(st, inst, entrywise=False)
-        scale = max(scale, float(np.max(np.abs(hb.H_L))))
+        H_L = hess_L(st, inst).H_L
+        B = kernel(st, inst)
+        scale = max(scale, float(np.max(np.abs(H_L))))
         for i in range(d):
             for j in range(d):
-                worst = max(worst, abs(hb.H_L[i, j] - hess_L_entry(st, inst, i, j)))
-        hb2 = hess_L(st, inst, entrywise=True)
-        worst = max(worst, float(np.max(np.abs(hb.H_L - hb2.H_L))))
-        worst = max(worst, float(np.max(np.abs(sum(b_terms(st, inst)) - hb.B))))
+                worst = max(worst, abs(H_L[i, j] - hess_L_entry(st, inst, i, j)))
+        worst = max(worst, float(np.max(np.abs(H_L - inst.A1.T @ B @ inst.A1))))
+        worst = max(worst, float(np.max(np.abs(sum(b_terms(st, inst)) - B))))
+        worst = max(worst, float(np.max(np.abs(kernel_diag(st, inst) - np.diag(B)))))
     yield "hessian_route_agreement", worst <= 1e-10 * scale, worst, "max elementwise gap"
 
     worst = 0.0
@@ -317,7 +316,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int, map_fn=map):
     ok = psd.holds(abs(lo)) and psd.holds(abs(hi))
     yield "psd_sandwich", ok, psd.tightness(max(abs(lo), abs(hi))), "kernel spectrum inside +-bound"
 
-    dw = np.diag(hess_L(eval_forward(inst, np.zeros(d)), inst, entrywise=False).B) + inst.w**2
+    dw = kernel_diag(eval_forward(inst, np.zeros(d)), inst) + inst.w**2
     if np.all(dw > 0):
         hits = 0
         n_seeds = 20
@@ -337,15 +336,9 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int, map_fn=map):
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(_verify_checks(inst, args.seed, args.trials, map_fn=pool.map))
-    else:
-        checks = list(_verify_checks(inst, args.seed, args.trials))
     results = [
         {"name": name, "passed": bool(passed), "margin": float(margin), "detail": detail}
-        for name, passed, margin, detail in checks
+        for name, passed, margin, detail in _verify_checks(inst, args.seed, args.trials)
     ]
     all_passed = all(r["passed"] for r in results)
     doc = {"schema_version": SCHEMA_VERSION, "all_passed": all_passed, "checks": results}
@@ -423,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument(
         "--emit",
         default="report_json",
-        help="comma set from report_json,trace_csv,bounds_json,grad_json,bterms_json",
+        help=f"comma set from {','.join(EMIT_NAMES)}",
     )
     r.set_defaults(func=cmd_run)
 
@@ -453,6 +446,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 3
+    except EvaluationOverflowError as exc:
+        print(dumps({"error": "runtime", "message": str(exc)}), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,10 +6,19 @@ kernel
     B = J Qt J + J S J + 2 s f f^T - f v^T - v f^T + diag(v) - s diag(f),
 
 where J = diag(f) - f f^T, Qt = Q2^T Q2, S = A2^T diag(h''(A2 f) o c) A2,
-v = f o q2 and s = <q2, f>. The kernel is assembled in this symmetric form so
-that A1^T B A1 reproduces the per-entry second derivative exactly; the
-per-entry formula (symmetrized in its mixed term) is kept alongside as the
-reference route.
+v = f o q2 and s = <q2, f>. B has one representation, the factored one: the
+m x n factors Q2 J and A2 J, the m-vector h'' o c, and f, v, s, all formed in
+O(n m) without J. Everything else is read from those factors:
+
+- ``hess_L`` (H_L and H_tot) is the production route: O(n m d + n d^2) time,
+  d x d results, no n x n array at any n.
+- ``kernel_diag`` gives diag(B) in O(n m), the sketched step's surrogate.
+- ``kernel`` returns the dense B in O(n^2 m) time and n^2 memory. It is for
+  diagnostics (spectrum probes, route-agreement checks) and is never called
+  by the solver.
+
+``hess_L_entry``, ``b_terms`` and ``hess_f_pair`` build from Q2, q2, Qt and S
+on their own and are the references the factored route is checked against.
 """
 
 from __future__ import annotations
@@ -25,26 +34,22 @@ __all__ = [
     "HessianBundle",
     "hess_f_pair",
     "hess_L",
-    "hess_tot",
     "hess_L_entry",
+    "kernel",
+    "kernel_diag",
     "b_terms",
     "B_TERM_NAMES",
     "g_terms",
 ]
-
-# above this many softmax coordinates the n x n kernel is skipped by default
-ENTRYWISE_THRESHOLD = 2000
 
 B_TERM_NAMES = tuple(f"B{i}" for i in range(1, 13))
 
 
 @dataclass
 class HessianBundle:
-    B: np.ndarray | None  # n x n kernel, None when accumulated entrywise
     H_L: np.ndarray  # d x d
     H_tot: np.ndarray  # d x d
     w2_diag: np.ndarray  # n, entries w_i^2
-    terms: list[np.ndarray] | None = None  # twelve addends of B, on request
 
 
 def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.ndarray:
@@ -69,51 +74,17 @@ def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.
     )
 
 
-def _kernel_pieces(state: ModelState, inst: ProblemInstance):
+def _factors(state: ModelState, inst: ProblemInstance):
+    """(Q2 J, A2 J, h'' o c, f, v, s) in O(n m); J = diag(f) - f f^T is never formed."""
     Q2, q2 = eval_Q2_q2(state, inst)
     f = state.f
-    v = f * q2
-    s = float(q2 @ f)
-    curv = state.hdoubleprime * state.c  # m, the h'' o c diagonal
-    return Q2, q2, f, v, s, curv
-
-
-def _assemble_B(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    Q2, q2, f, v, s, curv = _kernel_pieces(state, inst)
-    n = inst.n
-    J = np.diag(f) - np.outer(f, f)
-    Qt = Q2.T @ Q2
-    S = inst.A2.T @ (curv[:, None] * inst.A2)
-    B = J @ Qt @ J + J @ S @ J
-    B += 2.0 * s * np.outer(f, f)
-    B -= np.outer(f, v)
-    B -= np.outer(v, f)
-    B += np.diag(v)
-    B -= s * np.diag(f)
-    return B
-
-
-def _hess_L_entrywise(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """H_L without materializing the n x n kernel (d x d work arrays only)."""
-    P = eval_p(state, inst)
-    Q2, q2, f, v, s, curv = _kernel_pieces(state, inst)
-    QP = Q2 @ P  # m x d
-    G = inst.A2 @ P  # m x d
-    a = inst.A1.T @ f  # d, a_i = <f, A1[:,i]>
-    t = inst.A1.T @ v  # d, t_i = <q2, f o A1[:,i]>
-    K = inst.A1.T @ (f[:, None] * inst.A1)  # K[i,j] = <f, a_i o a_j>
-    M2 = inst.A1.T @ (v[:, None] * inst.A1)  # M2[i,j] = <q2, a_i o f o a_j>
-    H = QP.T @ QP
-    H += G.T @ (curv[:, None] * G)
-    H += 2.0 * s * np.outer(a, a)
-    H -= s * K
-    H -= np.outer(t, a) + np.outer(a, t)
-    H += M2
-    return H
+    QJ = Q2 * f - np.outer(Q2 @ f, f)
+    AJ = inst.A2 * f - np.outer(state.a2f, f)
+    return QJ, AJ, state.hdoubleprime * state.c, f, f * q2, float(q2 @ f)
 
 
 def hess_L_entry(state: ModelState, inst: ProblemInstance, i: int, j: int) -> float:
-    """Literal per-entry second derivative, the reference for the kernel route."""
+    """Literal per-entry second derivative, the reference for the factored route."""
     P = eval_p(state, inst)
     Q2, q2 = eval_Q2_q2(state, inst)
     pi, pj = P[:, i], P[:, j]
@@ -125,37 +96,50 @@ def hess_L_entry(state: ModelState, inst: ProblemInstance, i: int, j: int) -> fl
     return term1 + term2 + term3
 
 
-def hess_L(
-    state: ModelState,
-    inst: ProblemInstance,
-    *,
-    with_terms: bool = False,
-    entrywise: bool | None = None,
-) -> HessianBundle:
-    """Hessian of the data term plus the assembled total Hessian.
+def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
+    """Hessian of the data term plus the total Hessian, in O(n m d + n d^2).
 
-    ``entrywise`` selects the accumulation that avoids the n x n kernel; by
-    default it engages for n > ENTRYWISE_THRESHOLD. Both routes agree to
-    rounding; the kernel route also exposes B for diagnostics and sketching.
+    H_L = A1^T B A1 = P2^T P2 + G^T diag(h'' o c) G + a w^T + w a^T
+    - A1^T diag(u) A1, with P2 = (Q2 J) A1, G = (A2 J) A1, u = s f - v,
+    a = A1^T f and w = A1^T u. Only m x n and d x d arrays are formed, so
+    this is the solver's route at any n. It equals the sum of ``g_terms``;
+    summed this way the terms that cancel (all of them at n = 1) cancel exactly.
     """
-    if entrywise is None:
-        entrywise = inst.n > ENTRYWISE_THRESHOLD and not with_terms
+    QJ, AJ, curv, f, v, s = _factors(state, inst)
+    A1 = inst.A1
+    P2 = QJ @ A1
+    G = AJ @ A1
+    u = s * f - v
+    a = A1.T @ f
+    w = A1.T @ u
+    H_L = P2.T @ P2 + G.T @ (curv[:, None] * G)
+    H_L += np.outer(a, w) + np.outer(w, a) - A1.T @ (u[:, None] * A1)
     w2 = inst.w * inst.w
-    if entrywise:
-        H_L = _hess_L_entrywise(state, inst)
-        B = None
-        terms = None
-    else:
-        B = _assemble_B(state, inst)
-        H_L = inst.A1.T @ B @ inst.A1
-        terms = b_terms(state, inst) if with_terms else None
-    H_tot = H_L + inst.A1.T @ (w2[:, None] * inst.A1)
-    return HessianBundle(B=B, H_L=H_L, H_tot=H_tot, w2_diag=w2, terms=terms)
+    H_tot = H_L + A1.T @ (w2[:, None] * A1)
+    return HessianBundle(H_L=H_L, H_tot=H_tot, w2_diag=w2)
 
 
-def hess_tot(state: ModelState, inst: ProblemInstance, **kwargs) -> HessianBundle:
-    """Total Hessian H_tot = H_L + A1^T diag(w o w) A1."""
-    return hess_L(state, inst, **kwargs)
+def kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
+    """The dense n x n curvature kernel B, in O(n^2 m); for diagnostics only.
+
+    B = (Q2 J)^T (Q2 J) + (A2 J)^T diag(h'' o c) (A2 J) + f u^T + u f^T - diag(u)
+    with u = s f - v.
+    """
+    QJ, AJ, curv, f, v, s = _factors(state, inst)
+    u = s * f - v
+    B = QJ.T @ QJ
+    B += AJ.T @ (curv[:, None] * AJ)
+    B += np.outer(f, u)
+    B += np.outer(u, f)
+    B.flat[:: inst.n + 1] -= u
+    return B
+
+
+def kernel_diag(state: ModelState, inst: ProblemInstance) -> np.ndarray:
+    """diag(B) in O(n m), without forming B."""
+    QJ, AJ, curv, f, v, s = _factors(state, inst)
+    u = s * f - v
+    return np.einsum("ki,ki->i", QJ, QJ) + curv @ (AJ * AJ) + (2.0 * f - 1.0) * u
 
 
 def b_terms(state: ModelState, inst: ProblemInstance) -> list[np.ndarray]:
@@ -172,9 +156,13 @@ def b_terms(state: ModelState, inst: ProblemInstance) -> list[np.ndarray]:
       B6  = -f (f o q2)^T - (f o q2) f^T B12 = -<q2, f> diag(f)
 
     with Qt = Q2^T Q2 and S = A2^T diag(h''(A2 f) o c) A2. Their sum equals
-    the assembled kernel to rounding.
+    ``kernel`` to rounding.
     """
-    Q2, q2, f, v, s, curv = _kernel_pieces(state, inst)
+    Q2, q2 = eval_Q2_q2(state, inst)
+    f = state.f
+    v = f * q2
+    s = float(q2 @ f)
+    curv = state.hdoubleprime * state.c
     Qt = Q2.T @ Q2
     S = inst.A2.T @ (curv[:, None] * inst.A2)
     df = np.diag(f)
@@ -199,22 +187,20 @@ def g_terms(state: ModelState, inst: ProblemInstance) -> dict[str, np.ndarray]:
     """The six d x d pieces of the per-entry Hessian, in literal form.
 
     H_L = G1 + G2 + G3 - G4 - G5 + G6 up to the symmetrization of G5 (the
-    literal G5 = 2 a t^T is one-sided; the assembled Hessian uses
-    (a t^T + t a^T)). These feed the per-piece Lipschitz tightness probes.
+    literal G5 = 2 a t^T is one-sided; the Hessian holds (a t^T + t a^T)).
+    These feed the per-piece Lipschitz tightness probes. Q2 J A1 = Q2 P, so
+    G1 and G2 come from the kernel factors times A1.
     """
-    P = eval_p(state, inst)
-    Q2, q2, f, v, s, curv = _kernel_pieces(state, inst)
-    QP = Q2 @ P
-    G = inst.A2 @ P
+    QJ, AJ, curv, f, v, s = _factors(state, inst)
+    QP = QJ @ inst.A1
+    G = AJ @ inst.A1
     a = inst.A1.T @ f
     t = inst.A1.T @ v
-    K = inst.A1.T @ (f[:, None] * inst.A1)
-    M2 = inst.A1.T @ (v[:, None] * inst.A1)
     return {
         "G1": QP.T @ QP,
         "G2": G.T @ (curv[:, None] * G),
         "G3": 2.0 * s * np.outer(a, a),
-        "G4": s * K,
+        "G4": s * (inst.A1.T @ (f[:, None] * inst.A1)),
         "G5": 2.0 * np.outer(a, t),
-        "G6": M2,
+        "G6": inst.A1.T @ (v[:, None] * inst.A1),
     }

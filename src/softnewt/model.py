@@ -160,10 +160,12 @@ def estimate_activation_bound(kind: str, A2: np.ndarray, probe_f: list[np.ndarra
     act = Activation(kind)
     measured = 0.0
     if probe_f is None:
-        # deterministic simplex probes: uniform plus each vertex
-        probe_f = [np.full(n, 1.0 / n)] + [np.eye(n)[i] for i in range(min(n, 8))]
-    for f in probe_f:
-        h, hp, _ = activation_eval(act, A2 @ f)
+        # deterministic simplex probes: uniform plus each vertex e_i, where A2 e_i = A2[:, i]
+        probe_y = [A2 @ np.full(n, 1.0 / n)] + [A2[:, i] for i in range(min(n, 8))]
+    else:
+        probe_y = [A2 @ f for f in probe_f]
+    for y in probe_y:
+        h, hp, _ = activation_eval(act, y)
         measured = max(measured, float(np.linalg.norm(h)), float(np.linalg.norm(hp)))
     return max(measured, _activation_cap(kind, a2_norm, m))
 

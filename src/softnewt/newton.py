@@ -22,8 +22,8 @@ import scipy.linalg
 
 from .bounds import LogConstant
 from .derivatives import grad
-from .hessian import hess_tot
-from .model import ModelState, ProblemInstance, eval_forward
+from .hessian import hess_L, kernel_diag
+from .model import EvaluationOverflowError, ModelState, ProblemInstance, eval_forward
 from .sketch import SketchResult, subsample, verify_sandwich
 
 __all__ = [
@@ -92,12 +92,15 @@ def _spd_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"{what} is not positive definite (lambda_min ~ {lam:.6g})", lam
         ) from exc
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - scipy alias
-        lam = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
-        raise NotPositiveDefiniteError(
-            f"{what} is not positive definite (lambda_min ~ {lam:.6g})", lam
-        ) from exc
     return scipy.linalg.cho_solve(cf, rhs)
+
+
+def _uphill(inst: ProblemInstance, x: np.ndarray, limit: float) -> bool:
+    """True iff loss_tot(x) exceeds ``limit``; a point that overflows counts as uphill."""
+    try:
+        return eval_forward(inst, x).loss_tot > limit
+    except EvaluationOverflowError:
+        return True
 
 
 def _step_seed(seed: int, t: int) -> int:
@@ -117,13 +120,13 @@ def newton_step(
     if state is None:
         state = eval_forward(inst, x_t)
     gb = grad(state, inst)
-    hb = hess_tot(state, inst, entrywise=False)
+    hb = hess_L(state, inst)
     sketch = None
     eps_e2e = None
     if cfg.mode == "exact":
         H = hb.H_tot
     else:
-        dprime = np.diag(hb.B) + hb.w2_diag
+        dprime = kernel_diag(state, inst) + hb.w2_diag
         if np.any(dprime <= 0.0):
             raise NotPositiveDefiniteError(
                 "diagonal surrogate diag(B) + w^2 has nonpositive entries; raise w",
@@ -140,7 +143,7 @@ def newton_step(
         try:
             gen = scipy.linalg.eigh(0.5 * (H + H.T), 0.5 * (hb.H_tot + hb.H_tot.T), eigvals_only=True)
             eps_e2e = float(np.max(np.abs(gen - 1.0)))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             eps_e2e = math.inf
     delta_x = _spd_solve(H, gb.grad_tot, "the Hessian" if cfg.mode == "exact" else "the sketched Hessian")
     x_next = x_t - delta_x
@@ -149,7 +152,7 @@ def newton_step(
         # increases below rounding noise are not treated as uphill steps
         noise = 32.0 * np.finfo(float).eps * max(1.0, abs(state.loss_tot))
         scale = 1.0
-        while halvings < 30 and eval_forward(inst, x_t - scale * delta_x).loss_tot > state.loss_tot + noise:
+        while halvings < 30 and _uphill(inst, x_t - scale * delta_x, state.loss_tot + noise):
             scale *= 0.5
             halvings += 1
         x_next = x_t - scale * delta_x
@@ -187,7 +190,8 @@ class RunReport:
 
     @property
     def final_grad_norm(self) -> float:
-        return self.grad_norms[-1]
+        """The last evaluated gradient norm; nan when the start point itself overflowed."""
+        return self.grad_norms[-1] if self.grad_norms else math.nan
 
     def golden_json(self) -> dict:
         """The deterministic portion of the report (no wall-clock fields)."""
@@ -223,7 +227,9 @@ def solve(
     and the run stops once r_t <= cfg.eps; without one it runs to the
     stationarity tolerance. Three consecutive doublings of r_t flag
     divergence. Sketched mode resamples each iteration with a fresh seed
-    derived from (cfg.seed, t).
+    derived from (cfg.seed, t). A forward pass that overflows, or a Hessian
+    that fails its factorization, ends the run with status "error" and the
+    cause in ``error_message``.
     """
     x = np.asarray(x0, dtype=float)
     if float(np.linalg.norm(x)) > inst.R:
@@ -239,10 +245,20 @@ def solve(
         sketch_eps_per_iter=[],
         wall_times_ms=[],
     )
+
+    def stop(status: str, message: str | None = None) -> RunReport:
+        report.status = status
+        report.error_message = message
+        report.wall_times_ms.append((time.perf_counter() - t0) * 1e3)
+        return report
+
     doublings = 0
     for t in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
-        state = eval_forward(inst, x)
+        try:
+            state = eval_forward(inst, x)
+        except EvaluationOverflowError as exc:
+            return stop("error", str(exc))
         gb = grad(state, inst)
         gnorm = float(np.linalg.norm(gb.grad_tot))
         report.grad_norms.append(gnorm)
@@ -255,28 +271,19 @@ def solve(
                 report.ratios.append(r / prev if prev > 0 else 0.0)
                 doublings = doublings + 1 if (prev > 0 and r >= 2.0 * prev) else 0
                 if doublings >= 3:
-                    report.status = "diverged"
-                    report.wall_times_ms.append((time.perf_counter() - t0) * 1e3)
-                    return report
+                    return stop("diverged")
         if gnorm <= cfg.stationarity_tol or (track_r and report.r_t[-1] <= cfg.eps):
-            report.status = "converged"
-            report.wall_times_ms.append((time.perf_counter() - t0) * 1e3)
-            return report
+            return stop("converged")
         if t == cfg.max_iters:
-            report.wall_times_ms.append((time.perf_counter() - t0) * 1e3)
             break
         try:
             x, diag = newton_step(inst, x, cfg, step_seed=_step_seed(cfg.seed, t), state=state)
         except NotPositiveDefiniteError as exc:
-            report.status = "error"
-            report.error_message = str(exc)
-            report.wall_times_ms.append((time.perf_counter() - t0) * 1e3)
-            return report
+            return stop("error", str(exc))
         report.iterates.append(x.copy())
         report.sketch_eps_per_iter.append(diag.eps_end_to_end)
         report.wall_times_ms.append((time.perf_counter() - t0) * 1e3)
-    report.status = "max_iters"
-    return report
+    return stop("max_iters")
 
 
 def basin_check(

@@ -49,7 +49,7 @@ def test_criterion_2_hessian_correctness():
         inst = random_instance(seed + 200, kind=ALL_KINDS[seed % 4])
         x = random_points(inst, seed + 41000, 1)[0]
         st = sn.eval_forward(inst, x)
-        hb = sn.hess_L(st, inst, entrywise=False)
+        hb = sn.hess_L(st, inst)
         H_fd = fd_hessian(lambda y: sn.grad(sn.eval_forward(inst, y), inst).grad_L, x, cfg)
         err = np.linalg.norm(hb.H_L - H_fd) / max(np.linalg.norm(H_fd), 1e-30)
         assert err <= 1e-5, f"seed {seed}: FD error {err:.3e}"
@@ -140,7 +140,7 @@ def test_criterion_6_regularized_strong_convexity():
                                   noise=0.05, l_target=1.0)
         for x in random_points(inst, 44000 + k, 10, radius_frac=0.9):
             st = sn.eval_forward(inst, x)
-            lam = spectral(sn.hess_tot(st, inst).H_tot)[0]
+            lam = spectral(sn.hess_L(st, inst).H_tot)[0]
             assert lam >= 1.0, f"lambda_min {lam:.4f} < 1"
             worst = min(worst, lam)
             checked += 1
@@ -187,7 +187,7 @@ def contraction_instances():
         ref = sn.solve(inst, np.zeros(d), cfg)
         assert ref.status == "converged" and ref.final_grad_norm <= 1e-13
         x_ref = ref.final_x
-        l = spectral(sn.hess_tot(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
+        l = spectral(sn.hess_L(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
         pts = [x_ref + dx for dx in random_points(inst, 45000 + k, 10, radius_frac=0.15)]
         M_emp = probe_empirical(inst, pts).M_empirical
         r0 = min(0.05 * l / max(M_emp, 1e-12), 0.1 * inst.R)

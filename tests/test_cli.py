@@ -143,6 +143,30 @@ def test_run_missing_instance_exit_3(tmp_path, capsys):
     assert json.loads(err)["error"] == "configuration"
 
 
+def test_run_unknown_emit_exit_3(inst_file, tmp_path, capsys):
+    out = tmp_path / "emit"
+    rc = main(["run", "--instance", inst_file, "--out-dir", str(out), "--emit", "report_json,bogus"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration" and "bogus" in err["message"]
+    assert not out.exists()
+
+
+def test_run_overflow_exit_2_with_report(inst_file, tmp_path, capsys):
+    for emit in ("report_json", "report_json,bounds_json,grad_json"):
+        out = tmp_path / emit.replace(",", "_")
+        with pytest.warns(UserWarning, match="norm budget"):
+            rc = main(["run", "--instance", inst_file, "--x0", "values", "--x0-values", "2000,2000",
+                       "--out-dir", str(out), "--emit", emit])
+        assert rc == 2
+        golden = load_path(out / "report.json")["golden"]
+        assert golden["status"] == "error" and "overflows" in golden["error_message"]
+        assert golden["grad_norms"] == []
+    # the gradient at the overflowing final point cannot be written: a runtime error, not a traceback
+    assert json.loads(capsys.readouterr().err)["error"] == "runtime"
+    assert not (out / "gradient.json").exists()
+
+
 def test_verify_passes(inst_file, tmp_path, capsys):
     out = tmp_path / "verify.json"
     rc = main(["verify", "--instance", inst_file, "--seed", "1", "--trials", "8",

@@ -3,7 +3,7 @@ import pytest
 from conftest import random_instance, random_points
 
 import softnewt as sn
-from softnewt.hessian import B_TERM_NAMES, b_terms, g_terms, hess_L_entry
+from softnewt.hessian import B_TERM_NAMES, b_terms, g_terms, hess_L_entry, kernel, kernel_diag
 from softnewt.oracle import FdConfig, fd_hessian, spectral
 
 
@@ -13,15 +13,17 @@ def grad_tot_at(inst):
 
 def test_hessian_matches_golden(s1_instance, s1_golden, s1_state):
     g = s1_golden["hessian"]
-    hb = sn.hess_tot(s1_state, s1_instance, with_terms=True)
-    np.testing.assert_allclose(hb.B, g["B"], rtol=1e-11, atol=1e-16)
+    hb = sn.hess_L(s1_state, s1_instance)
+    B = kernel(s1_state, s1_instance)
+    terms = b_terms(s1_state, s1_instance)
+    np.testing.assert_allclose(B, g["B"], rtol=1e-11, atol=1e-16)
     np.testing.assert_allclose(hb.H_L, g["H_L"], rtol=1e-11)
     np.testing.assert_allclose(hb.H_tot, g["H_tot"], rtol=1e-12)
     np.testing.assert_allclose(hb.H_tot, g["H_tot_fd"], rtol=1e-12)
-    assert len(hb.terms) == 12 and len(B_TERM_NAMES) == 12
-    for ours, golden in zip(hb.terms, g["terms"]):
+    assert len(terms) == 12 and len(B_TERM_NAMES) == 12
+    for ours, golden in zip(terms, g["terms"]):
         np.testing.assert_allclose(ours, golden, rtol=1e-10, atol=1e-17)
-    np.testing.assert_allclose(sum(hb.terms), hb.B, atol=1e-15)
+    np.testing.assert_allclose(sum(terms), B, atol=1e-15)
 
 
 def test_hess_f_pair_golden_and_trivial(s1_instance, s1_golden, s1_state):
@@ -75,7 +77,7 @@ def test_hessian_trivial_cases():
         A1=np.array([[0.3, 0.1], [-0.2, 0.4]]), A2=np.array([[0.5, 0.5]]),
         b=np.array([0.1]), w=np.zeros(2), activation=sn.Activation("tanh"), R=1.0,
     )
-    hbw = sn.hess_tot(sn.eval_forward(inst_w0, np.array([0.2, 0.2])), inst_w0)
+    hbw = sn.hess_L(sn.eval_forward(inst_w0, np.array([0.2, 0.2])), inst_w0)
     np.testing.assert_array_equal(hbw.H_tot, hbw.H_L)
 
 
@@ -93,12 +95,12 @@ def test_zero_residual_identity_structure():
         A1=A1, A2=A2, b=st_pre.hval, w=np.ones(3), activation=sn.Activation("identity"), R=1.2,
     )
     st_ = sn.eval_forward(inst, x)
-    hb = sn.hess_tot(st_, inst, with_terms=True)
+    hb = sn.hess_L(st_, inst)
     f = st_.f
     J = np.diag(f) - np.outer(f, f)
     expected_B = J @ A2.T @ A2 @ J
-    np.testing.assert_allclose(hb.B, expected_B, atol=1e-15)
-    for term in hb.terms[4:]:
+    np.testing.assert_allclose(kernel(st_, inst), expected_B, atol=1e-15)
+    for term in b_terms(st_, inst)[4:]:
         np.testing.assert_allclose(term, np.zeros((3, 3)), atol=1e-15)
     np.testing.assert_allclose(hb.H_tot, expected_B + np.eye(3), atol=1e-14)
     lo, _, _ = spectral(hb.H_L)
@@ -129,20 +131,22 @@ def test_hessian_against_finite_differences_random():
         assert err <= 1e-5, f"seed {seed}: relative Frobenius error {err:.3e}"
 
 
-def test_factored_route_equals_per_entry_and_entrywise():
+def test_factored_route_equals_per_entry_and_kernel():
     for seed in range(25):
         inst = random_instance(seed)
         x = random_points(inst, seed + 13000, 1)[0]
         st_ = sn.eval_forward(inst, x)
-        hb = sn.hess_L(st_, inst, entrywise=False)
+        hb = sn.hess_L(st_, inst)
         scale = max(1.0, float(np.max(np.abs(hb.H_L))))
         for i in range(inst.d):
             for j in range(inst.d):
                 assert abs(hb.H_L[i, j] - hess_L_entry(st_, inst, i, j)) <= 1e-10 * scale
-        hb2 = sn.hess_L(st_, inst, entrywise=True)
-        assert hb2.B is None
-        np.testing.assert_allclose(hb2.H_L, hb.H_L, atol=1e-11 * scale)
-        np.testing.assert_allclose(sum(b_terms(st_, inst)), hb.B, atol=1e-12 * max(1.0, np.max(np.abs(hb.B))))
+        B = kernel(st_, inst)
+        assert B.shape == (inst.n, inst.n)
+        np.testing.assert_allclose(inst.A1.T @ B @ inst.A1, hb.H_L, atol=1e-11 * scale)
+        B_scale = max(1.0, np.max(np.abs(B)))
+        np.testing.assert_allclose(sum(b_terms(st_, inst)), B, atol=1e-12 * B_scale)
+        np.testing.assert_allclose(kernel_diag(st_, inst), np.diag(B), atol=1e-12 * B_scale)
 
 
 def test_hessian_symmetry_and_psd_first_block():
@@ -150,7 +154,7 @@ def test_hessian_symmetry_and_psd_first_block():
         inst = random_instance(seed)
         x = random_points(inst, seed + 17000, 1)[0]
         st_ = sn.eval_forward(inst, x)
-        hb = sn.hess_tot(st_, inst)
+        hb = sn.hess_L(st_, inst)
         assert np.max(np.abs(hb.H_L - hb.H_L.T)) <= 1e-10
         assert np.max(np.abs(hb.H_tot - hb.H_tot.T)) <= 1e-10
         gb = sn.grad(st_, inst)
@@ -162,8 +166,8 @@ def test_hessian_symmetry_and_psd_first_block():
 
 def test_kernel_annihilates_ones(s1_state, s1_instance):
     # shift invariance of the softmax forces B @ 1 = 0
-    hb = sn.hess_L(s1_state, s1_instance)
-    np.testing.assert_allclose(hb.B @ np.ones(3), np.zeros(3), atol=1e-15)
+    B = kernel(s1_state, s1_instance)
+    np.testing.assert_allclose(B @ np.ones(3), np.zeros(3), atol=1e-15)
 
 
 def test_g_terms_recompose_hessian(s1_state, s1_instance):

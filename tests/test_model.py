@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import softnewt as sn
 from softnewt.model import (
+    ACTIVATION_KINDS,
     DenominatorFloorWarning,
     EvaluationOverflowError,
     ShapeError,
@@ -213,6 +215,25 @@ def test_activation_bound_estimate_covers_probes(s1_instance):
         assert np.linalg.norm(st_.hval) <= rh + 1e-12
         assert np.linalg.norm(st_.hprime) <= rh + 1e-12
     assert estimate_activation_bound("identity", inst.A2) >= np.sqrt(2.0)
+
+
+def test_activation_bound_memory_is_linear_in_n():
+    # the vertex probes read columns of A2; no n x n identity is built
+    n = 4000
+    A2 = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, n)) / np.sqrt(n)
+    tracemalloc.start()
+    try:
+        got = estimate_activation_bound("tanh", A2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB; one n x n array is {8 * n * n / 2**20:.0f} MiB"
+    for kind in ACTIVATION_KINDS:
+        units = [np.zeros(n) for _ in range(8)]
+        for i, e in enumerate(units):
+            e[i] = 1.0
+        explicit = estimate_activation_bound(kind, A2, probe_f=[np.full(n, 1.0 / n)] + units)
+        assert estimate_activation_bound(kind, A2) == explicit
 
 
 def test_instance_json_round_trip(s1_instance):

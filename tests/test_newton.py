@@ -6,6 +6,7 @@ from conftest import random_instance, random_points
 
 import softnewt as sn
 from softnewt.bounds import probe_empirical
+from softnewt.model import EvaluationOverflowError
 from softnewt.newton import NotPositiveDefiniteError
 from softnewt.oracle import spectral
 
@@ -84,7 +85,7 @@ def test_exact_mode_iteration_bound_and_quadratic_tail(s1_instance, s1_reference
     budget = math.ceil(math.log(r0 / eps) / math.log(2.5)) + 1
     assert rep.n_iters <= budget
     # local quadratic behavior: r_{t+1} / r_t^2 stays sane near the optimum
-    lam_min = spectral(sn.hess_tot(sn.eval_forward(s1_instance, s1_reference), s1_instance).H_tot)[0]
+    lam_min = spectral(sn.hess_L(sn.eval_forward(s1_instance, s1_reference), s1_instance).H_tot)[0]
     assert lam_min >= 0.1
     quad = [
         rep.r_t[t + 1] / rep.r_t[t] ** 2
@@ -108,6 +109,28 @@ def test_non_positive_definite_error_carries_lambda_min():
     assert "positive definite" in rep.error_message
 
 
+def test_overflow_ends_as_error_report(s1_instance, monkeypatch):
+    # a start whose exp(A1 x) leaves float64 ends the run, naming the coordinate
+    row = s1_instance.A1[1]
+    with pytest.warns(UserWarning, match="norm budget"):
+        rep = sn.solve(s1_instance, 2000.0 * row / (row @ row), exact_cfg())
+    assert rep.status == "error"
+    assert "exp((A1 x)_1)" in rep.error_message and "overflows" in rep.error_message
+    assert rep.n_iters == 0 and rep.grad_norms == [] and math.isnan(rep.final_grad_norm)
+
+    # the damped line search halves an overflowing trial step like an uphill one
+    import softnewt.newton as newton_mod
+
+    monkeypatch.setattr(newton_mod, "_spd_solve", lambda H, rhs, what: 1e6 * rhs)
+    g0 = sn.grad(sn.eval_forward(s1_instance, np.zeros(2)), s1_instance).grad_tot
+    with pytest.raises(EvaluationOverflowError):
+        sn.eval_forward(s1_instance, -1e6 * g0)
+    cfg = sn.NewtonConfig(mode="exact", damping=True, strict=False)
+    x_next, diag = sn.newton_step(s1_instance, np.zeros(2), cfg)
+    assert 0 < diag.halvings < 30
+    assert sn.eval_forward(s1_instance, x_next).loss_tot <= diag.loss_tot
+
+
 def test_sketched_solve_deterministic(s1_instance, s1_reference):
     cfg = sn.NewtonConfig(mode="sketched", eps=1e-9, eps0=0.01, seed=3,
                           stationarity_tol=1e-12, max_iters=50, strict=False)
@@ -127,7 +150,7 @@ def test_basin_check_trivial_and_analytic_vs_empirical(s1_instance, s1_reference
     pts = [s1_reference + dx for dx in random_points(s1_instance, 31, 8, radius_frac=0.05)]
     rep = probe_empirical(s1_instance, pts)
     st_ref = sn.eval_forward(s1_instance, s1_reference)
-    l = spectral(sn.hess_tot(st_ref, s1_instance).H_tot)[0]
+    l = spectral(sn.hess_L(st_ref, s1_instance).H_tot)[0]
     x0 = s1_reference + np.array([0.01, -0.005])
     assert not sn.basin_check(x0, s1_reference, M=rep.analytic["M"], l=l)
     assert sn.basin_check(x0, s1_reference, M=rep.M_empirical, l=l)
@@ -140,7 +163,7 @@ def basin_setup():
     ref = sn.solve(inst, np.zeros(3), exact_cfg())
     assert ref.status == "converged"
     x_ref = ref.final_x
-    l = spectral(sn.hess_tot(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
+    l = spectral(sn.hess_L(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
     pts = [x_ref + dx for dx in random_points(inst, 77, 10, radius_frac=0.2)]
     M_emp = probe_empirical(inst, pts).M_empirical
     return inst, x_ref, l, M_emp

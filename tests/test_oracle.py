@@ -55,8 +55,7 @@ def test_spectral_trivial_and_golden(s1_instance, s1_golden, s1_state):
     lo, hi, _ = spectral(np.diag([-2.0, 5.0]))
     assert (lo, hi) == (-2.0, 5.0)
 
-    hb = sn.hess_L(s1_state, s1_instance)
-    lo, hi, vals = spectral(hb.B)
+    lo, hi, vals = spectral(sn.kernel(s1_state, s1_instance))
     np.testing.assert_allclose(vals, s1_golden["hessian"]["B_spectrum"], atol=1e-13)
     act = s1_instance.activation
     R = max(np.linalg.norm(s1_instance.A1, 2), np.linalg.norm(s1_instance.A2, 2))
