@@ -16,7 +16,7 @@ import numpy as np
 
 from .derivatives import grad
 from .hessian import g_terms, hess_L, kernel
-from .model import DenominatorFloorWarning, ModelState, ProblemInstance, eval_forward
+from .model import DenominatorFloorWarning, ProblemInstance, eval_forward
 from .oracle import spectral
 from .serialize import SCHEMA_VERSION
 

@@ -11,7 +11,6 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,35 +18,18 @@ import numpy as np
 from . import bounds as bounds_mod
 from .derivatives import grad
 from .generate import gen_instance
-from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entry, kernel, kernel_diag
-from .model import EvaluationOverflowError, ProblemInstance, eval_forward, instance_from_json, instance_to_json
+from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entry, kernel
+from .model import EvaluationOverflowError, ProblemInstance, _rng, eval_forward, instance_from_json, instance_to_json
 from .newton import NewtonConfig, RunReport, basin_check, solve
-from .oracle import FdConfig, fd_gradient, fd_hessian, spectral
+from .oracle import FdConfig, fd_gradient, fd_hessian
 from .serialize import SCHEMA_VERSION, dump_path, dumps, load_path
 from .sketch import subsample, verify_sandwich
 
 EMIT_NAMES = ("report_json", "trace_csv", "bounds_json", "grad_json", "bterms_json")
 
 
-@dataclass
-class ExperimentSpec:
-    instance_path: str
-    x0_rule: str = "zero"  # "zero" | "gaussian" | "stored" | "values"
-    x0_scale: float = 0.1
-    x0_values: list[float] | None = None
-    x0_path: str | None = None
-    config: NewtonConfig = field(default_factory=NewtonConfig)
-    output_dir: str = "."
-    emit: frozenset[str] = frozenset({"report_json"})
-    reference: bool = True
-
-
 class ConfigError(ValueError):
     pass
-
-
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(stream) << np.uint64(32)))
 
 
 def _load_instance(path: str) -> ProblemInstance:
@@ -59,35 +41,35 @@ def _load_instance(path: str) -> ProblemInstance:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
 
 
-def _build_x0(spec: ExperimentSpec, inst: ProblemInstance) -> np.ndarray:
-    if spec.x0_rule == "zero":
+def _build_x0(args, inst: ProblemInstance) -> np.ndarray:
+    if args.x0 == "zero":
         return np.zeros(inst.d)
-    if spec.x0_rule == "gaussian":
-        g = _rng(spec.config.seed, stream=0xA11CE).standard_normal(inst.d)
-        return spec.x0_scale * g
-    if spec.x0_rule == "values":
-        if not spec.x0_values:
+    if args.x0 == "gaussian":
+        g = _rng(args.seed, stream=0xA11CE).standard_normal(inst.d)
+        return args.x0_scale * g
+    if args.x0 == "values":
+        if not args.x0_values:
             raise ConfigError("x0 rule 'values' requires --x0-values")
-        x0 = np.asarray(spec.x0_values, dtype=float)
+        x0 = np.asarray([float(v) for v in args.x0_values.split(",")], dtype=float)
         if x0.shape != (inst.d,):
             raise ConfigError(f"x0 needs {inst.d} components, got {x0.size}")
         return x0
-    if spec.x0_rule == "stored":
-        if not spec.x0_path:
+    if args.x0 == "stored":
+        if not args.x0_path:
             raise ConfigError("x0 rule 'stored' requires --x0-path")
         try:
-            doc = load_path(spec.x0_path)
+            doc = load_path(args.x0_path)
         except FileNotFoundError as exc:
-            raise ConfigError(f"x0 file not found: {spec.x0_path}") from exc
+            raise ConfigError(f"x0 file not found: {args.x0_path}") from exc
         if isinstance(doc, dict):
             if "x0" in doc:
                 doc = doc["x0"]
             elif "golden" in doc and "iterates" in doc["golden"]:
                 doc = doc["golden"]["iterates"][-1]
             else:
-                raise ConfigError(f"{spec.x0_path} holds neither 'x0' nor a run report")
+                raise ConfigError(f"{args.x0_path} holds neither 'x0' nor a run report")
         return np.asarray(doc, dtype=float)
-    raise ConfigError(f"unknown x0 rule {spec.x0_rule!r}")
+    raise ConfigError(f"unknown x0 rule {args.x0!r}")
 
 
 def cmd_gen(args) -> int:
@@ -122,7 +104,7 @@ def _reference_optimum(inst: ProblemInstance) -> np.ndarray:
         strict=False,
     )
     rep = solve(inst, np.zeros(inst.d), cfg)
-    if rep.final_grad_norm > 1e-10:
+    if not rep.final_grad_norm <= 1e-10:
         raise ConfigError(
             f"reference solve stalled at gradient norm {rep.final_grad_norm:.3e}"
         )
@@ -148,43 +130,33 @@ def _write_trace_csv(path, report: RunReport) -> None:
 
 
 def cmd_run(args) -> int:
-    spec = ExperimentSpec(
-        instance_path=args.instance,
-        x0_rule=args.x0,
-        x0_scale=args.x0_scale,
-        x0_values=[float(v) for v in args.x0_values.split(",")] if args.x0_values else None,
-        x0_path=args.x0_path,
-        config=NewtonConfig(
-            mode=args.mode,
-            eps=args.eps,
-            delta=args.delta,
-            eps0=args.eps0,
-            max_iters=args.max_iters,
-            l_estimate=args.l_estimate,
-            seed=args.seed,
-            stationarity_tol=args.stationarity_tol,
-            damping=args.damping,
-            strict=not args.no_strict,
-        ),
-        output_dir=args.out_dir,
-        emit=frozenset(args.emit.split(",")),
-        reference=not args.no_reference,
+    cfg = NewtonConfig(
+        mode=args.mode,
+        eps=args.eps,
+        delta=args.delta,
+        eps0=args.eps0,
+        max_iters=args.max_iters,
+        seed=args.seed,
+        stationarity_tol=args.stationarity_tol,
+        damping=args.damping,
+        strict=not args.no_strict,
     )
-    unknown = sorted(spec.emit.difference(EMIT_NAMES))
+    emit = frozenset(args.emit.split(","))
+    unknown = sorted(emit.difference(EMIT_NAMES))
     if unknown:
         raise ConfigError(f"unknown --emit names {unknown}; known: {', '.join(EMIT_NAMES)}")
-    inst = _load_instance(spec.instance_path)
-    x0 = _build_x0(spec, inst)
-    outdir = Path(spec.output_dir)
+    inst = _load_instance(args.instance)
+    x0 = _build_x0(args, inst)
+    outdir = Path(args.out_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {outdir}: {exc}") from exc
 
-    x_ref = _reference_optimum(inst) if spec.reference else None
-    report = solve(inst, x0, spec.config, x_ref=x_ref)
+    x_ref = None if args.no_reference else _reference_optimum(inst)
+    report = solve(inst, x0, cfg, x_ref=x_ref)
     bounds_report = None
-    if "bounds_json" in spec.emit:
+    if "bounds_json" in emit:
         # the points the solver evaluated; an overflowing last iterate is left out
         pts = [np.asarray(p, dtype=float) for p in report.iterates[: len(report.grad_norms)]]
         if x_ref is not None:
@@ -193,7 +165,7 @@ def cmd_run(args) -> int:
             bounds_report = bounds_mod.probe_empirical(inst, pts)
     if x_ref is not None:
         st_ref = eval_forward(inst, x_ref)
-        l_ref = spec.config.l_estimate or float(np.linalg.eigvalsh(hess_L(st_ref, inst).H_tot)[0])
+        l_ref = args.l_estimate or float(np.linalg.eigvalsh(hess_L(st_ref, inst).H_tot)[0])
         report.basin_certificate = {
             "analytic": basin_check(x0, x_ref, M=bounds_mod.compute_constants(inst).M, l=l_ref)
         }
@@ -205,17 +177,17 @@ def cmd_run(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "golden": {
-            "instance_path": spec.instance_path,
+            "instance_path": args.instance,
             "x0": x0,
             "x_ref": x_ref,
             "config": {
-                "mode": spec.config.mode,
-                "eps": spec.config.eps,
-                "delta": spec.config.delta,
-                "eps0": spec.config.eps0,
-                "max_iters": spec.config.max_iters,
-                "seed": spec.config.seed,
-                "stationarity_tol": spec.config.stationarity_tol,
+                "mode": cfg.mode,
+                "eps": cfg.eps,
+                "delta": cfg.delta,
+                "eps0": cfg.eps0,
+                "max_iters": cfg.max_iters,
+                "seed": cfg.seed,
+                "stationarity_tol": cfg.stationarity_tol,
             },
             **report.golden_json(),
         },
@@ -224,17 +196,17 @@ def cmd_run(args) -> int:
             "written_at_unix": time.time(),
         },
     }
-    if "report_json" in spec.emit:
+    if "report_json" in emit:
         dump_path(doc, outdir / "report.json")
-    if "trace_csv" in spec.emit:
+    if "trace_csv" in emit:
         _write_trace_csv(outdir / "trace.csv", report)
-    if "bounds_json" in spec.emit and bounds_report is not None:
+    if "bounds_json" in emit and bounds_report is not None:
         dump_path(bounds_report.to_json(), outdir / "bounds.json")
-    if "grad_json" in spec.emit:
+    if "grad_json" in emit:
         st_fin = eval_forward(inst, report.final_x)
         gdoc = {"schema_version": SCHEMA_VERSION, "x": report.final_x, **grad(st_fin, inst).to_json()}
         dump_path(gdoc, outdir / "gradient.json")
-    if "bterms_json" in spec.emit:
+    if "bterms_json" in emit:
         st_fin = eval_forward(inst, report.final_x)
         terms = b_terms(st_fin, inst)
         tdoc = {
@@ -289,7 +261,8 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     scale = 1.0
     for x in xs[: min(len(xs), 5)]:
         st = eval_forward(inst, x)
-        H_L = hess_L(st, inst).H_L
+        hb = hess_L(st, inst)
+        H_L = hb.H_L
         B = kernel(st, inst)
         scale = max(scale, float(np.max(np.abs(H_L))))
         for i in range(d):
@@ -297,7 +270,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
                 worst = max(worst, abs(H_L[i, j] - hess_L_entry(st, inst, i, j)))
         worst = max(worst, float(np.max(np.abs(H_L - inst.A1.T @ B @ inst.A1))))
         worst = max(worst, float(np.max(np.abs(sum(b_terms(st, inst)) - B))))
-        worst = max(worst, float(np.max(np.abs(kernel_diag(st, inst) - np.diag(B)))))
+        worst = max(worst, float(np.max(np.abs(hb.B_diag - np.diag(B)))))
     yield "hessian_route_agreement", worst <= 1e-10 * scale, worst, "max elementwise gap"
 
     worst = 0.0
@@ -316,7 +289,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     ok = psd.holds(abs(lo)) and psd.holds(abs(hi))
     yield "psd_sandwich", ok, psd.tightness(max(abs(lo), abs(hi))), "kernel spectrum inside +-bound"
 
-    dw = kernel_diag(eval_forward(inst, np.zeros(d)), inst) + inst.w**2
+    dw = hess_L(eval_forward(inst, np.zeros(d)), inst).B_diag + inst.w**2
     if np.all(dw > 0):
         hits = 0
         n_seeds = 20

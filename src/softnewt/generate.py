@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import Activation, ProblemInstance, activation_eval, estimate_activation_bound
+from .model import Activation, ProblemInstance, _rng, activation_eval, estimate_activation_bound
 
 __all__ = ["gen_instance", "ridge_recipe", "softmax"]
 
@@ -57,7 +57,7 @@ def gen_instance(
     """
     if min(n, m, d) < 1:
         raise ValueError("n, m, d must all be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _rng(seed)
     A1 = rng.standard_normal((n, d))
     A1 *= r_target / max(float(np.linalg.norm(A1, 2)), 1e-300)
     A2 = rng.standard_normal((m, n))

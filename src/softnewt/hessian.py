@@ -10,9 +10,9 @@ v = f o q2 and s = <q2, f>. B has one representation, the factored one: the
 m x n factors Q2 J and A2 J, the m-vector h'' o c, and f, v, s, all formed in
 O(n m) without J. Everything else is read from those factors:
 
-- ``hess_L`` (H_L and H_tot) is the production route: O(n m d + n d^2) time,
-  d x d results, no n x n array at any n.
-- ``kernel_diag`` gives diag(B) in O(n m), the sketched step's surrogate.
+- ``hess_L`` is the production route: O(n m d + n d^2) time, no n x n array
+  at any n. From one factor pass it returns H_L, H_tot and ``B_diag`` =
+  diag(B) (O(n m) more), the sketched step's surrogate.
 - ``kernel`` returns the dense B in O(n^2 m) time and n^2 memory. It is for
   diagnostics (spectrum probes, route-agreement checks) and is never called
   by the solver.
@@ -36,7 +36,6 @@ __all__ = [
     "hess_L",
     "hess_L_entry",
     "kernel",
-    "kernel_diag",
     "b_terms",
     "B_TERM_NAMES",
     "g_terms",
@@ -49,7 +48,7 @@ B_TERM_NAMES = tuple(f"B{i}" for i in range(1, 13))
 class HessianBundle:
     H_L: np.ndarray  # d x d
     H_tot: np.ndarray  # d x d
-    w2_diag: np.ndarray  # n, entries w_i^2
+    B_diag: np.ndarray  # n, diag(B)
 
 
 def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.ndarray:
@@ -97,13 +96,14 @@ def hess_L_entry(state: ModelState, inst: ProblemInstance, i: int, j: int) -> fl
 
 
 def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
-    """Hessian of the data term plus the total Hessian, in O(n m d + n d^2).
+    """Hessian of the data term, the total Hessian and diag(B), in O(n m d + n d^2).
 
     H_L = A1^T B A1 = P2^T P2 + G^T diag(h'' o c) G + a w^T + w a^T
     - A1^T diag(u) A1, with P2 = (Q2 J) A1, G = (A2 J) A1, u = s f - v,
     a = A1^T f and w = A1^T u. Only m x n and d x d arrays are formed, so
     this is the solver's route at any n. It equals the sum of ``g_terms``;
     summed this way the terms that cancel (all of them at n = 1) cancel exactly.
+    diag(B) = colsum((Q2 J)^2) + (h'' o c)^T (A2 J)^2 + (2 f - 1) o u.
     """
     QJ, AJ, curv, f, v, s = _factors(state, inst)
     A1 = inst.A1
@@ -116,7 +116,8 @@ def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     H_L += np.outer(a, w) + np.outer(w, a) - A1.T @ (u[:, None] * A1)
     w2 = inst.w * inst.w
     H_tot = H_L + A1.T @ (w2[:, None] * A1)
-    return HessianBundle(H_L=H_L, H_tot=H_tot, w2_diag=w2)
+    B_diag = np.einsum("ki,ki->i", QJ, QJ) + curv @ (AJ * AJ) + (2.0 * f - 1.0) * u
+    return HessianBundle(H_L=H_L, H_tot=H_tot, B_diag=B_diag)
 
 
 def kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
@@ -133,13 +134,6 @@ def kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     B += np.outer(u, f)
     B.flat[:: inst.n + 1] -= u
     return B
-
-
-def kernel_diag(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """diag(B) in O(n m), without forming B."""
-    QJ, AJ, curv, f, v, s = _factors(state, inst)
-    u = s * f - v
-    return np.einsum("ki,ki->i", QJ, QJ) + curv @ (AJ * AJ) + (2.0 * f - 1.0) * u
 
 
 def b_terms(state: ModelState, inst: ProblemInstance) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,6 +35,15 @@ __all__ = [
 
 # exp(x) overflows float64 just above this
 _EXP_MAX_ARG = 709.0
+
+
+def _rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The package's random generator: counter-based Philox keyed on seed ^ (stream << 32).
+
+    Stream 0 keys on the seed itself; identical seed and stream give an
+    identical draw stream on every platform.
+    """
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(stream) << np.uint64(32)))
 
 
 class ShapeError(ValueError):

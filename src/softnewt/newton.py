@@ -8,6 +8,10 @@ Sketched mode subsamples the positive diagonal surrogate
 D' = diag_part(B(x_t)) + w o w (the subsampling contract requires a positive
 diagonal, which the full kernel is not); the end-to-end spectral deviation of
 the resulting Ht from the true total Hessian is measured every iteration.
+
+Each iterate is evaluated once: ``solve`` computes its forward pass and
+gradient, and ``newton_step`` takes both and adds a single ``hess_L`` call,
+which gives H_tot and diag(B) from one pass over the kernel factors.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import scipy.linalg
 
 from .bounds import LogConstant
 from .derivatives import grad
-from .hessian import hess_L, kernel_diag
+from .hessian import hess_L
 from .model import EvaluationOverflowError, ModelState, ProblemInstance, eval_forward
-from .sketch import SketchResult, subsample, verify_sandwich
+from .sketch import SketchResult, subsample
 
 __all__ = [
     "NewtonConfig",
@@ -52,7 +56,6 @@ class NewtonConfig:
     delta: float = 0.05  # failure budget, split uniformly across iterations
     eps0: float = 0.01  # sketch accuracy
     max_iters: int = 200
-    l_estimate: float | None = None
     seed: int = 0
     stationarity_tol: float = 1e-10
     damping: bool = False  # halve the step while loss_tot increases (<= 30 halvings)
@@ -76,9 +79,6 @@ class NewtonConfig:
 
 @dataclass
 class StepDiagnostics:
-    grad_norm: float
-    step_norm: float
-    loss_tot: float
     sketch: SketchResult | None = None
     eps_end_to_end: float | None = None
     halvings: int = 0
@@ -109,24 +109,29 @@ def _step_seed(seed: int, t: int) -> int:
 
 def newton_step(
     inst: ProblemInstance,
-    x_t: np.ndarray,
+    state: ModelState,
+    grad_tot: np.ndarray,
     cfg: NewtonConfig,
-    *,
-    step_seed: int | None = None,
-    state: ModelState | None = None,
+    t: int = 0,
 ) -> tuple[np.ndarray, StepDiagnostics]:
-    """One Newton step; returns the new point and per-step diagnostics."""
-    x_t = np.asarray(x_t, dtype=float)
-    if state is None:
-        state = eval_forward(inst, x_t)
-    gb = grad(state, inst)
+    """One Newton step from an evaluated iterate; returns the new point and diagnostics.
+
+    ``state`` is the forward pass at the iterate and ``grad_tot`` its total
+    gradient, so the step evaluates nothing at the iterate itself: one
+    ``hess_L`` call gives H_tot and, in sketched mode, diag(B). A sketched step
+    draws with the seed derived from (cfg.seed, t). A Hessian with non-finite
+    entries raises NotPositiveDefiniteError with lambda_min nan.
+    """
+    x_t = state.x
     hb = hess_L(state, inst)
+    if not np.all(np.isfinite(hb.H_tot)):
+        raise NotPositiveDefiniteError("the Hessian has non-finite entries", math.nan)
     sketch = None
     eps_e2e = None
     if cfg.mode == "exact":
         H = hb.H_tot
     else:
-        dprime = kernel_diag(state, inst) + hb.w2_diag
+        dprime = hb.B_diag + inst.w * inst.w
         if np.any(dprime <= 0.0):
             raise NotPositiveDefiniteError(
                 "diagonal surrogate diag(B) + w^2 has nonpositive entries; raise w",
@@ -137,7 +142,7 @@ def newton_step(
             dprime,
             cfg.eps0,
             cfg.delta / max(cfg.max_iters, 1),
-            _step_seed(cfg.seed, 0) if step_seed is None else step_seed,
+            _step_seed(cfg.seed, t),
         )
         H = inst.A1.T @ (sketch.dtilde[:, None] * inst.A1)
         try:
@@ -145,7 +150,7 @@ def newton_step(
             eps_e2e = float(np.max(np.abs(gen - 1.0)))
         except np.linalg.LinAlgError:
             eps_e2e = math.inf
-    delta_x = _spd_solve(H, gb.grad_tot, "the Hessian" if cfg.mode == "exact" else "the sketched Hessian")
+    delta_x = _spd_solve(H, grad_tot, "the Hessian" if cfg.mode == "exact" else "the sketched Hessian")
     x_next = x_t - delta_x
     halvings = 0
     if cfg.damping:
@@ -156,15 +161,7 @@ def newton_step(
             scale *= 0.5
             halvings += 1
         x_next = x_t - scale * delta_x
-    diag = StepDiagnostics(
-        grad_norm=float(np.linalg.norm(gb.grad_tot)),
-        step_norm=float(np.linalg.norm(x_t - x_next)),
-        loss_tot=state.loss_tot,
-        sketch=sketch,
-        eps_end_to_end=eps_e2e,
-        halvings=halvings,
-    )
-    return x_next, diag
+    return x_next, StepDiagnostics(sketch=sketch, eps_end_to_end=eps_e2e, halvings=halvings)
 
 
 @dataclass
@@ -277,7 +274,7 @@ def solve(
         if t == cfg.max_iters:
             break
         try:
-            x, diag = newton_step(inst, x, cfg, step_seed=_step_seed(cfg.seed, t), state=state)
+            x, diag = newton_step(inst, state, gb.grad_tot, cfg, t)
         except NotPositiveDefiniteError as exc:
             return stop("error", str(exc))
         report.iterates.append(x.copy())

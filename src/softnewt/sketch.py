@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .model import _rng
 from .serialize import SCHEMA_VERSION
 
 __all__ = [
@@ -27,17 +28,12 @@ __all__ = [
     "subsample",
     "verify_sandwich",
     "sample_count",
-    "SingularGramError",
     "SAMPLING_CONSTANT",
 ]
 
 # multiplier in s = ceil(C d ln(n/delta) / eps0^2); generous enough that the
 # sandwich holds in well over 1 - delta of runs
 SAMPLING_CONSTANT = 8.0
-
-
-class SingularGramError(ValueError):
-    """A^T D A is singular and range projection was disallowed."""
 
 
 @dataclass
@@ -130,7 +126,7 @@ def subsample(
     tau = leverage_scores(A, dweights)
     p = np.maximum(tau, d / n)
     p = p / p.sum()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _rng(seed)
     draws = rng.choice(n, size=s, replace=True, p=p)
     dtilde = np.zeros(n)
     np.add.at(dtilde, draws, dweights[draws] / (s * p[draws]))
@@ -145,18 +141,11 @@ def subsample(
     )
 
 
-def verify_sandwich(
-    A: np.ndarray,
-    dweights: np.ndarray,
-    result: SketchResult,
-    *,
-    project_singular: bool = True,
-) -> float:
+def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -> float:
     """Largest deviation of the generalized spectrum of (A^T Dt A, A^T D A) from 1.
 
-    A singular Gram matrix is projected onto its numerical range (singular
-    values above 1e-12 of the largest) when ``project_singular``; otherwise it
-    is an error. Fills ``result.eps_measured``.
+    A singular Gram matrix is projected onto its numerical range (eigenvalues
+    above 1e-12 of the largest). Fills ``result.eps_measured``.
     """
     A = np.asarray(A, dtype=float)
     dweights = np.asarray(dweights, dtype=float)
@@ -166,8 +155,6 @@ def verify_sandwich(
     tol = 1e-12 * max(vals[-1], 0.0)
     keep = vals > tol
     if not np.all(keep):
-        if not project_singular:
-            raise SingularGramError("A^T D A is singular; range projection disallowed")
         vecs = vecs[:, keep]
         vals = vals[keep]
         Ht = vecs.T @ Ht @ vecs

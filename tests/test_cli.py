@@ -167,6 +167,40 @@ def test_run_overflow_exit_2_with_report(inst_file, tmp_path, capsys):
     assert not (out / "gradient.json").exists()
 
 
+def test_run_non_finite_hessian(tmp_path, capsys):
+    # w^2 overflows float64: the run ends as an error report (exit 2); with the
+    # reference solve the same failure is a configuration error (exit 3)
+    inst = tmp_path / "huge_w.json"
+    assert main(["gen", "--n", "5", "--m", "3", "--d", "2", "--seed", "7",
+                 "--w", ",".join(["1e160"] * 5), "--out", str(inst)]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["run", "--instance", str(inst), "--no-reference", "--out-dir", str(tmp_path / "a")])
+        assert rc == 2
+        golden = load_path(tmp_path / "a" / "report.json")["golden"]
+        assert golden["status"] == "error" and "Hessian has non-finite entries" in golden["error_message"]
+        capsys.readouterr()
+        assert main(["run", "--instance", str(inst), "--out-dir", str(tmp_path / "b")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration" and "reference solve" in err["message"]
+    assert not (tmp_path / "b" / "report.json").exists()
+
+
+def test_run_l_estimate_sets_the_basin_floor(inst_file, tmp_path):
+    certs = {}
+    for floor in (None, "1e300", "1e-300"):
+        out = tmp_path / str(floor)
+        argv = ["run", "--instance", inst_file, "--out-dir", str(out), "--emit", "report_json,bounds_json"]
+        if floor is not None:
+            argv += ["--l-estimate", floor]
+        assert main(argv) == 0
+        certs[floor] = load_path(out / "report.json")["golden"]["basin_certificate"]
+    assert certs == {
+        None: {"analytic": False, "empirical": True},
+        "1e300": {"analytic": True, "empirical": True},
+        "1e-300": {"analytic": False, "empirical": False},
+    }
+
+
 def test_verify_passes(inst_file, tmp_path, capsys):
     out = tmp_path / "verify.json"
     rc = main(["verify", "--instance", inst_file, "--seed", "1", "--trials", "8",

@@ -3,7 +3,7 @@ import pytest
 from conftest import random_instance, random_points
 
 import softnewt as sn
-from softnewt.hessian import B_TERM_NAMES, b_terms, g_terms, hess_L_entry, kernel, kernel_diag
+from softnewt.hessian import B_TERM_NAMES, b_terms, g_terms, hess_L_entry, kernel
 from softnewt.oracle import FdConfig, fd_hessian, spectral
 
 
@@ -146,7 +146,7 @@ def test_factored_route_equals_per_entry_and_kernel():
         np.testing.assert_allclose(inst.A1.T @ B @ inst.A1, hb.H_L, atol=1e-11 * scale)
         B_scale = max(1.0, np.max(np.abs(B)))
         np.testing.assert_allclose(sum(b_terms(st_, inst)), B, atol=1e-12 * B_scale)
-        np.testing.assert_allclose(kernel_diag(st_, inst), np.diag(B), atol=1e-12 * B_scale)
+        np.testing.assert_allclose(hb.B_diag, np.diag(B), atol=1e-12 * B_scale)
 
 
 def test_hessian_symmetry_and_psd_first_block():

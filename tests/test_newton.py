@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import random_instance, random_points
+from conftest import ALL_KINDS, random_instance, random_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
 from softnewt.bounds import probe_empirical
@@ -17,6 +21,12 @@ def exact_cfg(**kw):
     return sn.NewtonConfig(**base)
 
 
+def step_at(inst, x, cfg, t=0):
+    """Evaluate the iterate x the way ``solve`` does, then take one Newton step from it."""
+    state = sn.eval_forward(inst, x)
+    return sn.newton_step(inst, state, sn.grad(state, inst).grad_tot, cfg, t)
+
+
 @pytest.fixture(scope="module")
 def s1_reference(s1_instance):
     rep = sn.solve(s1_instance, np.zeros(2), exact_cfg())
@@ -25,9 +35,11 @@ def s1_reference(s1_instance):
 
 
 def test_step_fixed_point_at_optimum(s1_instance, s1_reference):
-    x_next, diag = sn.newton_step(s1_instance, s1_reference, exact_cfg())
+    state = sn.eval_forward(s1_instance, s1_reference)
+    g = sn.grad(state, s1_instance).grad_tot
+    x_next, _ = sn.newton_step(s1_instance, state, g, exact_cfg())
     assert np.linalg.norm(x_next - s1_reference) <= 1e-13
-    assert diag.grad_norm <= 1e-13
+    assert np.linalg.norm(g) <= 1e-13
 
 
 def test_quadratic_specialization_one_step():
@@ -40,7 +52,7 @@ def test_quadratic_specialization_one_step():
         activation=sn.Activation("identity"), R=1.5,
     )
     x0 = np.array([0.9, -0.4, 0.2])
-    x1, _ = sn.newton_step(inst, x0, exact_cfg())
+    x1, _ = step_at(inst, x0, exact_cfg())
     assert np.linalg.norm(x1) <= 1e-12
     rep = sn.solve(inst, x0, exact_cfg())
     assert rep.status == "converged" and rep.n_iters == 1
@@ -101,7 +113,7 @@ def test_non_positive_definite_error_carries_lambda_min():
         w=np.zeros(2), activation=sn.Activation("identity"), R=4.0,
     )
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        sn.newton_step(inst, np.array([-3.0]), exact_cfg())
+        step_at(inst, np.array([-3.0]), exact_cfg())
     assert exc.value.lambda_min < 0
 
     rep = sn.solve(inst, np.array([-3.0]), exact_cfg())
@@ -126,9 +138,82 @@ def test_overflow_ends_as_error_report(s1_instance, monkeypatch):
     with pytest.raises(EvaluationOverflowError):
         sn.eval_forward(s1_instance, -1e6 * g0)
     cfg = sn.NewtonConfig(mode="exact", damping=True, strict=False)
-    x_next, diag = sn.newton_step(s1_instance, np.zeros(2), cfg)
+    x_next, diag = step_at(s1_instance, np.zeros(2), cfg)
     assert 0 < diag.halvings < 30
-    assert sn.eval_forward(s1_instance, x_next).loss_tot <= diag.loss_tot
+    loss0 = sn.eval_forward(s1_instance, np.zeros(2)).loss_tot
+    assert sn.eval_forward(s1_instance, x_next).loss_tot <= loss0
+
+
+def test_non_finite_hessian_ends_as_error_report(s1_instance):
+    # w^2 overflows float64, so H_tot holds inf and nan: an error report in
+    # both modes, not a scipy ValueError from the factorization
+    inst = sn.ProblemInstance(
+        A1=s1_instance.A1, A2=s1_instance.A2, b=s1_instance.b, w=np.full(s1_instance.n, 1e160),
+        activation=s1_instance.activation, R=s1_instance.R,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            step_at(inst, np.zeros(2), exact_cfg())
+        assert math.isnan(exc.value.lambda_min)
+        for mode in ("exact", "sketched"):
+            rep = sn.solve(inst, np.zeros(2), exact_cfg(mode=mode))
+            assert rep.status == "error" and rep.n_iters == 0
+            assert "Hessian has non-finite entries" in rep.error_message
+
+
+def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch):
+    # a sketched solve of k steps evaluates the gradient once per iterate
+    # (k + 1) and the kernel factors once per step (k): the step takes its
+    # gradient from solve, and hess_L gives H_tot and diag(B) together
+    import softnewt.hessian as hessian_mod
+    import softnewt.newton as newton_mod
+
+    calls = {"grad": 0, "_factors": 0}
+    for mod, name in ((newton_mod, "grad"), (hessian_mod, "_factors")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    cfg = sn.NewtonConfig(mode="sketched", eps=1e-9, seed=3, stationarity_tol=1e-12, max_iters=50, strict=False)
+    rep = sn.solve(s1_instance, s1_reference + np.array([0.2, -0.1]), cfg)
+    k = rep.n_iters
+    assert rep.status == "converged" and k >= 2
+    assert calls == {"grad": k + 1, "_factors": k}
+
+
+@st.composite
+def solver_cases(draw):
+    """A random finite instance, a start, an optional reference point and a config."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0)
+    A1 = draw(hnp.arrays(float, (n, d), elements=entries))
+    A2 = draw(hnp.arrays(float, (m, n), elements=entries))
+    inst = sn.ProblemInstance(
+        A1=A1, A2=A2, b=draw(hnp.arrays(float, m, elements=entries)),
+        w=draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0))),
+        activation=sn.Activation(draw(st.sampled_from(ALL_KINDS))),
+        R=max(float(np.linalg.norm(A1, 2)), float(np.linalg.norm(A2, 2)), 0.5),
+    )
+    x0 = draw(hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+    x_ref = draw(st.none() | hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+    cfg = sn.NewtonConfig(
+        mode=draw(st.sampled_from(["exact", "sketched"])), eps=1e-8, eps0=draw(st.floats(0.05, 0.45)),
+        max_iters=20, seed=draw(st.integers(0, 2**32)), damping=draw(st.booleans()), strict=False,
+    )
+    return inst, x0, x_ref, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=solver_cases())
+def test_solve_never_raises_on_finite_inputs(case):
+    inst, x0, x_ref, cfg = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
+            rep = sn.solve(inst, x0, cfg, x_ref=x_ref)
+    assert rep.status in {"converged", "max_iters", "diverged", "error"}
+    assert (rep.error_message is not None) == (rep.status == "error")
 
 
 def test_sketched_solve_deterministic(s1_instance, s1_reference):
@@ -209,10 +294,9 @@ def test_divergence_detector(s1_instance, s1_reference, monkeypatch):
     # three consecutive doublings of the reference distance flag divergence
     import softnewt.newton as newton_mod
 
-    def runaway_step(inst, x_t, cfg, *, step_seed=None, state=None):
-        x_next = s1_reference + 2.5 * (x_t - s1_reference)
-        diag = newton_mod.StepDiagnostics(grad_norm=1.0, step_norm=1.0, loss_tot=1.0)
-        return x_next, diag
+    def runaway_step(inst, state, grad_tot, cfg, t=0):
+        x_next = s1_reference + 2.5 * (state.x - s1_reference)
+        return x_next, newton_mod.StepDiagnostics()
 
     monkeypatch.setattr(newton_mod, "newton_step", runaway_step)
     rep = newton_mod.solve(
