@@ -4,6 +4,11 @@ Every constant is carried in log space: already at R = 4 the formulas contain
 exp(64), and the Hessian-Lipschitz constant overflows float64 long before the
 measured quantities do. Tightness ratios (measured / bound) are therefore
 formed by subtracting logs.
+
+The empirical probe evaluates each measured quantity once per admissible
+point and stacks it over the points. Norm maxima come from the stacks; each
+Lipschitz ratio compares every point with all later points in one batched
+norm per quantity, so the probe never holds all pair differences at once.
 """
 
 from __future__ import annotations
@@ -20,28 +25,12 @@ from .model import DenominatorFloorWarning, ProblemInstance, eval_forward
 from .oracle import spectral
 from .serialize import SCHEMA_VERSION
 
-__all__ = ["LogConstant", "BoundReport", "compute_constants", "constants_from_params", "probe_empirical", "measured_radius"]
+__all__ = ["LogConstant", "BoundReport", "compute_constants", "constants_from_params", "probe_empirical",
+           "measured_radius", "TooFewAdmissiblePointsError"]
 
 _LN10 = math.log(10.0)
 
 NORM_KEYS = ("f", "c", "Q2", "q2", "p")
-LIPSCHITZ_KEYS = (
-    "u",
-    "alpha",
-    "alpha_inv",
-    "f",
-    "c",
-    "Q2",
-    "q2",
-    "g",
-    "p",
-    "G1",
-    "G2",
-    "G3",
-    "G4",
-    "G5",
-    "G6",
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -249,6 +238,10 @@ def compute_constants(inst: ProblemInstance, *, R: float | None = None, beta: fl
     )
 
 
+class TooFewAdmissiblePointsError(ValueError):
+    """Fewer than two probe points pass the denominator floor beta."""
+
+
 def _admissible_states(inst: ProblemInstance, sample_points):
     states, excluded = [], 0
     log_beta = math.log(inst.beta)
@@ -263,16 +256,35 @@ def _admissible_states(inst: ProblemInstance, sample_points):
     return states, excluded
 
 
+def _norms(key: str, D: np.ndarray) -> np.ndarray:
+    """The norm of each slice of a stack, summed as the single-array norm sums it.
+
+    Rows of a 2-D stack get the l2 norm sqrt(v @ v) (np.linalg.norm's sum);
+    a 3-D stack gets the spectral norm of each matrix, or for P (``lip_p``)
+    its largest column norm.
+    """
+    if D.ndim == 2:
+        return np.sqrt((D[:, None, :] @ D[:, :, None]).ravel())
+    if key == "lip_p":
+        return np.max(np.linalg.norm(D, axis=1), axis=1)
+    return np.linalg.norm(D, 2, axis=(1, 2))
+
+
 def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     """Measure every bounded quantity at the admissible probe points.
 
     Points whose softmax denominator falls below the declared beta are
     excluded and counted. Fewer than two admissible points cannot support the
-    pairwise Lipschitz probes and is an error.
+    pairwise Lipschitz probes and raise ``TooFewAdmissiblePointsError``.
+
+    Each quantity is evaluated once per point and stacked over the points; the
+    norm maxima are read from the stacks, and each Lipschitz ratio compares
+    every point with all later points in one batched norm, so memory grows
+    linearly with the number of points.
     """
     states, excluded = _admissible_states(inst, sample_points)
     if len(states) < 2:
-        raise ValueError(
+        raise TooFewAdmissiblePointsError(
             f"need at least 2 admissible probe points for Lipschitz probes, got {len(states)}"
         )
     R_used = measured_radius(inst, [st.x for st in states])
@@ -281,70 +293,48 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     report.n_admissible = len(states)
     report.n_excluded = excluded
 
-    per_point = []
+    # one row per point, keyed by the report entry each quantity feeds
+    rows = []
     lam_min, lam_max = math.inf, -math.inf
     for st in states:
         gb = grad(st, inst)
-        hb = hess_L(st, inst)
         lo, hi, _ = spectral(kernel(st, inst))
         lam_min, lam_max = min(lam_min, lo), max(lam_max, hi)
-        per_point.append(
+        rows.append(
             {
-                "state": st,
-                "u": st.u,
-                "alpha": st.alpha,
-                "alpha_inv": 1.0 / st.alpha,
-                "f": st.f,
-                "c": st.c,
-                "Q2": gb.Q2,
-                "q2": gb.q2,
-                "g": gb.grad_L,
-                "P": gb.P,
-                "H_L": hb.H_L,
-                "G": g_terms(st, inst),
+                "lip_u": st.u,
+                "lip_alpha": [st.alpha],
+                "lip_alpha_inv": [1.0 / st.alpha],
+                "lip_f": st.f,
+                "lip_c": st.c,
+                "lip_Q2": gb.Q2,
+                "lip_q2": gb.q2,
+                "lip_g": gb.grad_L,
+                "lip_p": gb.P,
+                "M": hess_L(st, inst).H_L,
+                **{f"lip_{k}": G for k, G in g_terms(st, inst).items()},
             }
         )
+    stacks = {key: np.stack([row[key] for row in rows]) for key in rows[0]}
+    X = np.stack([st.x for st in states])
 
-    emp: dict[str, float] = {
-        "norm_f": max(float(np.linalg.norm(p["f"])) for p in per_point),
-        "norm_c": max(float(np.linalg.norm(p["c"])) for p in per_point),
-        "norm_Q2": max(float(np.linalg.norm(p["Q2"], 2)) for p in per_point),
-        "norm_q2": max(float(np.linalg.norm(p["q2"])) for p in per_point),
-        "norm_p": max(float(np.max(np.linalg.norm(p["P"], axis=0))) for p in per_point),
-        "psd_bound": max(abs(lam_min), abs(lam_max)),
-    }
+    emp = {f"norm_{k}": float(np.max(_norms(f"lip_{k}", stacks[f"lip_{k}"]))) for k in NORM_KEYS}
+    emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
     report.lambda_min_B = lam_min
     report.lambda_max_B = lam_max
 
-    # pairwise Lipschitz ratios; spectral norm for matrices, l2 for vectors
-    def pairmax(key, norm) -> float:
-        best = 0.0
-        for i in range(len(per_point)):
-            for j in range(i + 1, len(per_point)):
-                dx = float(np.linalg.norm(per_point[i]["state"].x - per_point[j]["state"].x))
-                if dx == 0.0:
-                    continue
-                best = max(best, norm(per_point[i][key], per_point[j][key]) / dx)
-        return best
-
-    vec = lambda a, b: float(np.linalg.norm(np.atleast_1d(a) - np.atleast_1d(b)))
-    mat = lambda a, b: float(np.linalg.norm(a - b, 2))
-    emp["lip_u"] = pairmax("u", vec)
-    emp["lip_alpha"] = pairmax("alpha", vec)
-    emp["lip_alpha_inv"] = pairmax("alpha_inv", vec)
-    emp["lip_f"] = pairmax("f", vec)
-    emp["lip_c"] = pairmax("c", vec)
-    emp["lip_Q2"] = pairmax("Q2", mat)
-    emp["lip_q2"] = pairmax("q2", vec)
-    emp["lip_g"] = pairmax("g", vec)
-    emp["lip_p"] = pairmax("P", lambda a, b: float(np.max(np.linalg.norm(a - b, axis=0))))
-    emp["M"] = pairmax("H_L", mat)
-    for gk in ("G1", "G2", "G3", "G4", "G5", "G6"):
-        emp[f"lip_{gk}"] = pairmax("G", lambda a, b, gk=gk: float(np.linalg.norm(a[gk] - b[gk], 2)))
+    # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points
+    emp.update(dict.fromkeys(stacks, 0.0))
+    for i in range(len(X) - 1):
+        dx = _norms("x", X[i] - X[i + 1 :])
+        later = i + 1 + np.flatnonzero(dx)
+        dx = dx[dx != 0.0]
+        for key, S in stacks.items():
+            ratio = float(np.max(_norms(key, S[i] - S[later]) / dx, initial=0.0))
+            emp[key] = max(emp[key], ratio)
 
     report.empirical = emp
     report.tightness = {
         k: report.analytic[k].tightness(v) for k, v in emp.items() if k in report.analytic
     }
-    report.tightness["M"] = report.analytic["M"].tightness(emp["M"])
     return report

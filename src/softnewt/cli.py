@@ -105,9 +105,8 @@ def _reference_optimum(inst: ProblemInstance) -> np.ndarray:
     )
     rep = solve(inst, np.zeros(inst.d), cfg)
     if not rep.final_grad_norm <= 1e-10:
-        raise ConfigError(
-            f"reference solve stalled at gradient norm {rep.final_grad_norm:.3e}"
-        )
+        cause = f"status {rep.status}" + (f": {rep.error_message}" if rep.error_message else "")
+        raise ConfigError(f"reference solve stalled at gradient norm {rep.final_grad_norm:.3e}, {cause}")
     return rep.final_x
 
 
@@ -161,8 +160,10 @@ def cmd_run(args) -> int:
         pts = [np.asarray(p, dtype=float) for p in report.iterates[: len(report.grad_norms)]]
         if x_ref is not None:
             pts.append(x_ref)
-        if len(pts) >= 2:
+        try:
             bounds_report = bounds_mod.probe_empirical(inst, pts)
+        except bounds_mod.TooFewAdmissiblePointsError:
+            pass  # no Lipschitz pair to measure: no bounds.json, no empirical certificate
     if x_ref is not None:
         st_ref = eval_forward(inst, x_ref)
         l_ref = args.l_estimate or float(np.linalg.eigvalsh(hess_L(st_ref, inst).H_tot)[0])

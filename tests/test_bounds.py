@@ -1,11 +1,20 @@
+import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import random_instance, random_points
+from conftest import ALL_KINDS, random_instance, random_points
 
 import softnewt as sn
-from softnewt.bounds import LogConstant, constants_from_params, measured_radius, probe_empirical
+from softnewt.bounds import (
+    LogConstant, TooFewAdmissiblePointsError, constants_from_params, measured_radius, probe_empirical,
+)
+from softnewt.derivatives import grad
+from softnewt.hessian import g_terms, hess_L, kernel
+from softnewt.model import DenominatorFloorWarning
+from softnewt.oracle import spectral
 from softnewt.serialize import dumps
 
 SOUND_KEYS = (
@@ -18,6 +27,7 @@ SOUND_KEYS = (
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -172,3 +182,93 @@ def test_report_json_round_trip(s1_instance, s1_golden):
     assert back["empirical"]["norm_f"] == rep.empirical["norm_f"]
     assert back["analytic"]["M"]["exp10"] == rep.analytic["M"].to_json()["exp10"]
     assert back["schema_version"] == 1
+
+
+def pairwise_probe(inst, pts):
+    """The per-pair loop that the stacked probe replaced, kept as its reference.
+
+    Returns (empirical, lambda_min_B, lambda_max_B), or None when fewer than
+    two points are admissible.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DenominatorFloorWarning)
+        states = [s for s in (sn.eval_forward(inst, x) for x in pts) if s.log_alpha >= math.log(inst.beta)]
+    if len(states) < 2:
+        return None
+    per_point = []
+    for s in states:
+        gb = grad(s, inst)
+        per_point.append({
+            "x": s.x, "u": s.u, "alpha": s.alpha, "alpha_inv": 1.0 / s.alpha, "f": s.f, "c": s.c,
+            "Q2": gb.Q2, "q2": gb.q2, "g": gb.grad_L, "p": gb.P, "M": hess_L(s, inst).H_L,
+            **g_terms(s, inst),
+        })
+    vec = lambda a, b: float(np.linalg.norm(np.atleast_1d(a) - np.atleast_1d(b)))
+    mat = lambda a, b: float(np.linalg.norm(a - b, 2))
+    col = lambda a, b: float(np.max(np.linalg.norm(a - b, axis=0)))
+    emp = {}
+    for key in ("u", "alpha", "alpha_inv", "f", "c", "Q2", "q2", "g", "p", "M", "G1", "G2", "G3", "G4", "G5", "G6"):
+        norm = col if key == "p" else mat if key in ("Q2", "M") or key.startswith("G") else vec
+        best = 0.0
+        for a, b in itertools.combinations(per_point, 2):
+            dx = float(np.linalg.norm(a["x"] - b["x"]))
+            if dx == 0.0:
+                continue
+            best = max(best, norm(a[key], b[key]) / dx)
+        emp[key if key == "M" else f"lip_{key}"] = best
+    for key in ("f", "c", "q2"):
+        emp[f"norm_{key}"] = max(float(np.linalg.norm(p[key])) for p in per_point)
+    emp["norm_Q2"] = max(float(np.linalg.norm(p["Q2"], 2)) for p in per_point)
+    emp["norm_p"] = max(float(np.max(np.linalg.norm(p["p"], axis=0))) for p in per_point)
+    spectra = [spectral(kernel(s, inst)) for s in states]
+    lam_min, lam_max = min(lo for lo, _, _ in spectra), max(hi for _, hi, _ in spectra)
+    emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
+    return emp, lam_min, lam_max
+
+
+@st.composite
+def probe_cases(draw):
+    """A random finite instance and 2-8 probe points, some of them repeated."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0)
+    A1 = draw(hnp.arrays(float, (n, d), elements=entries))
+    A2 = draw(hnp.arrays(float, (m, n), elements=entries))
+    inst = sn.ProblemInstance(
+        A1=A1, A2=A2, b=draw(hnp.arrays(float, m, elements=entries)),
+        w=draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0))),
+        activation=sn.Activation(draw(st.sampled_from(ALL_KINDS))),
+        R=max(float(np.linalg.norm(A1, 2)), float(np.linalg.norm(A2, 2)), 0.5),
+    )
+    distinct = draw(st.lists(hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=8))
+    return inst, [distinct[i].copy() for i in picks]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=probe_cases())
+def test_probe_equals_pairwise_reference(case):
+    inst, pts = case
+    expected = pairwise_probe(inst, pts)
+    if expected is None:
+        with pytest.raises(TooFewAdmissiblePointsError):
+            probe_empirical(inst, pts)
+        return
+    rep = probe_empirical(inst, pts)
+    emp, lam_min, lam_max = expected
+    assert rep.empirical == emp
+    assert (rep.lambda_min_B, rep.lambda_max_B) == (lam_min, lam_max)
+
+
+def test_probe_memory_is_linear_in_points():
+    # 60 points: the 1770 pair differences of Q2 alone would take 14 MiB
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 3, noise=0.05)
+    rng = np.random.default_rng(5)
+    pts = [0.5 * inst.R * rng.standard_normal(8) / np.sqrt(8) for _ in range(60)]
+    tracemalloc.start()
+    try:
+        rep = probe_empirical(inst, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_admissible == 60
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -6,7 +6,7 @@ import pytest
 
 import softnewt as sn
 from softnewt.cli import main
-from softnewt.serialize import dumps, load_path
+from softnewt.serialize import dump_path, dumps, load_path
 
 INSTANCE_KEYS = {"schema_version", "n", "m", "d", "A1", "A2", "b", "w", "activation", "R", "beta"}
 
@@ -182,7 +182,25 @@ def test_run_non_finite_hessian(tmp_path, capsys):
         assert main(["run", "--instance", str(inst), "--out-dir", str(tmp_path / "b")]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "configuration" and "reference solve" in err["message"]
+    assert "status error: the Hessian has non-finite entries" in err["message"]
     assert not (tmp_path / "b" / "report.json").exists()
+
+
+def test_run_with_one_admissible_iterate_skips_bounds(tmp_path):
+    # alpha(x) = exp(-50 x): the start x = 1 is below beta, the converged x = 0 is not,
+    # so no pair of admissible points is left for the Lipschitz probes
+    inst = sn.ProblemInstance(
+        A1=np.array([[-50.0]]), A2=np.array([[1.0]]), b=np.array([0.3]), w=np.array([0.01]),
+        activation=sn.Activation("tanh"), R=60.0,
+    )
+    path = tmp_path / "inst.json"
+    dump_path(sn.instance_to_json(inst), path)
+    out = tmp_path / "out"
+    rc = main(["run", "--instance", str(path), "--x0", "values", "--x0-values", "1", "--no-reference",
+               "--out-dir", str(out), "--emit", "report_json,bounds_json"])
+    assert rc == 0
+    assert load_path(out / "report.json")["golden"]["status"] == "converged"
+    assert not (out / "bounds.json").exists()
 
 
 def test_run_l_estimate_sets_the_basin_floor(inst_file, tmp_path):
