@@ -7,8 +7,10 @@ formed by subtracting logs.
 
 The empirical probe evaluates each measured quantity once per admissible
 point and stacks it over the points. Norm maxima come from the stacks; each
-Lipschitz ratio compares every point with all later points in one batched
-norm per quantity, so the probe never holds all pair differences at once.
+Lipschitz ratio compares every point with all later points, one point's row
+of differences at a time. A matrix quantity keeps only a Frobenius bound per
+pair and takes the spectral norm only of the pairs whose bound can still set
+the maximum, so the probe never holds all pair differences at once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = ["LogConstant", "BoundReport", "compute_constants", "constants_from_pa
 _LN10 = math.log(10.0)
 
 NORM_KEYS = ("f", "c", "Q2", "q2", "p")
+
+# pairs per spectral-norm call in the screened Lipschitz pass
+_SVD_BATCH = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -270,6 +275,22 @@ def _norms(key: str, D: np.ndarray) -> np.ndarray:
     return np.linalg.norm(D, 2, axis=(1, 2))
 
 
+def _spectral_bounds(D: np.ndarray) -> np.ndarray:
+    """An upper bound on the spectral norm of each matrix of a stack.
+
+    The Frobenius norm, widened by 1e-8 to cover the SVD's rounding where the
+    two are equal (rank-1 matrices). Below 1e-280 the sum of squares may have
+    underflowed, and NaN bounds nothing: such a matrix gets 0 if it is all
+    zeros and inf otherwise, so it is always measured.
+    """
+    sq = np.einsum("kij,kij->k", D, D)
+    ub = np.sqrt(sq) * (1.0 + 1e-8)
+    unsure = ~(sq >= 1e-280)
+    if unsure.any():
+        ub[unsure] = np.where(D[unsure].any(axis=(1, 2)), np.inf, 0.0)
+    return ub
+
+
 def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     """Measure every bounded quantity at the admissible probe points.
 
@@ -279,8 +300,12 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
 
     Each quantity is evaluated once per point and stacked over the points; the
     norm maxima are read from the stacks, and each Lipschitz ratio compares
-    every point with all later points in one batched norm, so memory grows
-    linearly with the number of points.
+    every point with all later points in one batched norm. A matrix quantity
+    screens its pairs with the Frobenius bound on the spectral norm and takes
+    the spectral norm only of pairs, in descending bound order, whose bound
+    exceeds the maximum so far. Memory holds one point's row of differences
+    plus a few scalars per pair: its indices, its distance and a bound per
+    matrix quantity.
     """
     states, excluded = _admissible_states(inst, sample_points)
     if len(states) < 2:
@@ -323,14 +348,35 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     report.lambda_min_B = lam_min
     report.lambda_max_B = lam_max
 
-    # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points
+    # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points;
+    # a matrix key keeps each pair's bound ||D||_F / dx for the screened pass below
     emp.update(dict.fromkeys(stacks, 0.0))
+    screened = {key: [] for key, S in stacks.items() if S.ndim == 3 and key != "lip_p"}
+    firsts, lasts, dxs = [], [], []
     for i in range(len(X) - 1):
         dx = _norms("x", X[i] - X[i + 1 :])
         later = i + 1 + np.flatnonzero(dx)
         dx = dx[dx != 0.0]
+        firsts.append(np.full(len(later), i))
+        lasts.append(later)
+        dxs.append(dx)
         for key, S in stacks.items():
-            ratio = float(np.max(_norms(key, S[i] - S[later]) / dx, initial=0.0))
+            if key in screened:
+                screened[key].append(_spectral_bounds(S[i] - S[later]) / dx)
+            else:
+                ratio = float(np.max(_norms(key, S[i] - S[later]) / dx, initial=0.0))
+                emp[key] = max(emp[key], ratio)
+    first, last, dx = (np.concatenate(a) for a in (firsts, lasts, dxs))
+    for key, ub in screened.items():
+        ub = np.concatenate(ub)
+        order = np.argsort(-ub)
+        S = stacks[key]
+        for start in range(0, len(order), _SVD_BATCH):
+            batch = order[start : start + _SVD_BATCH]
+            batch = batch[ub[batch] > emp[key]]
+            if not len(batch):
+                break
+            ratio = float(np.max(_norms(key, S[first[batch]] - S[last[batch]]) / dx[batch]))
             emp[key] = max(emp[key], ratio)
 
     report.empirical = emp

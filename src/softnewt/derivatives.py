@@ -65,7 +65,9 @@ def grad(state: ModelState, inst: ProblemInstance) -> GradientBundle:
     Q2, q2 = eval_Q2_q2(state, inst)
     f = state.f
     grad_L = inst.A1.T @ (f * q2) - (q2 @ f) * (inst.A1.T @ f)
-    grad_reg = inst.A1.T @ ((inst.w * inst.w) * state.a1x)
+    # w^2 may overflow; the non-finite gradient is reported by the solver
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_reg = inst.A1.T @ ((inst.w * inst.w) * state.a1x)
     return GradientBundle(
         P=P,
         Q2=Q2,

@@ -114,8 +114,10 @@ def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     w = A1.T @ u
     H_L = P2.T @ P2 + G.T @ (curv[:, None] * G)
     H_L += np.outer(a, w) + np.outer(w, a) - A1.T @ (u[:, None] * A1)
-    w2 = inst.w * inst.w
-    H_tot = H_L + A1.T @ (w2[:, None] * A1)
+    # w^2 may overflow; the non-finite Hessian is reported by the solver
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = inst.w * inst.w
+        H_tot = H_L + A1.T @ (w2[:, None] * A1)
     B_diag = np.einsum("ki,ki->i", QJ, QJ) + curv @ (AJ * AJ) + (2.0 * f - 1.0) * u
     return HessianBundle(H_L=H_L, H_tot=H_tot, B_diag=B_diag)
 

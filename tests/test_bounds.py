@@ -272,3 +272,58 @@ def test_probe_memory_is_linear_in_points():
         tracemalloc.stop()
     assert rep.n_admissible == 60
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def bounds_style_points(inst, seed, count):
+    """Probe points drawn as ``softnewt bounds`` draws them: radius U[0.1, 0.9] R."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(count):
+        g = rng.standard_normal(inst.d)
+        pts.append(g * rng.uniform(0.1, 0.9) * inst.R / np.linalg.norm(g))
+    return pts
+
+
+@pytest.mark.parametrize("n, m, d, kind", [
+    (64, 16, 8, "tanh"),  # the cli benchmark's shape
+    # d = 1: every H_L and G difference is 1 x 1, so its Frobenius bound is tight
+    *((9, 4, 1, kind) for kind in ALL_KINDS),
+])
+def test_screened_probe_equals_pairwise_reference(n, m, d, kind):
+    inst, _ = sn.gen_instance(n, m, d, kind, 11, noise=0.05)
+    pts = bounds_style_points(inst, 12, 20)
+    pts += [pts[4].copy(), pts[15].copy()]
+    emp, lam_min, lam_max = pairwise_probe(inst, pts)
+    doc = probe_empirical(inst, pts).to_json()
+    assert doc["empirical"] == dict(sorted(emp.items()))
+    assert (doc["lambda_min_B"], doc["lambda_max_B"]) == (lam_min, lam_max)
+
+
+def test_screened_probe_measures_few_spectral_norms(monkeypatch):
+    import softnewt.bounds as bounds_mod
+
+    measured = []
+    norms = bounds_mod._norms
+
+    def counting(key, D):
+        if D.ndim == 3 and key != "lip_p":
+            measured.append(len(D))
+        return norms(key, D)
+
+    monkeypatch.setattr(bounds_mod, "_norms", counting)
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
+    rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
+    assert rep.n_admissible == 20
+    # 8 matrix keys x 190 pairs, plus the 20 Q2 norms behind norm_Q2
+    assert sum(measured) - 20 < 8 * 190 / 4, sum(measured)
+
+
+def test_spectral_bounds_cover_underflow_and_zeros():
+    from softnewt.bounds import _spectral_bounds
+
+    rank_one = np.outer([3.0, -1.0, 2.0], [0.5, 7.0])
+    D = np.stack([rank_one, np.zeros((3, 2)), np.full((3, 2), 1e-160), np.full((3, 2), np.nan)])
+    ub = _spectral_bounds(D)
+    assert ub[0] >= np.linalg.norm(rank_one, 2)
+    # all zeros bound 0; squares that underflow or NaN bound nothing, so inf
+    assert list(ub[1:]) == [0.0, math.inf, math.inf]

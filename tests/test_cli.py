@@ -1,11 +1,13 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import softnewt as sn
 from softnewt.cli import main
+from softnewt.model import DenominatorFloorWarning
 from softnewt.serialize import dump_path, dumps, load_path
 
 INSTANCE_KEYS = {"schema_version", "n", "m", "d", "A1", "A2", "b", "w", "activation", "R", "beta"}
@@ -186,6 +188,22 @@ def test_run_non_finite_hessian(tmp_path, capsys):
     assert not (tmp_path / "b" / "report.json").exists()
 
 
+def test_run_overflowing_ridge_reports_without_warnings(tmp_path, capsys):
+    # the same overflowing w^2, outside any errstate: the failure is reported
+    # once, as the report or the JSON error, with no numpy RuntimeWarning
+    inst = tmp_path / "huge_w.json"
+    assert main(["gen", "--n", "5", "--m", "3", "--d", "2", "--seed", "7",
+                 "--w", ",".join(["1e160"] * 5), "--out", str(inst)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--instance", str(inst), "--no-reference", "--out-dir", str(tmp_path / "a")]) == 2
+        capsys.readouterr()
+        assert main(["run", "--instance", str(inst), "--out-dir", str(tmp_path / "b")]) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration"
+
+
 def test_run_with_one_admissible_iterate_skips_bounds(tmp_path):
     # alpha(x) = exp(-50 x): the start x = 1 is below beta, the converged x = 0 is not,
     # so no pair of admissible points is left for the Lipschitz probes
@@ -196,8 +214,9 @@ def test_run_with_one_admissible_iterate_skips_bounds(tmp_path):
     path = tmp_path / "inst.json"
     dump_path(sn.instance_to_json(inst), path)
     out = tmp_path / "out"
-    rc = main(["run", "--instance", str(path), "--x0", "values", "--x0-values", "1", "--no-reference",
-               "--out-dir", str(out), "--emit", "report_json,bounds_json"])
+    with pytest.warns(DenominatorFloorWarning):
+        rc = main(["run", "--instance", str(path), "--x0", "values", "--x0-values", "1", "--no-reference",
+                   "--out-dir", str(out), "--emit", "report_json,bounds_json"])
     assert rc == 0
     assert load_path(out / "report.json")["golden"]["status"] == "converged"
     assert not (out / "bounds.json").exists()
