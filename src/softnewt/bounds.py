@@ -151,24 +151,6 @@ def constants_from_params(n: int, R: float, beta: float, L_h: float, R_h: float)
     out["lip_G4"] = _lc(math.log(4.0), ln_RRh, 4.0 * ln_R, log_Rf, ln_Lh, -ln_b, 0.5 * ln_n, R2)
     out["lip_G5"] = g3
     out["lip_G6"] = _lc(math.log(3.0), ln_RRh, 4.0 * ln_R, log_Rf, ln_Lh, -ln_b, 0.5 * ln_n, R2)
-    # per-addend spectrum bounds of the curvature kernel; the four S-terms are
-    # stated with a single factor of ||A2|| although the addend carries two,
-    # so these are reported but never asserted (only the total bound is).
-    q2sq = _lc(2.0 * ln_R, 2.0 * ln_Rh)
-    mid = _lc(math.log(2.0 * (L_h + 1.0)), ln_R, ln_Rh)
-    sterm = _lc(ln_RRh, ln_Lh, ln_R)
-    out["term_B1"] = q2sq
-    out["term_B2"] = q2sq
-    out["term_B3"] = q2sq
-    out["term_B4"] = q2sq
-    out["term_B5"] = mid
-    out["term_B6"] = mid
-    out["term_B7"] = mid
-    out["term_B8"] = sterm
-    out["term_B9"] = sterm
-    out["term_B10"] = sterm
-    out["term_B11"] = sterm
-    out["term_B12"] = _lc(ln_Rh, ln_R, ln_RRh)
     return out
 
 

@@ -18,10 +18,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from .derivatives import grad
 from .generate import gen_instance
-from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entry, kernel
+from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entries, kernel
 from .model import EvaluationOverflowError, ProblemInstance, _rng, eval_forward, instance_from_json, instance_to_json
 from .newton import NewtonConfig, RunReport, basin_check, solve
-from .oracle import FdConfig, fd_gradient, fd_hessian
+from .oracle import FdConfig, ProbeEvaluationError, fd_gradient, fd_hessian
 from .serialize import SCHEMA_VERSION, dump_path, dumps, load_path
 from .sketch import subsample, verify_sandwich
 
@@ -203,12 +203,12 @@ def cmd_run(args) -> int:
         _write_trace_csv(outdir / "trace.csv", report)
     if "bounds_json" in emit and bounds_report is not None:
         dump_path(bounds_report.to_json(), outdir / "bounds.json")
-    if "grad_json" in emit:
+    if emit & {"grad_json", "bterms_json"}:
         st_fin = eval_forward(inst, report.final_x)
+    if "grad_json" in emit:
         gdoc = {"schema_version": SCHEMA_VERSION, "x": report.final_x, **grad(st_fin, inst).to_json()}
         dump_path(gdoc, outdir / "gradient.json")
     if "bterms_json" in emit:
-        st_fin = eval_forward(inst, report.final_x)
         terms = b_terms(st_fin, inst)
         tdoc = {
             "schema_version": SCHEMA_VERSION,
@@ -222,63 +222,54 @@ def cmd_run(args) -> int:
     return 0 if report.status == "converged" else 2
 
 
+def _rel_err(value: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(value - ref)) / max(float(np.linalg.norm(ref)), 1e-30)
+
+
 def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
-    """Yield (name, passed, margin, detail) over every invariant suite."""
+    """Yield (name, passed, margin, detail) over every invariant suite.
+
+    Each sample point is evaluated once; only the finite-difference oracles
+    evaluate the perturbed points around it.
+    """
     rng = _rng(seed)
     d = inst.d
     xs = [0.35 * inst.R * rng.standard_normal(d) / math.sqrt(d) for _ in range(max(trials, 2))]
+    states = [eval_forward(inst, x) for x in xs]
+    grads = [grad(st, inst) for st in states]
+    hbs = [hess_L(st, inst) for st in states[:10]]
 
-    def norm_dev(x):
-        return abs(float(np.sum(np.abs(eval_forward(inst, x).f))) - 1.0)
-
-    dev_norm = max(map(norm_dev, xs))
+    dev_norm = max(abs(float(np.sum(np.abs(st.f))) - 1.0) for st in states)
     yield "softmax_normalization", dev_norm <= 1e-12, dev_norm, "max |1 - ||f||_1|"
 
     def loss_at(x):
         return eval_forward(inst, x).loss_tot
 
     def grad_at(x):
-        st = eval_forward(inst, x)
-        return grad(st, inst).grad_tot
+        return grad(eval_forward(inst, x), inst).grad_tot
 
     cfg2 = FdConfig()
-
-    def grad_err(x):
-        gfd = fd_gradient(loss_at, x, cfg2)
-        return float(np.linalg.norm(grad_at(x) - gfd)) / max(float(np.linalg.norm(gfd)), 1e-30)
-
-    worst = max(map(grad_err, xs))
+    worst = max(_rel_err(gb.grad_tot, fd_gradient(loss_at, x, cfg2)) for x, gb in zip(xs, grads))
     yield "gradient_vs_finite_difference", worst <= 1e-6, worst, "relative l2 error"
 
-    def hess_err(x):
-        H = hess_L(eval_forward(inst, x), inst).H_tot
-        Hfd = fd_hessian(grad_at, x, cfg2)
-        return float(np.linalg.norm(H - Hfd)) / max(float(np.linalg.norm(Hfd)), 1e-30)
-
-    worst = max(map(hess_err, xs[: min(len(xs), 10)]))
+    worst = max(_rel_err(hb.H_tot, fd_hessian(grad_at, x, cfg2)) for x, hb in zip(xs, hbs))
     yield "hessian_vs_finite_difference", worst <= 1e-5, worst, "relative Frobenius error"
 
     worst = 0.0
     scale = 1.0
-    for x in xs[: min(len(xs), 5)]:
-        st = eval_forward(inst, x)
-        hb = hess_L(st, inst)
-        H_L = hb.H_L
+    for st, hb in zip(states[:5], hbs):
         B = kernel(st, inst)
-        scale = max(scale, float(np.max(np.abs(H_L))))
-        for i in range(d):
-            for j in range(d):
-                worst = max(worst, abs(H_L[i, j] - hess_L_entry(st, inst, i, j)))
-        worst = max(worst, float(np.max(np.abs(H_L - inst.A1.T @ B @ inst.A1))))
-        worst = max(worst, float(np.max(np.abs(sum(b_terms(st, inst)) - B))))
-        worst = max(worst, float(np.max(np.abs(hb.B_diag - np.diag(B)))))
+        scale = max(scale, float(np.max(np.abs(hb.H_L))))
+        gaps = (
+            hb.H_L - hess_L_entries(st, inst),
+            hb.H_L - inst.A1.T @ B @ inst.A1,
+            sum(b_terms(st, inst)) - B,
+            hb.B_diag - np.diag(B),
+        )
+        worst = max(worst, *(float(np.max(np.abs(gap))) for gap in gaps))
     yield "hessian_route_agreement", worst <= 1e-10 * scale, worst, "max elementwise gap"
 
-    worst = 0.0
-    for x in xs:
-        st = eval_forward(inst, x)
-        gb = grad(st, inst)
-        worst = max(worst, float(np.linalg.norm(gb.grad_L - gb.P.T @ gb.q2)))
+    worst = max(float(np.linalg.norm(gb.grad_L - gb.P.T @ gb.q2)) for gb in grads)
     yield "gradient_chain_consistency", worst <= 1e-12, worst, "||grad_L - P^T q2||"
 
     rep = bounds_mod.probe_empirical(inst, xs)
@@ -420,7 +411,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 3
-    except EvaluationOverflowError as exc:
+    except (EvaluationOverflowError, ProbeEvaluationError) as exc:
         print(dumps({"error": "runtime", "message": str(exc)}), file=sys.stderr)
         return 2
 

@@ -17,8 +17,9 @@ O(n m) without J. Everything else is read from those factors:
   diagnostics (spectrum probes, route-agreement checks) and is never called
   by the solver.
 
-``hess_L_entry``, ``b_terms`` and ``hess_f_pair`` build from Q2, q2, Qt and S
-on their own and are the references the factored route is checked against.
+``hess_L_entries`` (H_L summed entry by entry), ``b_terms`` and
+``hess_f_pair`` build from P, Q2, q2, Qt and S on their own, never from the
+factors, and are the references the factored route is checked against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "HessianBundle",
     "hess_f_pair",
     "hess_L",
-    "hess_L_entry",
+    "hess_L_entries",
     "kernel",
     "b_terms",
     "B_TERM_NAMES",
@@ -82,17 +83,25 @@ def _factors(state: ModelState, inst: ProblemInstance):
     return QJ, AJ, state.hdoubleprime * state.c, f, f * q2, float(q2 @ f)
 
 
-def hess_L_entry(state: ModelState, inst: ProblemInstance, i: int, j: int) -> float:
-    """Literal per-entry second derivative, the reference for the factored route."""
+def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
+    """Literal per-entry H_L, the reference for the factored route.
+
+    P and Q2 are built once, then each entry is summed on its own as
+    (Q2 p_j)^T (Q2 p_i) + sum(c o h'' o (A2 p_j) o (A2 p_i)) + c^T Q2 d2f/dx_i dx_j.
+    """
     P = eval_p(state, inst)
-    Q2, q2 = eval_Q2_q2(state, inst)
-    pi, pj = P[:, i], P[:, j]
-    a2pi = inst.A2 @ pi
-    a2pj = inst.A2 @ pj
-    term1 = float((Q2 @ pj) @ (Q2 @ pi))
-    term2 = float(np.sum(state.c * state.hdoubleprime * a2pj * a2pi))
-    term3 = float(state.c @ (Q2 @ hess_f_pair(state, inst, i, j)))
-    return term1 + term2 + term3
+    Q2, _ = eval_Q2_q2(state, inst)
+    d = inst.d
+    QP = [Q2 @ P[:, i] for i in range(d)]
+    AP = [inst.A2 @ P[:, i] for i in range(d)]
+    H = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            term1 = float(QP[j] @ QP[i])
+            term2 = float(np.sum(state.c * state.hdoubleprime * AP[j] * AP[i]))
+            term3 = float(state.c @ (Q2 @ hess_f_pair(state, inst, i, j)))
+            H[i, j] = term1 + term2 + term3
+    return H
 
 
 def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:

@@ -318,8 +318,10 @@ def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
     hval, hprime, hdp = activation_eval(inst.activation, a2f)
     c = hval - inst.b
     loss_L = 0.5 * float(c @ c)
-    wz = inst.w * z
-    loss_reg = 0.5 * float(wz @ wz)
+    # w z may overflow; the non-finite loss is reported by its caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        wz = inst.w * z
+        loss_reg = 0.5 * float(wz @ wz)
     return ModelState(
         x=x,
         u=u,

@@ -56,6 +56,18 @@ def _probe(func: Callable, x: np.ndarray, i: int, offset: float):
     return val
 
 
+def _central(func: Callable, x: np.ndarray, i: int, h: float, scheme: str):
+    """Central-difference derivative along coordinate i, probing in stencil order."""
+    if scheme == "central2":
+        return (_probe(func, x, i, h) - _probe(func, x, i, -h)) / (2.0 * h)
+    return (
+        -_probe(func, x, i, 2.0 * h)
+        + 8.0 * _probe(func, x, i, h)
+        - 8.0 * _probe(func, x, i, -h)
+        + _probe(func, x, i, -2.0 * h)
+    ) / (12.0 * h)
+
+
 def fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central-difference gradient of a scalar function.
 
@@ -66,15 +78,7 @@ def fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray, cfg: FdConfi
     h = _steps(x, cfg)
     g = np.empty_like(x)
     for i in range(x.size):
-        if cfg.scheme == "central2":
-            g[i] = (_probe(func, x, i, h[i]) - _probe(func, x, i, -h[i])) / (2.0 * h[i])
-        else:
-            g[i] = (
-                -_probe(func, x, i, 2.0 * h[i])
-                + 8.0 * _probe(func, x, i, h[i])
-                - 8.0 * _probe(func, x, i, -h[i])
-                + _probe(func, x, i, -2.0 * h[i])
-            ) / (12.0 * h[i])
+        g[i] = _central(func, x, i, h[i], cfg.scheme)
     return g
 
 
@@ -95,16 +99,7 @@ def fd_hessian(
     h = _steps(x, cfg)
     H = np.empty((d, d))
     for j in range(d):
-        if cfg.scheme == "central2":
-            col = (_probe(grad_func, x, j, h[j]) - _probe(grad_func, x, j, -h[j])) / (2.0 * h[j])
-        else:
-            col = (
-                -_probe(grad_func, x, j, 2.0 * h[j])
-                + 8.0 * _probe(grad_func, x, j, h[j])
-                - 8.0 * _probe(grad_func, x, j, -h[j])
-                + _probe(grad_func, x, j, -2.0 * h[j])
-            ) / (12.0 * h[j])
-        H[:, j] = col
+        H[:, j] = _central(grad_func, x, j, h[j], cfg.scheme)
     asym = float(np.max(np.abs(H - H.T))) if d > 0 else 0.0
     H_sym = 0.5 * (H + H.T)
     if return_asymmetry:

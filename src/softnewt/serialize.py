@@ -18,7 +18,7 @@ SCHEMA_VERSION = 1
 def _pyify(obj: Any) -> Any:
     """Recursively convert numpy scalars/arrays so json.dumps round-trips them."""
     if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import softnewt as sn
+from softnewt import cli, hessian
 from softnewt.cli import main
 from softnewt.model import DenominatorFloorWarning
 from softnewt.serialize import dump_path, dumps, load_path
@@ -199,9 +200,15 @@ def test_run_overflowing_ridge_reports_without_warnings(tmp_path, capsys):
         assert main(["run", "--instance", str(inst), "--no-reference", "--out-dir", str(tmp_path / "a")]) == 2
         capsys.readouterr()
         assert main(["run", "--instance", str(inst), "--out-dir", str(tmp_path / "b")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "configuration"
+        # the finite-difference gradient probes an infinite loss
+        assert main(["verify", "--instance", str(inst), "--trials", "2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "runtime"
+        assert "non-finite probe" in err["message"]
+        assert main(["bounds", "--instance", str(inst), "--probes", "4"]) == 0
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "configuration"
 
 
 def test_run_with_one_admissible_iterate_skips_bounds(tmp_path):
@@ -250,6 +257,30 @@ def test_verify_passes(inst_file, tmp_path, capsys):
             "hessian_vs_finite_difference", "bound_soundness",
             "sketch_sandwich_rate"} <= names
     assert "[pass]" in capsys.readouterr().out
+
+
+def test_verify_evaluates_each_point_once(monkeypatch):
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 1, noise=0.05)
+    calls = {"eval_forward": 0, "eval_p": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "eval_forward")
+    counted(hessian, "eval_p")
+    trials, d = 12, inst.d
+    checks = list(cli._verify_checks(inst, 0, trials))
+    assert all(passed for _, passed, _, _ in checks)
+    # one literal oracle per route-check point
+    assert calls["eval_p"] == 5
+    # the sample points, the FD stencils around them, and the sketch's x = 0
+    assert calls["eval_forward"] == trials + 2 * d * trials + 2 * d * min(trials, 10) + 1
 
 
 def test_bounds_table(inst_file, tmp_path, capsys):

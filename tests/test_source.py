@@ -7,6 +7,7 @@ import pytest
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "softnewt"
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +36,31 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names listed in a module's ``__all__`` that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_undefined_exports_are_detected():
+    source = "from os import sep\nX: int = 1\ndef f(): pass\n__all__ = ['sep', 'X', 'f', 'gone']\n"
+    assert undefined_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_exports_are_defined(path):
+    assert undefined_exports(path.read_text()) == []
