@@ -181,10 +181,6 @@ class BoundReport:
     lambda_max_B: float | None = None
 
     @property
-    def R_f(self) -> LogConstant:
-        return self.analytic["R_f"]
-
-    @property
     def M(self) -> LogConstant:
         return self.analytic["M"]
 

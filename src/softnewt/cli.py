@@ -165,8 +165,9 @@ def cmd_run(args) -> int:
         except bounds_mod.TooFewAdmissiblePointsError:
             pass  # no Lipschitz pair to measure: no bounds.json, no empirical certificate
     if x_ref is not None:
-        st_ref = eval_forward(inst, x_ref)
-        l_ref = args.l_estimate or float(np.linalg.eigvalsh(hess_L(st_ref, inst).H_tot)[0])
+        l_ref = args.l_estimate
+        if l_ref is None:
+            l_ref = float(np.linalg.eigvalsh(hess_L(eval_forward(inst, x_ref), inst).H_tot)[0])
         report.basin_certificate = {
             "analytic": basin_check(x0, x_ref, M=bounds_mod.compute_constants(inst).M, l=l_ref)
         }

@@ -1,14 +1,14 @@
 """Closed-form second derivatives.
 
 The data-term Hessian factors as H_L = A1^T B A1 with an n x n curvature
-kernel
+kernel. With J = diag(f) - f f^T, v = f o q2, s = <q2, f>, u = s f - v and
+g = h'^2 + h'' o c,
 
-    B = J Qt J + J S J + 2 s f f^T - f v^T - v f^T + diag(v) - s diag(f),
+    B = (A2 J)^T diag(g) (A2 J) + f u^T + u f^T - diag(u).
 
-where J = diag(f) - f f^T, Qt = Q2^T Q2, S = A2^T diag(h''(A2 f) o c) A2,
-v = f o q2 and s = <q2, f>. B has one representation, the factored one: the
-m x n factors Q2 J and A2 J, the m-vector h'' o c, and f, v, s, all formed in
-O(n m) without J. Everything else is read from those factors:
+B has this one representation: the m x n factor A2 J, the m-vectors h'^2
+and h'' o c, and f, v, s, all formed in O(n m) without J. Everything else is
+read from them:
 
 - ``hess_L`` is the production route: O(n m d + n d^2) time, no n x n array
   at any n. From one factor pass it returns H_L, H_tot and ``B_diag`` =
@@ -18,8 +18,11 @@ O(n m) without J. Everything else is read from those factors:
   by the solver.
 
 ``hess_L_entries`` (H_L summed entry by entry), ``b_terms`` and
-``hess_f_pair`` build from P, Q2, q2, Qt and S on their own, never from the
-factors, and are the references the factored route is checked against.
+``hess_f_pair`` keep the per-entry split form J Q2^T Q2 J + J S J + ..., with
+Q2 = diag(h') A2 and S = A2^T diag(h'' o c) A2 (Q2 J = diag(h') A2 J folds its
+two quadratic parts into the one above). They build from P, Q2, q2 and S on
+their own, never from the factors, and are the references the routes above
+are checked against.
 """
 
 from __future__ import annotations
@@ -75,12 +78,11 @@ def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.
 
 
 def _factors(state: ModelState, inst: ProblemInstance):
-    """(Q2 J, A2 J, h'' o c, f, v, s) in O(n m); J = diag(f) - f f^T is never formed."""
-    Q2, q2 = eval_Q2_q2(state, inst)
+    """(A2 J, h'^2, h'' o c, f, v, s) in O(n m); J = diag(f) - f f^T is never formed."""
+    _, q2 = eval_Q2_q2(state, inst)
     f = state.f
-    QJ = Q2 * f - np.outer(Q2 @ f, f)
     AJ = inst.A2 * f - np.outer(state.a2f, f)
-    return QJ, AJ, state.hdoubleprime * state.c, f, f * q2, float(q2 @ f)
+    return AJ, state.hprime**2, state.hdoubleprime * state.c, f, f * q2, float(q2 @ f)
 
 
 def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
@@ -107,40 +109,39 @@ def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     """Hessian of the data term, the total Hessian and diag(B), in O(n m d + n d^2).
 
-    H_L = A1^T B A1 = P2^T P2 + G^T diag(h'' o c) G + a w^T + w a^T
-    - A1^T diag(u) A1, with P2 = (Q2 J) A1, G = (A2 J) A1, u = s f - v,
-    a = A1^T f and w = A1^T u. Only m x n and d x d arrays are formed, so
-    this is the solver's route at any n. It equals the sum of ``g_terms``;
-    summed this way the terms that cancel (all of them at n = 1) cancel exactly.
-    diag(B) = colsum((Q2 J)^2) + (h'' o c)^T (A2 J)^2 + (2 f - 1) o u.
+    H_L = A1^T B A1 = G^T diag(g) G + a w^T + w a^T - A1^T diag(u) A1, with
+    G = (A2 J) A1, g = h'^2 + h'' o c, u = s f - v, a = A1^T f and
+    w = A1^T u. Only m x n and d x d arrays are formed, so this is the
+    solver's route at any n. It equals the sum of ``g_terms``; summed this way
+    the terms that cancel (all of them at n = 1, where A2 J and u are 0)
+    cancel exactly. diag(B) = g^T (A2 J)^2 + (2 f - 1) o u.
     """
-    QJ, AJ, curv, f, v, s = _factors(state, inst)
+    AJ, hp2, curv, f, v, s = _factors(state, inst)
     A1 = inst.A1
-    P2 = QJ @ A1
+    g = hp2 + curv
     G = AJ @ A1
     u = s * f - v
     a = A1.T @ f
     w = A1.T @ u
-    H_L = P2.T @ P2 + G.T @ (curv[:, None] * G)
+    H_L = G.T @ (g[:, None] * G)
     H_L += np.outer(a, w) + np.outer(w, a) - A1.T @ (u[:, None] * A1)
     # w^2 may overflow; the non-finite Hessian is reported by the solver
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = inst.w * inst.w
         H_tot = H_L + A1.T @ (w2[:, None] * A1)
-    B_diag = np.einsum("ki,ki->i", QJ, QJ) + curv @ (AJ * AJ) + (2.0 * f - 1.0) * u
+    B_diag = g @ (AJ * AJ) + (2.0 * f - 1.0) * u
     return HessianBundle(H_L=H_L, H_tot=H_tot, B_diag=B_diag)
 
 
 def kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     """The dense n x n curvature kernel B, in O(n^2 m); for diagnostics only.
 
-    B = (Q2 J)^T (Q2 J) + (A2 J)^T diag(h'' o c) (A2 J) + f u^T + u f^T - diag(u)
-    with u = s f - v.
+    B = (A2 J)^T diag(g) (A2 J) + f u^T + u f^T - diag(u) with
+    g = h'^2 + h'' o c and u = s f - v: one n x n product.
     """
-    QJ, AJ, curv, f, v, s = _factors(state, inst)
+    AJ, hp2, curv, f, v, s = _factors(state, inst)
     u = s * f - v
-    B = QJ.T @ QJ
-    B += AJ.T @ (curv[:, None] * AJ)
+    B = AJ.T @ ((hp2 + curv)[:, None] * AJ)
     B += np.outer(f, u)
     B += np.outer(u, f)
     B.flat[:: inst.n + 1] -= u
@@ -193,16 +194,16 @@ def g_terms(state: ModelState, inst: ProblemInstance) -> dict[str, np.ndarray]:
 
     H_L = G1 + G2 + G3 - G4 - G5 + G6 up to the symmetrization of G5 (the
     literal G5 = 2 a t^T is one-sided; the Hessian holds (a t^T + t a^T)).
-    These feed the per-piece Lipschitz tightness probes. Q2 J A1 = Q2 P, so
-    G1 and G2 come from the kernel factors times A1.
+    These feed the per-piece Lipschitz tightness probes. Q2 P = diag(h') G
+    with G = (A2 J) A1 = A2 P, so G1 = G^T diag(h'^2) G and
+    G2 = G^T diag(h'' o c) G share the one factor.
     """
-    QJ, AJ, curv, f, v, s = _factors(state, inst)
-    QP = QJ @ inst.A1
+    AJ, hp2, curv, f, v, s = _factors(state, inst)
     G = AJ @ inst.A1
     a = inst.A1.T @ f
     t = inst.A1.T @ v
     return {
-        "G1": QP.T @ QP,
+        "G1": G.T @ (hp2[:, None] * G),
         "G2": G.T @ (curv[:, None] * G),
         "G3": 2.0 * s * np.outer(a, a),
         "G4": s * (inst.A1.T @ (f[:, None] * inst.A1)),

@@ -99,13 +99,12 @@ def _identity_triple(y):
     return y.copy(), np.ones_like(y), np.zeros_like(y)
 
 
-# kind -> (triple evaluator, L_h). Each L_h upper-bounds both sup|h'| and
-# sup|h''| of the scalar map, hence the vector Lipschitz constants of h and h'.
-_ACTIVATIONS: dict[str, tuple[Callable, float]] = {
-    "identity": (_identity_triple, 1.0),
-    "tanh": (_tanh_triple, 1.0),  # sup|h''| = 4/(3*sqrt(3)) < 1
-    "sigmoid": (_sigmoid_triple, 1.0),
-    "softplus": (_softplus_triple, 1.0),
+# kind -> triple evaluator (h, h', h'')
+_ACTIVATIONS: dict[str, Callable] = {
+    "identity": _identity_triple,
+    "tanh": _tanh_triple,
+    "sigmoid": _sigmoid_triple,
+    "softplus": _softplus_triple,
 }
 
 ACTIVATION_KINDS = tuple(_ACTIVATIONS)
@@ -116,9 +115,11 @@ class Activation:
     """A twice-differentiable coordinatewise map with declared constants.
 
     ``L_h`` bounds sup|h'| and sup|h''| (so h and h' are L_h-Lipschitz as
-    vector maps). ``R_h`` bounds ||h(A2 f)||_2 and ||h'(A2 f)||_2 for the
-    instance this activation is attached to; it is instance dependent and is
-    estimated at instance construction when not supplied.
+    vector maps); both are at most 1 for every registered kind (tanh's
+    sup|h''| is 4/(3 sqrt 3)), so the default 1.0 holds. ``R_h`` bounds
+    ||h(A2 f)||_2 and ||h'(A2 f)||_2 for the instance this activation is
+    attached to; it is instance dependent and is estimated at instance
+    construction when not supplied.
     """
 
     kind: str
@@ -139,7 +140,7 @@ def activation_eval(act: Activation, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("activation input must be finite")
-    return _ACTIVATIONS[act.kind][0](y)
+    return _ACTIVATIONS[act.kind](y)
 
 
 def _activation_cap(kind: str, a2_norm: float, m: int) -> float:

@@ -205,11 +205,6 @@ class RunReport:
             "error_message": self.error_message,
         }
 
-    def to_json(self) -> dict:
-        doc = self.golden_json()
-        doc["wall_times_ms"] = self.wall_times_ms
-        return doc
-
 
 def solve(
     inst: ProblemInstance,

@@ -231,7 +231,7 @@ def test_run_with_one_admissible_iterate_skips_bounds(tmp_path):
 
 def test_run_l_estimate_sets_the_basin_floor(inst_file, tmp_path):
     certs = {}
-    for floor in (None, "1e300", "1e-300"):
+    for floor in (None, "1e300", "1e-300", "0"):
         out = tmp_path / str(floor)
         argv = ["run", "--instance", inst_file, "--out-dir", str(out), "--emit", "report_json,bounds_json"]
         if floor is not None:
@@ -242,6 +242,7 @@ def test_run_l_estimate_sets_the_basin_floor(inst_file, tmp_path):
         None: {"analytic": False, "empirical": True},
         "1e300": {"analytic": True, "empirical": True},
         "1e-300": {"analytic": False, "empirical": False},
+        "0": {"analytic": False, "empirical": False},
     }
 
 

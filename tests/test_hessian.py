@@ -1,9 +1,15 @@
+import warnings
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from conftest import random_instance, random_points
+from conftest import ALL_KINDS, random_instance, random_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softnewt as sn
 from softnewt.hessian import B_TERM_NAMES, b_terms, g_terms, hess_L_entries, kernel
+from softnewt.model import DenominatorFloorWarning
 from softnewt.oracle import FdConfig, fd_hessian, spectral
 
 
@@ -173,3 +179,46 @@ def test_g_terms_recompose_hessian(s1_state, s1_instance):
     H = G["G1"] + G["G2"] + G["G3"] - G["G4"] - 0.5 * (G["G5"] + G["G5"].T) + G["G6"]
     hb = sn.hess_L(s1_state, s1_instance)
     np.testing.assert_allclose(H, hb.H_L, atol=1e-14)
+
+
+@st.composite
+def curvature_cases(draw):
+    """A random finite instance (n 1-6, m 1-4, d 1-3, any kind) and one point."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0)
+    A1 = draw(hnp.arrays(float, (n, d), elements=entries))
+    A2 = draw(hnp.arrays(float, (m, n), elements=entries))
+    inst = sn.ProblemInstance(
+        A1=A1, A2=A2, b=draw(hnp.arrays(float, m, elements=entries)),
+        w=draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0))),
+        activation=sn.Activation(draw(st.sampled_from(ALL_KINDS))),
+        R=max(float(np.linalg.norm(A1, 2)), float(np.linalg.norm(A2, 2)), 0.5),
+    )
+    return inst, draw(hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=curvature_cases())
+def test_curvature_routes_agree(case):
+    # the single-form routes (hess_L, kernel, g_terms) against the split-form
+    # oracles, within verify's 1e-10 relative route-agreement bound
+    inst, x = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DenominatorFloorWarning)
+        st_ = sn.eval_forward(inst, x)
+    hb = sn.hess_L(st_, inst)
+    B = kernel(st_, inst)
+    G = g_terms(st_, inst)
+    if inst.n == 1:
+        assert np.all(hb.H_L == 0.0) and np.all(hb.B_diag == 0.0)
+    A1 = inst.A1
+    gaps = {
+        "hess_L_entries": hb.H_L - hess_L_entries(st_, inst),
+        "A1^T kernel A1": hb.H_L - A1.T @ B @ A1,
+        "diag(kernel)": hb.B_diag - np.diag(B),
+        "sum(b_terms)": sum(b_terms(st_, inst)) - B,
+        "g_terms": hb.H_L - (G["G1"] + G["G2"] + G["G3"] - G["G4"] - 0.5 * (G["G5"] + G["G5"].T) + G["G6"]),
+    }
+    scale = max(1.0, float(np.max(np.abs(hb.H_L))), float(np.max(np.abs(B))))
+    for name, gap in gaps.items():
+        assert float(np.max(np.abs(gap))) <= 1e-10 * scale, name
