@@ -3,7 +3,7 @@ and an approximate (sketched) Newton solver with contraction monitoring.
 """
 
 from .bounds import BoundReport, LogConstant, compute_constants, probe_empirical
-from .derivatives import GradientBundle, eval_p, eval_Q2_q2, grad
+from .derivatives import GradientBundle, eval_p, eval_Q2, grad
 from .generate import gen_instance
 from .hessian import HessianBundle, b_terms, hess_f_pair, hess_L, kernel
 from .model import (
@@ -35,7 +35,7 @@ __all__ = [
     "b_terms",
     "basin_check",
     "compute_constants",
-    "eval_Q2_q2",
+    "eval_Q2",
     "eval_forward",
     "eval_p",
     "fd_gradient",

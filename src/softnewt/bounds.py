@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivatives import grad
+from .derivatives import eval_p, eval_Q2, grad
 from .hessian import g_terms, hess_L, kernel
-from .model import DenominatorFloorWarning, ProblemInstance, eval_forward
+from .model import _LOG_MAX, DenominatorFloorWarning, ProblemInstance, eval_forward
 from .oracle import spectral
 from .serialize import SCHEMA_VERSION
 
@@ -55,7 +55,7 @@ class LogConstant:
         """The plain float value; inf when it overflows float64."""
         if self.log_value == -math.inf:
             return 0.0
-        if self.log_value > 709.0:
+        if self.log_value > _LOG_MAX:
             return math.inf
         return math.exp(self.log_value)
 
@@ -82,7 +82,7 @@ class LogConstant:
         if self.log_value == -math.inf:
             return math.inf
         r = math.log(measured) - self.log_value
-        return math.exp(r) if r < 709.0 else math.inf
+        return math.exp(r) if r <= _LOG_MAX else math.inf
 
     def to_json(self) -> dict:
         m, e = self.mantissa_exp10()
@@ -300,7 +300,6 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     rows = []
     lam_min, lam_max = math.inf, -math.inf
     for st in states:
-        gb = grad(st, inst)
         lo, hi, _ = spectral(kernel(st, inst))
         lam_min, lam_max = min(lam_min, lo), max(lam_max, hi)
         rows.append(
@@ -310,10 +309,10 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
                 "lip_alpha_inv": [1.0 / st.alpha],
                 "lip_f": st.f,
                 "lip_c": st.c,
-                "lip_Q2": gb.Q2,
-                "lip_q2": gb.q2,
-                "lip_g": gb.grad_L,
-                "lip_p": gb.P,
+                "lip_Q2": eval_Q2(st, inst),
+                "lip_q2": st.q2,
+                "lip_g": grad(st, inst).grad_L,
+                "lip_p": eval_p(st, inst),
                 "M": hess_L(st, inst).H_L,
                 **{f"lip_{k}": G for k, G in g_terms(st, inst).items()},
             }

@@ -7,8 +7,8 @@ g = h'^2 + h'' o c,
     B = (A2 J)^T diag(g) (A2 J) + f u^T + u f^T - diag(u).
 
 B has this one representation: the m x n factor A2 J, the m-vectors h'^2
-and h'' o c, and f, v, s, all formed in O(n m) without J. Everything else is
-read from them:
+and h'' o c, and f, v, s, all formed in O(n m) without J from the forward
+pass (q2 is ``ModelState.q2``). Everything else is read from them:
 
 - ``hess_L`` is the production route: O(n m d + n d^2) time, no n x n array
   at any n. From one factor pass it returns H_L, H_tot and ``B_diag`` =
@@ -20,9 +20,9 @@ read from them:
 ``hess_L_entries`` (H_L summed entry by entry), ``b_terms`` and
 ``hess_f_pair`` keep the per-entry split form J Q2^T Q2 J + J S J + ..., with
 Q2 = diag(h') A2 and S = A2^T diag(h'' o c) A2 (Q2 J = diag(h') A2 J folds its
-two quadratic parts into the one above). They build from P, Q2, q2 and S on
-their own, never from the factors, and are the references the routes above
-are checked against.
+two quadratic parts into the one above). They build P, Q2, q2 = Q2^T c and S
+themselves, never from the factors or the forward pass's q2, and are the
+references the routes above are checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import eval_Q2_q2, eval_p
+from .derivatives import _check, eval_Q2, eval_p
 from .model import ModelState, ProblemInstance
 
 __all__ = [
@@ -79,8 +79,8 @@ def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.
 
 def _factors(state: ModelState, inst: ProblemInstance):
     """(A2 J, h'^2, h'' o c, f, v, s) in O(n m); J = diag(f) - f f^T is never formed."""
-    _, q2 = eval_Q2_q2(state, inst)
-    f = state.f
+    _check(state, inst)
+    f, q2 = state.f, state.q2
     AJ = inst.A2 * f - np.outer(state.a2f, f)
     return AJ, state.hprime**2, state.hdoubleprime * state.c, f, f * q2, float(q2 @ f)
 
@@ -92,7 +92,7 @@ def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     (Q2 p_j)^T (Q2 p_i) + sum(c o h'' o (A2 p_j) o (A2 p_i)) + c^T Q2 d2f/dx_i dx_j.
     """
     P = eval_p(state, inst)
-    Q2, _ = eval_Q2_q2(state, inst)
+    Q2 = eval_Q2(state, inst)
     d = inst.d
     QP = [Q2 @ P[:, i] for i in range(d)]
     AP = [inst.A2 @ P[:, i] for i in range(d)]
@@ -164,7 +164,8 @@ def b_terms(state: ModelState, inst: ProblemInstance) -> list[np.ndarray]:
     with Qt = Q2^T Q2 and S = A2^T diag(h''(A2 f) o c) A2. Their sum equals
     ``kernel`` to rounding.
     """
-    Q2, q2 = eval_Q2_q2(state, inst)
+    Q2 = eval_Q2(state, inst)
+    q2 = Q2.T @ state.c
     f = state.f
     v = f * q2
     s = float(q2 @ f)

@@ -10,6 +10,7 @@ ridge term::
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -33,8 +34,8 @@ __all__ = [
     "ACTIVATION_KINDS",
 ]
 
-# exp(x) overflows float64 just above this
-_EXP_MAX_ARG = 709.0
+# log(DBL_MAX): exp(x) is finite up to here and overflows float64 above it
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -263,6 +264,8 @@ class ModelState:
     ``u`` holds the literal coordinatewise exponentials and ``alpha`` their
     sum; ``f`` is computed through the max-shifted form (shift invariant), and
     ``log_alpha`` carries the denominator in log space for bound reporting.
+    ``q2 = A2^T (h' o c)`` is the outer layer's backward vector, the one the
+    gradient and the Hessian factors read.
     """
 
     x: np.ndarray
@@ -276,6 +279,7 @@ class ModelState:
     hprime: np.ndarray
     hdoubleprime: np.ndarray
     c: np.ndarray
+    q2: np.ndarray
     loss_L: float
     loss_reg: float
     loss_tot: float
@@ -295,12 +299,14 @@ def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
         raise ValueError("x has non-finite entries")
     z = inst.A1 @ x
     kmax = int(np.argmax(z))
-    if z[kmax] > _EXP_MAX_ARG:
+    if z[kmax] > _LOG_MAX:
         raise EvaluationOverflowError(
             f"exp((A1 x)_{kmax}) = exp({z[kmax]:.6g}) overflows float64", coordinate=kmax
         )
     u = np.exp(z)
-    alpha = float(np.sum(u))
+    # the sum may overflow; it is reported as the structured error below
+    with np.errstate(over="ignore"):
+        alpha = float(np.sum(u))
     if not math.isfinite(alpha):
         raise EvaluationOverflowError(
             f"sum of exp(A1 x) overflows float64 (max coordinate {kmax})", coordinate=kmax
@@ -318,6 +324,7 @@ def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
     a2f = inst.A2 @ f
     hval, hprime, hdp = activation_eval(inst.activation, a2f)
     c = hval - inst.b
+    q2 = inst.A2.T @ (hprime * c)
     loss_L = 0.5 * float(c @ c)
     # w z may overflow; the non-finite loss is reported by its caller
     with np.errstate(over="ignore", invalid="ignore"):
@@ -335,6 +342,7 @@ def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
         hprime=hprime,
         hdoubleprime=hdp,
         c=c,
+        q2=q2,
         loss_L=loss_L,
         loss_reg=loss_reg,
         loss_tot=loss_L + loss_reg,

@@ -11,7 +11,7 @@ import softnewt as sn
 from softnewt.bounds import (
     LogConstant, TooFewAdmissiblePointsError, constants_from_params, measured_radius, probe_empirical,
 )
-from softnewt.derivatives import grad
+from softnewt.derivatives import eval_p, eval_Q2, grad
 from softnewt.hessian import g_terms, hess_L, kernel
 from softnewt.model import DenominatorFloorWarning
 from softnewt.oracle import spectral
@@ -58,6 +58,10 @@ def test_log_constant_basics():
     huge = LogConstant(5000.0)
     assert huge.value == math.inf and huge.holds(1e300)
     assert huge.to_json()["value"] is None
+    # finite up to log(DBL_MAX) = 709.78...
+    near = LogConstant(709.5)
+    assert near.value == math.exp(709.5) and near.to_json()["value"] == math.exp(709.5)
+    assert LogConstant(0.0).tightness(math.exp(709.5)) == pytest.approx(math.exp(709.5))
 
 
 def test_direct_substitution_formula():
@@ -197,10 +201,10 @@ def pairwise_probe(inst, pts):
         return None
     per_point = []
     for s in states:
-        gb = grad(s, inst)
         per_point.append({
             "x": s.x, "u": s.u, "alpha": s.alpha, "alpha_inv": 1.0 / s.alpha, "f": s.f, "c": s.c,
-            "Q2": gb.Q2, "q2": gb.q2, "g": gb.grad_L, "p": gb.P, "M": hess_L(s, inst).H_L,
+            "Q2": eval_Q2(s, inst), "q2": s.q2, "g": grad(s, inst).grad_L, "p": eval_p(s, inst),
+            "M": hess_L(s, inst).H_L,
             **g_terms(s, inst),
         })
     vec = lambda a, b: float(np.linalg.norm(np.atleast_1d(a) - np.atleast_1d(b)))

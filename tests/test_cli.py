@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import softnewt as sn
-from softnewt import cli, hessian
+from softnewt import cli, hessian, sketch
 from softnewt.cli import main
 from softnewt.model import DenominatorFloorWarning
 from softnewt.serialize import dump_path, dumps, load_path
@@ -262,7 +262,7 @@ def test_verify_passes(inst_file, tmp_path, capsys):
 
 def test_verify_evaluates_each_point_once(monkeypatch):
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 1, noise=0.05)
-    calls = {"eval_forward": 0, "eval_p": 0}
+    calls = {"eval_forward": 0, "eval_p": 0, "leverage_scores": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -275,6 +275,7 @@ def test_verify_evaluates_each_point_once(monkeypatch):
 
     counted(cli, "eval_forward")
     counted(hessian, "eval_p")
+    counted(sketch, "leverage_scores")
     trials, d = 12, inst.d
     checks = list(cli._verify_checks(inst, 0, trials))
     assert all(passed for _, passed, _, _ in checks)
@@ -282,6 +283,8 @@ def test_verify_evaluates_each_point_once(monkeypatch):
     assert calls["eval_p"] == 5
     # the sample points, the FD stencils around them, and the sketch's x = 0
     assert calls["eval_forward"] == trials + 2 * d * trials + 2 * d * min(trials, 10) + 1
+    # the determinism check's two draws go through the leverage sampler
+    assert calls["leverage_scores"] >= 2
 
 
 def test_bounds_table(inst_file, tmp_path, capsys):

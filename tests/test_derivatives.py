@@ -9,7 +9,8 @@ from softnewt.oracle import FdConfig, fd_gradient
 def test_derivatives_match_golden(s1_instance, s1_golden, s1_state):
     g = s1_golden["derivatives"]
     P = sn.eval_p(s1_state, s1_instance)
-    Q2, q2 = sn.eval_Q2_q2(s1_state, s1_instance)
+    Q2 = sn.eval_Q2(s1_state, s1_instance)
+    q2 = s1_state.q2
     gb = sn.grad(s1_state, s1_instance)
     np.testing.assert_allclose(P, g["P"], rtol=1e-12, atol=1e-16)
     np.testing.assert_allclose(Q2, g["Q2"], rtol=1e-13)
@@ -43,7 +44,7 @@ def test_q2_identity_and_zero_residual(s1_instance, s1_golden):
         activation=sn.Activation("identity"), R=s1_instance.R,
     )
     st_ = sn.eval_forward(inst_id, x)
-    Q2, _ = sn.eval_Q2_q2(st_, inst_id)
+    Q2 = sn.eval_Q2(st_, inst_id)
     np.testing.assert_array_equal(Q2, inst_id.A2)
 
     st0 = sn.eval_forward(s1_instance, x)
@@ -52,8 +53,7 @@ def test_q2_identity_and_zero_residual(s1_instance, s1_golden):
         activation=sn.Activation("tanh"), R=s1_instance.R,
     )
     st_fit = sn.eval_forward(inst_fit, x)
-    _, q2 = sn.eval_Q2_q2(st_fit, inst_fit)
-    np.testing.assert_allclose(q2, np.zeros(3), atol=1e-16)
+    np.testing.assert_allclose(st_fit.q2, np.zeros(3), atol=1e-16)
 
 
 def test_stationary_when_residual_and_ridge_vanish(s1_instance, s1_golden):
@@ -93,9 +93,10 @@ def test_chain_consistency_and_column_sums():
         x = random_points(inst, seed + 7000, 1)[0]
         st_ = sn.eval_forward(inst, x)
         gb = sn.grad(st_, inst)
-        scale = max(1.0, float(np.max(np.abs(gb.q2))))
-        assert np.linalg.norm(gb.grad_L - gb.P.T @ gb.q2) <= 1e-12 * scale
-        assert np.max(np.abs(gb.P.sum(axis=0))) <= 1e-10
+        P = sn.eval_p(st_, inst)
+        scale = max(1.0, float(np.max(np.abs(st_.q2))))
+        assert np.linalg.norm(gb.grad_L - P.T @ st_.q2) <= 1e-12 * scale
+        assert np.max(np.abs(P.sum(axis=0))) <= 1e-10
 
 
 def test_q2_norm_bound_on_admissible_points():
@@ -109,6 +110,5 @@ def test_q2_norm_bound_on_admissible_points():
             st_ = sn.eval_forward(inst, x)
             if st_.alpha < inst.beta:
                 continue
-            _, q2 = sn.eval_Q2_q2(st_, inst)
             R = measured_radius(inst, [x])
-            assert np.linalg.norm(q2) <= R * rh * (R + rh) + 1e-12
+            assert np.linalg.norm(st_.q2) <= R * rh * (R + rh) + 1e-12

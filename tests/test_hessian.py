@@ -161,9 +161,9 @@ def test_hessian_symmetry_and_psd_first_block():
         hb = sn.hess_L(st_, inst)
         assert np.max(np.abs(hb.H_L - hb.H_L.T)) <= 1e-10
         assert np.max(np.abs(hb.H_tot - hb.H_tot.T)) <= 1e-10
-        gb = sn.grad(st_, inst)
+        Q2 = sn.eval_Q2(st_, inst)
         J = np.diag(st_.f) - np.outer(st_.f, st_.f)
-        gauss = J @ gb.Q2.T @ gb.Q2 @ J
+        gauss = J @ Q2.T @ Q2 @ J
         lo, _, _ = spectral(gauss)
         assert lo >= -1e-10
 
@@ -222,3 +222,6 @@ def test_curvature_routes_agree(case):
     scale = max(1.0, float(np.max(np.abs(hb.H_L))), float(np.max(np.abs(B))))
     for name, gap in gaps.items():
         assert float(np.max(np.abs(gap))) <= 1e-10 * scale, name
+    # the forward pass's q2 against the oracle route Q2^T c
+    q2_gap = float(np.max(np.abs(st_.q2 - sn.eval_Q2(st_, inst).T @ st_.c)))
+    assert q2_gap <= 1e-12 * max(1.0, float(np.max(np.abs(st_.q2))))

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import softnewt as sn
 from softnewt.model import (
+    _LOG_MAX,
     ACTIVATION_KINDS,
     DenominatorFloorWarning,
     EvaluationOverflowError,
@@ -150,6 +152,26 @@ def test_overflow_error_names_coordinate():
     assert exc.value.coordinate == 1
 
 
+def test_overflow_limit_is_log_dbl_max():
+    # exp is finite up to log(DBL_MAX) = 709.78..., so exp(709.5) evaluates;
+    # the next double above the limit, or a sum of finite exponentials past
+    # DBL_MAX, raises without a numpy RuntimeWarning
+    def inst_with(z0, z1):
+        return sn.ProblemInstance(
+            A1=np.array([[z0], [z1]]), A2=np.array([[1.0, 1.0]]), b=np.zeros(1), w=np.ones(2),
+            activation=sn.Activation("tanh"), R=2000.0,
+        )
+
+    st_ = sn.eval_forward(inst_with(10.0, 709.5), np.array([1.0]))
+    assert st_.u[1] == np.exp(709.5) and np.isfinite(st_.alpha)
+    for z, coordinate in (((10.0, np.nextafter(_LOG_MAX, np.inf)), 1), ((709.5, 709.5), 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationOverflowError) as exc:
+                sn.eval_forward(inst_with(*z), np.array([1.0]))
+        assert exc.value.coordinate == coordinate
+
+
 def test_denominator_floor_warning():
     inst = sn.ProblemInstance(
         A1=np.array([[-50.0]]),
@@ -174,6 +196,15 @@ def test_dimension_errors():
     )
     with pytest.raises(ShapeError):
         sn.eval_forward(inst, np.zeros(3))
+    # a state from another instance: one row would broadcast against two
+    one_row = sn.ProblemInstance(
+        A1=np.zeros((1, 2)), A2=np.ones((1, 1)), b=np.zeros(1), w=np.ones(1),
+        activation=sn.Activation("tanh"), R=1.5,
+    )
+    st_other = sn.eval_forward(one_row, np.zeros(2))
+    for fn in (sn.grad, sn.hess_L, sn.kernel):
+        with pytest.raises(ShapeError):
+            fn(st_other, inst)
     with pytest.raises(ShapeError):
         sn.ProblemInstance(
             A1=np.zeros((2, 2)),

@@ -161,25 +161,30 @@ def test_non_finite_hessian_ends_as_error_report(s1_instance):
             assert "Hessian has non-finite entries" in rep.error_message
 
 
-def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch):
-    # a sketched solve of k steps evaluates the gradient once per iterate
-    # (k + 1) and the kernel factors once per step (k): the step takes its
-    # gradient from solve, and hess_L gives H_tot and diag(B) together
+@pytest.mark.parametrize("mode", ["exact", "sketched"])
+def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch, mode):
+    # a solve of k steps evaluates the gradient once per iterate (k + 1) and
+    # the kernel factors once per step (k): the step takes its gradient from
+    # solve, and hess_L gives H_tot and diag(B) together. The gradient reads
+    # q2 from the forward pass, so neither P nor Q2 is built
+    import softnewt.derivatives as derivatives_mod
     import softnewt.hessian as hessian_mod
     import softnewt.newton as newton_mod
 
-    calls = {"grad": 0, "_factors": 0}
-    for mod, name in ((newton_mod, "grad"), (hessian_mod, "_factors")):
+    calls = {"grad": 0, "_factors": 0, "eval_p": 0, "eval_Q2": 0}
+    for mod, name in (
+        (newton_mod, "grad"), (hessian_mod, "_factors"), (derivatives_mod, "eval_p"), (derivatives_mod, "eval_Q2"),
+    ):
         def counted(*args, _fn=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(mod, name, counted)
-    cfg = sn.NewtonConfig(mode="sketched", eps=1e-9, seed=3, stationarity_tol=1e-12, max_iters=50, strict=False)
+    cfg = sn.NewtonConfig(mode=mode, eps=1e-9, seed=3, stationarity_tol=1e-12, max_iters=50, strict=False)
     rep = sn.solve(s1_instance, s1_reference + np.array([0.2, -0.1]), cfg)
     k = rep.n_iters
     assert rep.status == "converged" and k >= 2
-    assert calls == {"grad": k + 1, "_factors": k}
+    assert calls == {"grad": k + 1, "_factors": k, "eval_p": 0, "eval_Q2": 0}
 
 
 @st.composite
