@@ -204,6 +204,9 @@ def cmd_run(args) -> int:
         _write_trace_csv(outdir / "trace.csv", report)
     if "bounds_json" in emit and bounds_report is not None:
         dump_path(bounds_report.to_json(), outdir / "bounds.json")
+    if len(report.grad_norms) < len(report.iterates):
+        # the last iterate overflowed (status error): no gradient or kernel terms to write
+        emit -= {"grad_json", "bterms_json"}
     if emit & {"grad_json", "bterms_json"}:
         st_fin = eval_forward(inst, report.final_x)
     if "grad_json" in emit:
@@ -232,7 +235,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     """Yield (name, passed, margin, detail) over every invariant suite.
 
     Each sample point is evaluated once; only the finite-difference oracles
-    evaluate the perturbed points around it.
+    evaluate the perturbed points around it, one stacked call per stencil.
     """
     rng = _rng(seed)
     d = inst.d
@@ -244,11 +247,12 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     dev_norm = max(abs(float(np.sum(np.abs(st.f))) - 1.0) for st in states)
     yield "softmax_normalization", dev_norm <= 1e-12, dev_norm, "max |1 - ||f||_1|"
 
-    def loss_at(x):
-        return eval_forward(inst, x).loss_tot
+    # the oracles pass each stencil as one (k, d) stack
+    def loss_at(X):
+        return eval_forward(inst, X).loss_tot
 
-    def grad_at(x):
-        return grad(eval_forward(inst, x), inst).grad_tot
+    def grad_at(X):
+        return grad(eval_forward(inst, X), inst).grad_tot
 
     cfg2 = FdConfig()
     worst = max(_rel_err(gb.grad_tot, fd_gradient(loss_at, x, cfg2)) for x, gb in zip(xs, grads))

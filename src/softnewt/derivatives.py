@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelState, ProblemInstance, ShapeError
+from .model import ModelState, ProblemInstance, ShapeError, _inner, _matvec
 
 __all__ = ["GradientBundle", "eval_p", "eval_Q2", "grad"]
 
@@ -30,9 +30,18 @@ class GradientBundle:
     grad_tot: np.ndarray  # d
 
 
-def _check(state: ModelState, inst: ProblemInstance) -> None:
-    if state.f.shape != (inst.n,) or state.c.shape != (inst.m,):
+def _leading_shape(state: ModelState, inst: ProblemInstance) -> tuple:
+    """The state's leading shape: () for one point, (k,) for a stack of k."""
+    lead = state.f.shape[:-1]
+    if len(lead) > 1 or state.f.shape != lead + (inst.n,) or state.c.shape != lead + (inst.m,):
         raise ShapeError("state is inconsistent with instance dimensions")
+    return lead
+
+
+def _check(state: ModelState, inst: ProblemInstance) -> None:
+    """One point's state; a stack would broadcast silently through the n x n and m x n forms."""
+    if _leading_shape(state, inst):
+        raise ShapeError("a stacked state is accepted only by grad; evaluate one point")
 
 
 def eval_p(state: ModelState, inst: ProblemInstance) -> np.ndarray:
@@ -49,11 +58,16 @@ def eval_Q2(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 
 
 def grad(state: ModelState, inst: ProblemInstance) -> GradientBundle:
-    """Gradient of the data term, the ridge term, and their sum."""
-    _check(state, inst)
+    """Gradient of the data term, the ridge term, and their sum.
+
+    A stacked state gives one gradient row per point, each bitwise equal to
+    the gradient of that point's own state.
+    """
+    _leading_shape(state, inst)
     f, q2 = state.f, state.q2
-    grad_L = inst.A1.T @ (f * q2) - (q2 @ f) * (inst.A1.T @ f)
+    A1t = inst.A1.T
+    grad_L = _matvec(A1t, f * q2) - _inner(q2, f) * _matvec(A1t, f)
     # w^2 may overflow; the non-finite gradient is reported by the solver
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_reg = inst.A1.T @ ((inst.w * inst.w) * state.a1x)
+        grad_reg = _matvec(A1t, (inst.w * inst.w) * state.a1x)
     return GradientBundle(grad_L=grad_L, grad_reg=grad_reg, grad_tot=grad_L + grad_reg)

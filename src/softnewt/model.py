@@ -259,13 +259,14 @@ class ProblemInstance:
 
 @dataclass
 class ModelState:
-    """Cached forward pass at a point x.
+    """Cached forward pass at a point x, or at each row of a (k, d) stack.
 
     ``u`` holds the literal coordinatewise exponentials and ``alpha`` their
     sum; ``f`` is computed through the max-shifted form (shift invariant), and
     ``log_alpha`` carries the denominator in log space for bound reporting.
     ``q2 = A2^T (h' o c)`` is the outer layer's backward vector, the one the
-    gradient and the Hessian factors read.
+    gradient and the Hessian factors read. For a stack every field gains a
+    leading axis of length k and the scalars are length-k arrays.
     """
 
     x: np.ndarray
@@ -285,51 +286,100 @@ class ModelState:
     loss_tot: float
 
 
-def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
-    """Evaluate the full forward pass at ``x``.
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a point, or A @ row for each row of a stack.
 
-    Raises ShapeError on dimension mismatch and EvaluationOverflowError
-    (naming the coordinate) if any entry of exp(A1 @ x) leaves float64 range.
-    Warns, not errors, when the denominator falls below the declared beta.
+    A stack takes one matrix-vector product per row, so each row is bitwise
+    equal to ``A @ row``; a matrix-matrix product would not be.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.d,):
-        raise ShapeError(f"x must have length {inst.d}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x has non-finite entries")
-    z = inst.A1 @ x
-    kmax = int(np.argmax(z))
+    if x.ndim == 1:
+        return A @ x
+    return np.matmul(A, x[:, :, None])[:, :, 0]
+
+
+def _inner(a: np.ndarray, b: np.ndarray):
+    """a @ b for two points, or for two stacks a (k, 1) column of the rows' inner products.
+
+    Each row takes one dot product, so it is bitwise equal to ``a[r] @ b[r]``.
+    """
+    if a.ndim == 1:
+        return a @ b
+    return (a[:, None, :] @ b[:, :, None])[:, :, 0]
+
+
+def _overflow_error(z: np.ndarray) -> EvaluationOverflowError:
+    """The error of one point whose exponentials, or their sum, overflow; ``z = A1 x``."""
+    kmax = int(z.argmax())
     if z[kmax] > _LOG_MAX:
-        raise EvaluationOverflowError(
+        return EvaluationOverflowError(
             f"exp((A1 x)_{kmax}) = exp({z[kmax]:.6g}) overflows float64", coordinate=kmax
         )
-    u = np.exp(z)
-    # the sum may overflow; it is reported as the structured error below
-    with np.errstate(over="ignore"):
-        alpha = float(np.sum(u))
-    if not math.isfinite(alpha):
-        raise EvaluationOverflowError(
-            f"sum of exp(A1 x) overflows float64 (max coordinate {kmax})", coordinate=kmax
-        )
-    shifted = np.exp(z - z[kmax])
-    ssum = float(np.sum(shifted))
-    f = shifted / ssum
-    log_alpha = float(z[kmax] + math.log(ssum))
-    if log_alpha < math.log(inst.beta):
-        warnings.warn(
-            f"softmax denominator {math.exp(log_alpha):.6g} below declared floor beta={inst.beta}",
-            DenominatorFloorWarning,
-            stacklevel=2,
-        )
-    a2f = inst.A2 @ f
-    hval, hprime, hdp = activation_eval(inst.activation, a2f)
-    c = hval - inst.b
-    q2 = inst.A2.T @ (hprime * c)
-    loss_L = 0.5 * float(c @ c)
-    # w z may overflow; the non-finite loss is reported by its caller
+    return EvaluationOverflowError(
+        f"sum of exp(A1 x) overflows float64 (max coordinate {kmax})", coordinate=kmax
+    )
+
+
+def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
+    """Evaluate the full forward pass at ``x``, a point of length d or a (k, d) stack.
+
+    A stack is evaluated row by row in one pass: each row of each field is
+    bitwise equal to evaluating that row alone, and the scalars become
+    length-k arrays. Raises ShapeError on dimension mismatch and
+    EvaluationOverflowError (naming the coordinate) if any entry of
+    exp(A1 @ x), or their sum, leaves float64 range; in a stack, the first
+    such row raises the error it raises alone. Warns, not errors, for each
+    point whose denominator falls below the declared beta.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.shape == (inst.d,)
+    if not (single or (x.ndim == 2 and len(x) and x.shape[1] == inst.d)):
+        raise ShapeError(f"x must have length {inst.d} or shape (k, {inst.d}), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x has non-finite entries")
+    z = _matvec(inst.A1, x)
+    # exp and the sums may overflow: an overflowing exponential raises the
+    # structured error below, and a non-finite ridge loss is reported by its caller
     with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(z)
+        alpha = u.sum(axis=-1)
         wz = inst.w * z
-        loss_reg = 0.5 * float(wz @ wz)
+        loss_reg = 0.5 * _inner(wz, wz)
+    if single:
+        if not math.isfinite(alpha):
+            raise _overflow_error(z)
+        zmax = z[z.argmax()]
+    else:
+        finite = np.isfinite(alpha)
+        if not finite.all():
+            raise _overflow_error(z[finite.argmin()])
+        zmax = z.max(axis=1, keepdims=True)
+    shifted = np.exp(z - zmax)
+    ssum = shifted.sum(axis=-1, keepdims=not single)
+    f = shifted / ssum
+    # per point with math.log: np.log differs from it in the last bit on some inputs
+    if single:
+        log_alpha = float(zmax + math.log(ssum))
+    else:
+        log_alpha = zmax[:, 0] + np.array([math.log(sm) for sm in ssum[:, 0]])
+    log_beta = math.log(inst.beta)
+    for la in [log_alpha] if single else log_alpha:
+        if la < log_beta:
+            warnings.warn(
+                f"softmax denominator {math.exp(la):.6g} below declared floor beta={inst.beta}",
+                DenominatorFloorWarning,
+                stacklevel=2,
+            )
+    a2f = _matvec(inst.A2, f)
+    if not np.isfinite(a2f).all():
+        raise ValueError("activation input must be finite")
+    hval, hprime, hdp = _ACTIVATIONS[inst.activation.kind](a2f)
+    c = hval - inst.b
+    q2 = _matvec(inst.A2.T, hprime * c)
+    loss_L = 0.5 * _inner(c, c)
+    if single:
+        alpha, loss_L, loss_reg = float(alpha), float(loss_L), float(loss_reg)
+    else:
+        loss_L, loss_reg = loss_L[:, 0], loss_reg[:, 0]
     return ModelState(
         x=x,
         u=u,

@@ -2,7 +2,13 @@
 
 Finite differences of scalar losses and vector gradients, plus a dense
 symmetric eigensolver wrapper. Golden values for the closed-form modules are
-certified against these routines, which never call the closed forms.
+certified against these routines, which never call the closed forms: they
+only difference values of the function they are given.
+
+That function takes a (k, d) stack of points and returns one value (or one
+gradient row) per point. Each derivative evaluates its whole stencil in one
+call, in probe order: coordinate by coordinate, and within a coordinate the
+offsets (+h, -h) for central2 or (+2h, +h, -h, -2h) for central4.
 """
 
 from __future__ import annotations
@@ -45,41 +51,53 @@ def _steps(x: np.ndarray, cfg: FdConfig) -> np.ndarray:
     return cfg.base_step * (1.0 + np.abs(x))
 
 
-def _probe(func: Callable, x: np.ndarray, i: int, offset: float):
-    xp = x.copy()
-    xp[i] += offset
-    val = func(xp)
-    if not np.all(np.isfinite(val)):
-        raise ProbeEvaluationError(
-            f"non-finite probe at coordinate {i}, offset {offset:+.3e}", i, offset
-        )
-    return val
+# stencil offsets in units of each coordinate's step h, in probe order
+_OFFSETS = {"central2": np.array([1.0, -1.0]), "central4": np.array([2.0, 1.0, -1.0, -2.0])}
 
 
-def _central(func: Callable, x: np.ndarray, i: int, h: float, scheme: str):
-    """Central-difference derivative along coordinate i, probing in stencil order."""
+def _stencil(func: Callable, x: np.ndarray, cfg: FdConfig):
+    """``func`` over the whole stencil in one call, shaped (d, s, ...), and the steps h.
+
+    Row i * s + j of the stack is x with x[i] moved by the j-th offset, so the
+    stack runs coordinate by coordinate, offsets (+h, -h) or (+2h, +h, -h, -2h)
+    within each. The first non-finite value in that order raises.
+    """
+    h = _steps(x, cfg)
+    offsets = h[:, None] * _OFFSETS[cfg.scheme]
+    d, s = offsets.shape
+    stack = np.tile(x, (d * s, 1))
+    rows = np.arange(d * s)
+    stack[rows, rows // s] += offsets.ravel()
+    vals = np.asarray(func(stack), dtype=float)
+    if vals.shape[:1] != (d * s,):
+        raise ValueError(f"func must map a ({d * s}, {d}) stack to {d * s} values, got shape {vals.shape}")
+    bad = ~np.isfinite(vals).all(axis=tuple(range(1, vals.ndim)))
+    if bad.any():
+        r = int(bad.argmax())
+        i, offset = r // s, float(offsets.flat[r])
+        raise ProbeEvaluationError(f"non-finite probe at coordinate {i}, offset {offset:+.3e}", i, offset)
+    return vals.reshape(d, s, *vals.shape[1:]), h
+
+
+def _central(vals: np.ndarray, h: np.ndarray, scheme: str) -> np.ndarray:
+    """Central differences along each coordinate from its stencil values; row i is d/dx_i."""
+    if vals.ndim == 3:
+        h = h[:, None]
     if scheme == "central2":
-        return (_probe(func, x, i, h) - _probe(func, x, i, -h)) / (2.0 * h)
-    return (
-        -_probe(func, x, i, 2.0 * h)
-        + 8.0 * _probe(func, x, i, h)
-        - 8.0 * _probe(func, x, i, -h)
-        + _probe(func, x, i, -2.0 * h)
-    ) / (12.0 * h)
+        return (vals[:, 0] - vals[:, 1]) / (2.0 * h)
+    return (-vals[:, 0] + 8.0 * vals[:, 1] - 8.0 * vals[:, 2] + vals[:, 3]) / (12.0 * h)
 
 
-def fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray, cfg: FdConfig = FdConfig()) -> np.ndarray:
+def fd_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central-difference gradient of a scalar function.
 
-    central2 has O(h^2) truncation; central4 uses the 4-point stencil with
-    O(h^4) truncation for cross-checking.
+    ``func`` maps a (k, d) stack of points to their k values; it is called
+    once, on the whole stencil (see ``_stencil`` for the row order). central2
+    has O(h^2) truncation; central4 uses the 4-point stencil with O(h^4)
+    truncation for cross-checking.
     """
     x = np.asarray(x, dtype=float)
-    h = _steps(x, cfg)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        g[i] = _central(func, x, i, h[i], cfg.scheme)
-    return g
+    return _central(*_stencil(func, x, cfg), cfg.scheme)
 
 
 def fd_hessian(
@@ -91,15 +109,13 @@ def fd_hessian(
 ):
     """Central differences of a vector gradient, symmetrized as (H + H^T)/2.
 
-    The pre-symmetrization asymmetry flags closed-form bugs; request it with
-    ``return_asymmetry``.
+    ``grad_func`` maps a (k, d) stack of points to their k gradient rows; it
+    is called once, on the whole stencil. The pre-symmetrization asymmetry
+    flags closed-form bugs; request it with ``return_asymmetry``.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
-    h = _steps(x, cfg)
-    H = np.empty((d, d))
-    for j in range(d):
-        H[:, j] = _central(grad_func, x, j, h[j], cfg.scheme)
+    H = _central(*_stencil(grad_func, x, cfg), cfg.scheme).T
     asym = float(np.max(np.abs(H - H.T))) if d > 0 else 0.0
     H_sym = 0.5 * (H + H.T)
     if return_asymmetry:

@@ -165,9 +165,22 @@ def test_run_overflow_exit_2_with_report(inst_file, tmp_path, capsys):
         golden = load_path(out / "report.json")["golden"]
         assert golden["status"] == "error" and "overflows" in golden["error_message"]
         assert golden["grad_norms"] == []
-    # the gradient at the overflowing final point cannot be written: a runtime error, not a traceback
-    assert json.loads(capsys.readouterr().err)["error"] == "runtime"
+    # the gradient at the overflowing final point cannot be written: the run reports its status
+    assert capsys.readouterr().err == ""
     assert not (out / "gradient.json").exists()
+
+
+def test_run_overflowed_last_iterate_skips_gradient_files(inst_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="norm budget"):
+        rc = main(["run", "--instance", inst_file, "--x0", "values", "--x0-values", "2000,2000",
+                   "--out-dir", str(out), "--emit", "report_json,grad_json,bterms_json"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("status=error iters=0 grad=nan")
+    assert captured.err == ""
+    assert (out / "report.json").exists()
+    assert not (out / "gradient.json").exists() and not (out / "b_terms.json").exists()
 
 
 def test_run_non_finite_hessian(tmp_path, capsys):
@@ -276,13 +289,13 @@ def test_verify_evaluates_each_point_once(monkeypatch):
     counted(cli, "eval_forward")
     counted(hessian, "eval_p")
     counted(sketch, "leverage_scores")
-    trials, d = 12, inst.d
+    trials = 12
     checks = list(cli._verify_checks(inst, 0, trials))
     assert all(passed for _, passed, _, _ in checks)
     # one literal oracle per route-check point
     assert calls["eval_p"] == 5
-    # the sample points, the FD stencils around them, and the sketch's x = 0
-    assert calls["eval_forward"] == trials + 2 * d * trials + 2 * d * min(trials, 10) + 1
+    # the sample points, one stacked call per FD stencil around them, and the sketch's x = 0
+    assert calls["eval_forward"] == trials + trials + min(trials, 10) + 1
     # the determinism check's two draws go through the leverage sampler
     assert calls["leverage_scores"] >= 2
 

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
+from softnewt.derivatives import eval_p, eval_Q2
+from softnewt.hessian import b_terms, g_terms, hess_L_entries
 from softnewt.model import (
     _LOG_MAX,
     ACTIVATION_KINDS,
@@ -150,6 +153,10 @@ def test_overflow_error_names_coordinate():
     with pytest.raises(EvaluationOverflowError) as exc:
         sn.eval_forward(inst, np.array([1.0]))
     assert exc.value.coordinate == 1
+    # in a stack, the first overflowing row raises the error it raises alone
+    with pytest.raises(EvaluationOverflowError, match=r"exp\(800\) overflows") as exc:
+        sn.eval_forward(inst, np.array([[0.5], [1.0], [2.0]]))
+    assert exc.value.coordinate == 1
 
 
 def test_overflow_limit_is_log_dbl_max():
@@ -183,6 +190,10 @@ def test_denominator_floor_warning():
     )
     with pytest.warns(DenominatorFloorWarning):
         sn.eval_forward(inst, np.array([1.0]))
+    # in a stack, the row below the floor warns
+    with pytest.warns(DenominatorFloorWarning):
+        st_ = sn.eval_forward(inst, np.array([[0.0], [1.0]]))
+    assert st_.log_alpha.tolist() == [0.0, -50.0]
 
 
 def test_dimension_errors():
@@ -205,6 +216,14 @@ def test_dimension_errors():
     for fn in (sn.grad, sn.hess_L, sn.kernel):
         with pytest.raises(ShapeError):
             fn(st_other, inst)
+    # a stack of two points: grad gives one row per point; the Hessian routes take one point
+    with pytest.raises(ShapeError):
+        sn.eval_forward(inst, np.zeros((2, 3)))
+    st_stack = sn.eval_forward(inst, np.zeros((2, 2)))
+    assert sn.grad(st_stack, inst).grad_tot.shape == (2, 2)
+    for fn in (sn.hess_L, sn.kernel, g_terms, hess_L_entries, b_terms, eval_p, eval_Q2):
+        with pytest.raises(ShapeError):
+            fn(st_stack, inst)
     with pytest.raises(ShapeError):
         sn.ProblemInstance(
             A1=np.zeros((2, 2)),
@@ -278,3 +297,55 @@ def test_instance_json_round_trip(s1_instance):
     assert inst2.R == s1_instance.R and inst2.beta == s1_instance.beta
     assert inst2.activation == s1_instance.activation
     assert dumps(sn.instance_to_json(inst2)) == txt
+
+
+@st.composite
+def stack_cases(draw):
+    """A random finite instance and a stack of 1-8 points, some repeated, some scaled to overflow."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0)
+    A1 = draw(hnp.arrays(float, (n, d), elements=entries))
+    A2 = draw(hnp.arrays(float, (m, n), elements=entries))
+    inst = sn.ProblemInstance(
+        A1=A1, A2=A2, b=draw(hnp.arrays(float, m, elements=entries)),
+        w=draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0))),
+        activation=sn.Activation(draw(st.sampled_from(ACTIVATION_KINDS))),
+        R=max(float(np.linalg.norm(A1, 2)), float(np.linalg.norm(A2, 2)), 0.5),
+    )
+    point = hnp.arrays(float, d, elements=st.floats(-3.0, 3.0))
+    distinct = draw(st.lists(st.tuples(point, st.sampled_from([1.0, 1.0, 1.0, 300.0])), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return inst, np.array([distinct[i][0] * distinct[i][1] for i in picks])
+
+
+def _evaluate(inst, x):
+    """(state or overflow error, DenominatorFloorWarning messages) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DenominatorFloorWarning)
+        try:
+            result = sn.eval_forward(inst, x)
+        except EvaluationOverflowError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=stack_cases())
+def test_stacked_forward_equals_rows(case):
+    inst, X = case
+    rows = [_evaluate(inst, x) for x in X]
+    stacked, warned = _evaluate(inst, X)
+    errors = [r for r, _ in rows if isinstance(r, EvaluationOverflowError)]
+    if errors:
+        # the first overflowing row raises the error it raises alone
+        assert isinstance(stacked, EvaluationOverflowError)
+        assert (str(stacked), stacked.coordinate) == (str(errors[0]), errors[0].coordinate)
+        return
+    assert warned == [msg for _, msgs in rows for msg in msgs]
+    gb = sn.grad(stacked, inst)
+    for r, (state, _) in enumerate(rows):
+        for name, value in vars(state).items():
+            assert np.array_equal(getattr(stacked, name)[r], value), name
+            assert type(value) is (float if np.ndim(value) == 0 else np.ndarray), name
+        for name, value in vars(sn.grad(state, inst)).items():
+            assert np.array_equal(getattr(gb, name)[r], value), name

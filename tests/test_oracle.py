@@ -7,9 +7,9 @@ from softnewt.oracle import FdConfig, ProbeEvaluationError, fd_gradient, fd_hess
 
 def test_fd_gradient_constant_and_quadratic():
     np.testing.assert_array_equal(
-        fd_gradient(lambda x: 3.0, np.array([1.0, -2.0])), np.zeros(2)
+        fd_gradient(lambda X: np.full(len(X), 3.0), np.array([1.0, -2.0])), np.zeros(2)
     )
-    g = fd_gradient(lambda x: 0.5 * float(x @ x), np.array([1.0, 2.0]))
+    g = fd_gradient(lambda X: 0.5 * np.sum(X * X, axis=1), np.array([1.0, 2.0]))
     np.testing.assert_allclose(g, [1.0, 2.0], atol=1e-9)
 
 
@@ -24,9 +24,9 @@ def test_fd_gradient_schemes_agree_on_s1(s1_instance, s1_golden):
 
 def test_fd_hessian_linear_and_cubic():
     M = np.array([[2.0, 1.0], [1.0, 3.0]])
-    H = fd_hessian(lambda x: M @ x, np.array([0.3, -0.4]))
+    H = fd_hessian(lambda X: X @ M.T, np.array([0.3, -0.4]))
     np.testing.assert_allclose(H, M, atol=1e-8)
-    H1 = fd_hessian(lambda x: np.array([3.0 * x[0] ** 2]), np.array([2.0]))
+    H1 = fd_hessian(lambda X: 3.0 * X[:, :1] ** 2, np.array([2.0]))
     assert H1[0, 0] == pytest.approx(12.0, abs=1e-6)
 
 
@@ -39,8 +39,8 @@ def test_fd_hessian_asymmetry_is_small_on_s1(s1_instance, s1_golden):
 
 
 def test_probe_error_names_coordinate_and_offset():
-    def bad(x):
-        return np.inf if x[1] > 1.0 else float(x @ x)
+    def bad(X):
+        return np.where(X[:, 1] > 1.0, np.inf, np.sum(X * X, axis=1))
 
     with pytest.raises(ProbeEvaluationError) as exc:
         fd_gradient(bad, np.array([0.0, 1.0]), FdConfig(step_mode="absolute", base_step=1e-2))
@@ -75,3 +75,86 @@ def test_fdconfig_validation():
         FdConfig(scheme="central3")
     with pytest.raises(ValueError):
         FdConfig(base_step=1.0)
+
+
+def loop_fd(func, x, cfg):
+    """The per-coordinate loop that the stacked stencil replaced, kept as its reference.
+
+    ``func`` takes one point. Returns the rows d/dx_i of ``func`` at x, probing
+    coordinate by coordinate in stencil order, one call per probe.
+    """
+    h = cfg.base_step * (1.0 + np.abs(x)) if cfg.step_mode == "relative" else np.full(x.shape, cfg.base_step)
+
+    def probe(i, offset):
+        xp = x.copy()
+        xp[i] += offset
+        val = func(xp)
+        if not np.all(np.isfinite(val)):
+            raise ProbeEvaluationError(f"non-finite probe at coordinate {i}, offset {offset:+.3e}", i, offset)
+        return val
+
+    rows = []
+    for i in range(x.size):
+        if cfg.scheme == "central2":
+            rows.append((probe(i, h[i]) - probe(i, -h[i])) / (2.0 * h[i]))
+        else:
+            rows.append(
+                (-probe(i, 2.0 * h[i]) + 8.0 * probe(i, h[i]) - 8.0 * probe(i, -h[i]) + probe(i, -2.0 * h[i]))
+                / (12.0 * h[i])
+            )
+    return np.array(rows)
+
+
+def loop_fd_hessian(grad_func, x, cfg):
+    H = loop_fd(grad_func, x, cfg).T
+    return 0.5 * (H + H.T), float(np.max(np.abs(H - H.T)))
+
+
+CONFIGS = [FdConfig(step_mode=mode, scheme=scheme, base_step=1e-4)
+           for mode in ("absolute", "relative") for scheme in ("central2", "central4")]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.step_mode}-{c.scheme}")
+def test_stacked_stencil_equals_loop_reference(cfg, s1_instance, s1_golden):
+    inst = s1_instance
+    x = np.array(s1_golden["x"])
+    loss = lambda y: sn.eval_forward(inst, y).loss_tot
+    grad_fn = lambda y: sn.grad(sn.eval_forward(inst, y), inst).grad_tot
+    np.testing.assert_array_equal(fd_gradient(loss, x, cfg), loop_fd(loss, x, cfg))
+    H, asym = fd_hessian(grad_fn, x, cfg, return_asymmetry=True)
+    H_ref, asym_ref = loop_fd_hessian(grad_fn, x, cfg)
+    np.testing.assert_array_equal(H, H_ref)
+    assert asym == asym_ref
+
+    M = np.array([[2.0, 0.5, -1.0], [0.5, 3.0, 0.25], [-1.0, 0.25, 1.5]])
+    xq = np.array([0.3, -1.7, 12.0])
+    # M x one row at a time, as a point or a stack: a matrix-matrix product would round differently
+    lin = lambda X: np.matmul(M, X[..., None])[..., 0]
+    quad = lambda X: 0.5 * np.sum(X * lin(X), axis=-1)
+    np.testing.assert_array_equal(fd_gradient(quad, xq, cfg), loop_fd(quad, xq, cfg))
+    H, asym = fd_hessian(lin, xq, cfg, return_asymmetry=True)
+    H_ref, asym_ref = loop_fd_hessian(lin, xq, cfg)
+    np.testing.assert_array_equal(H, H_ref)
+    assert asym == asym_ref
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.step_mode}-{c.scheme}")
+def test_probe_error_matches_loop_reference(cfg):
+    # the first non-finite probe in stencil order is reported: every probe of
+    # coordinate 1 is non-finite, and so is one of coordinate 2
+    x = np.array([0.5, 1.0, -0.3])
+
+    def bad(X):
+        return np.where((X[..., 1] != 1.0) | (X[..., 2] < -0.3), np.inf, np.sum(X * X, axis=-1))
+
+    errors = []
+    for fn in (lambda: fd_gradient(bad, x, cfg), lambda: loop_fd(bad, x, cfg)):
+        with pytest.raises(ProbeEvaluationError) as exc:
+            fn()
+        errors.append((exc.value.coordinate, exc.value.offset, str(exc.value)))
+    assert errors[0] == errors[1]
+
+
+def test_stencil_rejects_wrong_value_count():
+    with pytest.raises(ValueError, match="stack"):
+        fd_gradient(lambda X: 3.0, np.array([1.0, 2.0]))

@@ -64,3 +64,30 @@ def test_undefined_exports_are_detected():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_exports_are_defined(path):
     assert undefined_exports(path.read_text()) == []
+
+
+def package_imports(source: str) -> list[str]:
+    """The package modules a module imports: relative imports and ``softnewt`` ones."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "softnewt":
+                found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "softnewt"]
+    return found
+
+
+def test_package_imports_are_detected():
+    source = (
+        "import numpy as np\nimport softnewt.model\nfrom softnewt import grad\n"
+        "from . import bounds\nfrom .model import eval_forward\nfrom typing import Callable\n"
+        "def f():\n    from ..softnewt import hessian\n"
+    )
+    assert package_imports(source) == ["softnewt.model", "softnewt", ".", ".model", "..softnewt"]
+    assert package_imports("from __future__ import annotations\nimport numpy\n") == []
+
+
+def test_oracle_imports_no_package_module():
+    # the oracles check the closed forms, so they may not call them
+    assert package_imports((PACKAGE_DIR / "oracle.py").read_text()) == []
