@@ -111,7 +111,8 @@ def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
 
     H_L = A1^T B A1 = G^T diag(g) G + a w^T + w a^T - A1^T diag(u) A1, with
     G = (A2 J) A1, g = h'^2 + h'' o c, u = s f - v, a = A1^T f and
-    w = A1^T u. Only m x n and d x d arrays are formed, so this is the
+    w = A1^T u, and H_tot = H_L + ``inst.ridge_gram``, which is formed once per
+    instance. Only m x n and d x d arrays are formed, so this is the
     solver's route at any n. It equals the sum of ``g_terms``; summed this way
     the terms that cancel (all of them at n = 1, where A2 J and u are 0)
     cancel exactly. diag(B) = g^T (A2 J)^2 + (2 f - 1) o u.
@@ -125,10 +126,7 @@ def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     w = A1.T @ u
     H_L = G.T @ (g[:, None] * G)
     H_L += np.outer(a, w) + np.outer(w, a) - A1.T @ (u[:, None] * A1)
-    # w^2 may overflow; the non-finite Hessian is reported by the solver
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = inst.w * inst.w
-        H_tot = H_L + A1.T @ (w2[:, None] * A1)
+    H_tot = H_L + inst.ridge_gram
     B_diag = g @ (AJ * AJ) + (2.0 * f - 1.0) * u
     return HessianBundle(H_L=H_L, H_tot=H_tot, B_diag=B_diag)
 

@@ -9,6 +9,7 @@ ridge term::
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -256,6 +257,14 @@ class ProblemInstance:
     def m(self) -> int:
         return self.A2.shape[0]
 
+    @functools.cached_property
+    def ridge_gram(self) -> np.ndarray:
+        """A1^T diag(w^2) A1, the ridge term's Hessian, formed on first use only."""
+        # w^2 may overflow; the non-finite Hessian is reported by the solver
+        with np.errstate(over="ignore", invalid="ignore"):
+            w2 = self.w * self.w
+            return self.A1.T @ (w2[:, None] * self.A1)
+
 
 @dataclass
 class ModelState:
@@ -336,10 +345,10 @@ def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
         raise ShapeError(f"x must have length {inst.d} or shape (k, {inst.d}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x has non-finite entries")
-    z = _matvec(inst.A1, x)
-    # exp and the sums may overflow: an overflowing exponential raises the
+    # A1 x, exp and the sums may overflow: an overflowing exponential raises the
     # structured error below, and a non-finite ridge loss is reported by its caller
     with np.errstate(over="ignore", invalid="ignore"):
+        z = _matvec(inst.A1, x)
         u = np.exp(z)
         alpha = u.sum(axis=-1)
         wz = inst.w * z

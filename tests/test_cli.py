@@ -155,11 +155,37 @@ def test_run_unknown_emit_exit_3(inst_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_builds_the_parser_once(inst_file, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        outputs = []
+        for _ in range(2):
+            assert main(["bounds", "--instance", inst_file, "--probes", "3"]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--mode", "newton"])  # argparse's own usage error
+            assert exc.value.code == 2
+            outputs.append(capsys.readouterr())
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert outputs[0] == outputs[1] and "invalid choice: 'newton'" in outputs[0].err
+
+
 def test_run_overflow_exit_2_with_report(inst_file, tmp_path, capsys):
-    for emit in ("report_json", "report_json,bounds_json,grad_json"):
+    # at -1e308 the norm of x0 overflows too, with no RuntimeWarning
+    for x0, emit in (("2000,2000", "report_json"), ("-1e308,-1e308", "report_json"),
+                     ("2000,2000", "report_json,bounds_json,grad_json")):
         out = tmp_path / emit.replace(",", "_")
         with pytest.warns(UserWarning, match="norm budget"):
-            rc = main(["run", "--instance", inst_file, "--x0", "values", "--x0-values", "2000,2000",
+            rc = main(["run", "--instance", inst_file, "--x0", "values", f"--x0-values={x0}",
                        "--out-dir", str(out), "--emit", emit])
         assert rc == 2
         golden = load_path(out / "report.json")["golden"]
@@ -200,6 +226,27 @@ def test_run_non_finite_hessian(tmp_path, capsys):
     assert err["error"] == "configuration" and "reference solve" in err["message"]
     assert "status error: the Hessian has non-finite entries" in err["message"]
     assert not (tmp_path / "b" / "report.json").exists()
+
+
+def test_run_non_finite_gradient(tmp_path, capsys):
+    # A1 x = [-1e308, -inf]: the forward pass is finite but the ridge gradient
+    # is not; the run ends as an error report with no numpy RuntimeWarning
+    inst = sn.ProblemInstance(
+        A1=np.array([[-1.0], [-2.0]]), A2=np.array([[0.5, -0.5]]), b=np.array([0.1]), w=np.array([1.0, 1.0]),
+        activation=sn.Activation("tanh"), R=3.0,
+    )
+    with pytest.warns(DenominatorFloorWarning):
+        st = sn.eval_forward(inst, np.array([1e308]))
+    assert st.a1x.tolist() == [-1e308, -np.inf] and st.loss_tot == np.inf
+    path = tmp_path / "inst.json"
+    dump_path(sn.instance_to_json(inst), path)
+    with pytest.warns(UserWarning, match="norm budget"), pytest.warns(DenominatorFloorWarning):
+        rc = main(["run", "--instance", str(path), "--x0", "values", "--x0-values", "1e308", "--no-reference",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    golden = load_path(tmp_path / "out" / "report.json")["golden"]
+    assert golden["status"] == "error" and golden["error_message"] == "the gradient has non-finite entries"
+    assert capsys.readouterr().err == ""
 
 
 def test_run_overflowing_ridge_reports_without_warnings(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import warnings
 
@@ -166,12 +168,13 @@ def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch, mode
     # a solve of k steps evaluates the gradient once per iterate (k + 1) and
     # the kernel factors once per step (k): the step takes its gradient from
     # solve, and hess_L gives H_tot and diag(B) together. The gradient reads
-    # q2 from the forward pass, so neither P nor Q2 is built
+    # q2 from the forward pass, so neither P nor Q2 is built. The ridge Gram
+    # A1^T diag(w^2) A1 is formed once per instance
     import softnewt.derivatives as derivatives_mod
     import softnewt.hessian as hessian_mod
     import softnewt.newton as newton_mod
 
-    calls = {"grad": 0, "_factors": 0, "eval_p": 0, "eval_Q2": 0}
+    calls = {"grad": 0, "_factors": 0, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 0}
     for mod, name in (
         (newton_mod, "grad"), (hessian_mod, "_factors"), (derivatives_mod, "eval_p"), (derivatives_mod, "eval_Q2"),
     ):
@@ -180,11 +183,25 @@ def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch, mode
             return _fn(*args)
 
         monkeypatch.setattr(mod, name, counted)
+    form_gram = sn.ProblemInstance.ridge_gram.func
+
+    def counted_gram(inst):
+        calls["ridge_gram"] += 1
+        return form_gram(inst)
+
+    gram = functools.cached_property(counted_gram)
+    gram.__set_name__(sn.ProblemInstance, "ridge_gram")
+    monkeypatch.setattr(sn.ProblemInstance, "ridge_gram", gram)
+    inst = dataclasses.replace(s1_instance)  # a fresh instance: no Gram formed yet
     cfg = sn.NewtonConfig(mode=mode, eps=1e-9, seed=3, stationarity_tol=1e-12, max_iters=50, strict=False)
-    rep = sn.solve(s1_instance, s1_reference + np.array([0.2, -0.1]), cfg)
+    rep = sn.solve(inst, s1_reference + np.array([0.2, -0.1]), cfg)
     k = rep.n_iters
     assert rep.status == "converged" and k >= 2
-    assert calls == {"grad": k + 1, "_factors": k, "eval_p": 0, "eval_Q2": 0}
+    assert calls == {"grad": k + 1, "_factors": k, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 1}
+    # the cached Gram gives the H_tot that forming it in place gave, bit for bit
+    hb = sn.hess_L(sn.eval_forward(inst, rep.final_x), inst)
+    w2 = inst.w * inst.w
+    assert np.array_equal(hb.H_tot, hb.H_L + inst.A1.T @ (w2[:, None] * inst.A1))
 
 
 @st.composite
