@@ -43,7 +43,7 @@ def main() -> int:
                                     noise=args.noise)
     dump_path(sn.instance_to_json(inst), os.path.join(args.out_dir, "instance.json"))
     print(f"instance: n={inst.n} m={inst.m} d={inst.d} {inst.activation.kind} "
-          f"R_h={inst.activation.R_h:.3f} w_0={inst.w[0]:.2f}")
+          f"R_h={inst.R_h:.3f} w_0={inst.w[0]:.2f}")
 
     ref_cfg = sn.NewtonConfig(mode="exact", eps=1e-13, stationarity_tol=1e-13,
                               max_iters=200, strict=False)

@@ -23,12 +23,12 @@ import numpy as np
 
 from .derivatives import eval_p, eval_Q2, grad
 from .hessian import g_terms, hess_L, kernel
-from .model import _LOG_MAX, DenominatorFloorWarning, ProblemInstance, eval_forward
+from .model import _LOG_MAX, L_H, DenominatorFloorWarning, ProblemInstance, eval_forward
 from .oracle import spectral
 from .serialize import SCHEMA_VERSION
 
 __all__ = ["LogConstant", "BoundReport", "compute_constants", "constants_from_params", "probe_empirical",
-           "measured_radius", "TooFewAdmissiblePointsError"]
+           "measured_radius", "vector_norm", "TooFewAdmissiblePointsError"]
 
 _LN10 = math.log(10.0)
 
@@ -40,7 +40,7 @@ _SVD_BATCH = 8
 
 @dataclass(frozen=True, order=True)
 class LogConstant:
-    """A nonnegative constant stored as its natural log (-inf encodes zero)."""
+    """A nonnegative constant stored as its natural log: -inf encodes zero, +inf a log past float64."""
 
     log_value: float
 
@@ -48,7 +48,7 @@ class LogConstant:
     def from_value(cls, v: float) -> "LogConstant":
         if v < 0:
             raise ValueError("LogConstant holds nonnegative values")
-        return cls(-math.inf if v == 0.0 else math.log(v))
+        return cls(_ln(v))
 
     @property
     def value(self) -> float:
@@ -64,8 +64,9 @@ class LogConstant:
         return self.log_value / _LN10
 
     def mantissa_exp10(self) -> tuple[float, int]:
-        if self.log_value == -math.inf:
-            return 0.0, 0
+        """(mantissa, exponent) with value = mantissa * 10**exponent; (0.0, 0) and (inf, 0) when not finite."""
+        if math.isinf(self.log_value):
+            return (0.0 if self.log_value < 0 else math.inf), 0
         e = math.floor(self.log10)
         return 10.0 ** (self.log10 - e), int(e)
 
@@ -154,15 +155,22 @@ def constants_from_params(n: int, R: float, beta: float, L_h: float, R_h: float)
     return out
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)``, or for a finite v whose squares overflow it, max|v| * ||v / max|v|||.
+
+    The plain norm reads inf once an entry passes ~1.3e154; every finite one is returned unchanged.
+    """
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(v))
+    if r == math.inf and np.isfinite(v).all():
+        s = float(np.max(np.abs(v)))
+        r = s * float(np.linalg.norm(v / s))
+    return r
+
+
 def measured_radius(inst: ProblemInstance, xs=()) -> float:
-    """The norm budget actually exercised: matrix norms, probe ||x||, ||b||."""
-    vals = [
-        float(np.linalg.norm(inst.A1, 2)),
-        float(np.linalg.norm(inst.A2, 2)),
-        float(np.linalg.norm(inst.b)),
-    ]
-    vals.extend(float(np.linalg.norm(x)) for x in xs)
-    return max(vals)
+    """The norm budget actually exercised: the instance's matrix norms, probe ||x||, ||b||."""
+    return max([inst.norm_A1, inst.norm_A2, vector_norm(inst.b), *(vector_norm(x) for x in xs)])
 
 
 @dataclass
@@ -214,11 +222,8 @@ def compute_constants(inst: ProblemInstance, *, R: float | None = None, beta: fl
     """Analytic part of the report; no probe points are evaluated."""
     R_used = measured_radius(inst) if R is None else R
     beta_used = inst.beta if beta is None else beta
-    act = inst.activation
-    analytic = constants_from_params(inst.n, R_used, beta_used, act.L_h, act.R_h)
-    return BoundReport(
-        n=inst.n, R_used=R_used, beta_used=beta_used, L_h=act.L_h, R_h=act.R_h, analytic=analytic
-    )
+    analytic = constants_from_params(inst.n, R_used, beta_used, L_H, inst.R_h)
+    return BoundReport(n=inst.n, R_used=R_used, beta_used=beta_used, L_h=L_H, R_h=inst.R_h, analytic=analytic)
 
 
 class TooFewAdmissiblePointsError(ValueError):
@@ -251,6 +256,14 @@ def _norms(key: str, D: np.ndarray) -> np.ndarray:
     if key == "lip_p":
         return np.max(np.linalg.norm(D, axis=1), axis=1)
     return np.linalg.norm(D, 2, axis=(1, 2))
+
+
+def _max_norm(key: str, D: np.ndarray, dx) -> float:
+    """max(_norms(key, D) / dx), 0 if empty; a 2-D stack whose squares overflow is measured by ``vector_norm``."""
+    r = float(np.max(_norms(key, D) / dx, initial=0.0))
+    if r == math.inf and D.ndim == 2:
+        r = float(np.max(np.array([vector_norm(v) for v in D]) / dx))
+    return r
 
 
 def _spectral_bounds(D: np.ndarray) -> np.ndarray:
@@ -320,29 +333,30 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     stacks = {key: np.stack([row[key] for row in rows]) for key in rows[0]}
     X = np.stack([st.x for st in states])
 
-    emp = {f"norm_{k}": float(np.max(_norms(f"lip_{k}", stacks[f"lip_{k}"]))) for k in NORM_KEYS}
-    emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
     report.lambda_min_B = lam_min
     report.lambda_max_B = lam_max
 
-    # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points;
-    # a matrix key keeps each pair's bound ||D||_F / dx for the screened pass below
-    emp.update(dict.fromkeys(stacks, 0.0))
-    screened = {key: [] for key, S in stacks.items() if S.ndim == 3 and key != "lip_p"}
-    firsts, lasts, dxs = [], [], []
-    for i in range(len(X) - 1):
-        dx = _norms("x", X[i] - X[i + 1 :])
-        later = i + 1 + np.flatnonzero(dx)
-        dx = dx[dx != 0.0]
-        firsts.append(np.full(len(later), i))
-        lasts.append(later)
-        dxs.append(dx)
-        for key, S in stacks.items():
-            if key in screened:
-                screened[key].append(_spectral_bounds(S[i] - S[later]) / dx)
-            else:
-                ratio = float(np.max(_norms(key, S[i] - S[later]) / dx, initial=0.0))
-                emp[key] = max(emp[key], ratio)
+    # squares past float64 read inf here; _max_norm measures such vectors again
+    with np.errstate(over="ignore"):
+        emp = {f"norm_{k}": _max_norm(f"lip_{k}", stacks[f"lip_{k}"], 1.0) for k in NORM_KEYS}
+        emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
+        # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points;
+        # a matrix key keeps each pair's bound ||D||_F / dx for the screened pass below
+        emp.update(dict.fromkeys(stacks, 0.0))
+        screened = {key: [] for key, S in stacks.items() if S.ndim == 3 and key != "lip_p"}
+        firsts, lasts, dxs = [], [], []
+        for i in range(len(X) - 1):
+            dx = _norms("x", X[i] - X[i + 1 :])
+            later = i + 1 + np.flatnonzero(dx)
+            dx = dx[dx != 0.0]
+            firsts.append(np.full(len(later), i))
+            lasts.append(later)
+            dxs.append(dx)
+            for key, S in stacks.items():
+                if key in screened:
+                    screened[key].append(_spectral_bounds(S[i] - S[later]) / dx)
+                else:
+                    emp[key] = max(emp[key], _max_norm(key, S[i] - S[later], dx))
     first, last, dx = (np.concatenate(a) for a in (firsts, lasts, dxs))
     for key, ub in screened.items():
         ub = np.concatenate(ub)

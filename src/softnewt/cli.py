@@ -346,9 +346,8 @@ def cmd_bounds(args) -> int:
         if key not in rep.analytic:
             continue
         m, e = rep.analytic[key].mantissa_exp10()
-        print(
-            f"{key:<14} {f'{m:.3f}e{e:+d}':>14} {rep.empirical[key]:>13.4e} {rep.tightness[key]:>11.3e}"
-        )
+        bound = f"{m:.3f}e{e:+d}" if math.isfinite(m) else "inf"
+        print(f"{key:<14} {bound:>14} {rep.empirical[key]:>13.4e} {rep.tightness[key]:>11.3e}")
     return 0
 
 

@@ -4,10 +4,12 @@ Matrices are Gaussian rescaled to a target spectral norm, the target vector is
 planted (b = h(A2 f(x_plant)) + noise), and the ridge weights default to the
 strong-convexity recipe
 
-    w_i^2 = 100 + 12 R_h L_h R (R + R_h) + l_target / sigma_min(A1)^2
+    w_i^2 = 100 + 12 R_h L_H R (R + R_h) + l_target / sigma_min(A1)^2
 
-evaluated with the measured (desk-scale) norms, which keeps lambda_min of the
-total Hessian at or above l_target everywhere the kernel bound holds.
+with R the norm target, L_H = 1 and R_h = ``activation_bound`` of the
+rescaled A2's spectral norm (the value the instance derives), which keeps
+lambda_min of the total Hessian at or above l_target everywhere the kernel
+bound holds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import Activation, ProblemInstance, _rng, activation_eval, estimate_activation_bound
+from .model import L_H, Activation, ProblemInstance, _rng, activation_bound, activation_eval
 
 __all__ = ["gen_instance", "ridge_recipe", "softmax"]
 
@@ -65,13 +67,14 @@ def gen_instance(
     x_plant = rng.standard_normal(d)
     x_plant *= 0.5 * r_target / max(float(np.linalg.norm(x_plant)), 1e-300)
 
-    act = Activation(activation, R_h=estimate_activation_bound(activation, A2))
+    act = Activation(activation)
     hval, _, _ = activation_eval(act, A2 @ softmax(A1 @ x_plant))
     b = hval + noise * rng.standard_normal(m)
 
     if w is None:
         sigma_min = float(np.linalg.svd(A1, compute_uv=False)[-1])
-        w2 = ridge_recipe(r_target, act.R_h, act.L_h, sigma_min, l_target)
+        R_h = activation_bound(activation, float(np.linalg.norm(A2, 2)), m)
+        w2 = ridge_recipe(r_target, R_h, L_H, sigma_min, l_target)
         w = np.full(n, math.sqrt(w2))
     else:
         w = np.asarray(w, dtype=float)

@@ -5,6 +5,9 @@ feeding an outer coordinatewise activation through ``A2``, with a diagonal
 ridge term::
 
     loss_tot(x) = 0.5 * ||h(A2 @ softmax(A1 @ x)) - b||^2 + 0.5 * ||diag(w) @ A1 @ x||^2
+
+A ``ProblemInstance`` keeps the constants the bounds are built from: ||A1||,
+||A2|| and R_h = ``activation_bound`` at ||A2||; ``L_H`` bounds h' and h''.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,12 +30,13 @@ __all__ = [
     "ShapeError",
     "EvaluationOverflowError",
     "DenominatorFloorWarning",
+    "activation_bound",
     "activation_eval",
     "eval_forward",
-    "estimate_activation_bound",
     "instance_to_json",
     "instance_from_json",
     "ACTIVATION_KINDS",
+    "L_H",
 ]
 
 # log(DBL_MAX): exp(x) is finite up to here and overflows float64 above it
@@ -112,29 +116,24 @@ _ACTIVATIONS: dict[str, Callable] = {
 ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
+# sup|h'| and sup|h''| over the reals are at most 1 for every registered kind
+# (tanh's sup|h''| is 4/(3 sqrt 3)), so h and h' are L_H-Lipschitz as vector maps
+L_H = 1.0
+
+
 @dataclass(frozen=True)
 class Activation:
-    """A twice-differentiable coordinatewise map with declared constants.
+    """A twice-differentiable coordinatewise map, named by its kind.
 
-    ``L_h`` bounds sup|h'| and sup|h''| (so h and h' are L_h-Lipschitz as
-    vector maps); both are at most 1 for every registered kind (tanh's
-    sup|h''| is 4/(3 sqrt 3)), so the default 1.0 holds. ``R_h`` bounds
-    ||h(A2 f)||_2 and ||h'(A2 f)||_2 for the instance this activation is
-    attached to; it is instance dependent and is estimated at instance
-    construction when not supplied.
+    Its derivatives are bounded by the module constant ``L_H``; the bound
+    ``R_h`` depends on A2, so it belongs to the instance.
     """
 
     kind: str
-    L_h: float = 1.0
-    R_h: float | None = None
 
     def __post_init__(self):
         if self.kind not in _ACTIVATIONS:
             raise ValueError(f"unknown activation kind {self.kind!r}; known: {ACTIVATION_KINDS}")
-        if self.L_h < 0:
-            raise ValueError("L_h must be nonnegative")
-        if self.R_h is not None and self.R_h <= 0:
-            raise ValueError("R_h must be positive")
 
 
 def activation_eval(act: Activation, y: np.ndarray):
@@ -145,10 +144,11 @@ def activation_eval(act: Activation, y: np.ndarray):
     return _ACTIVATIONS[act.kind](y)
 
 
-def _activation_cap(kind: str, a2_norm: float, m: int) -> float:
-    """Analytic upper bound for max(||h(A2 f)||_2, ||h'(A2 f)||_2) over all x.
+def activation_bound(kind: str, a2_norm: float, m: int) -> float:
+    """R_h: a bound on ||h(A2 f)||_2 and ||h'(A2 f)||_2 over the simplex, from ``a2_norm`` = ||A2||.
 
-    Uses ||A2 f||_2 <= ||A2|| since ||f||_2 <= ||f||_1 = 1.
+    ||A2 f|| <= ||A2|| as ||f||_2 <= ||f||_1 = 1; |h'| <= 1, so ||h'|| <= sqrt(m);
+    |h| <= 1 for tanh and sigmoid, |y| for identity and |y| + log 2 for softplus.
     """
     rm = math.sqrt(m)
     if kind == "identity":
@@ -160,34 +160,14 @@ def _activation_cap(kind: str, a2_norm: float, m: int) -> float:
     raise ValueError(kind)
 
 
-def estimate_activation_bound(kind: str, A2: np.ndarray, probe_f: list[np.ndarray] | None = None) -> float:
-    """Per-instance R_h: max of a probe-grid measurement and the analytic cap.
-
-    The cap alone is sound for every x; probing guards against a future kind
-    whose cap formula is forgotten.
-    """
-    A2 = np.asarray(A2, dtype=float)
-    m, n = A2.shape
-    a2_norm = float(np.linalg.norm(A2, 2))
-    act = Activation(kind)
-    measured = 0.0
-    if probe_f is None:
-        # deterministic simplex probes: uniform plus each vertex e_i, where A2 e_i = A2[:, i]
-        probe_y = [A2 @ np.full(n, 1.0 / n)] + [A2[:, i] for i in range(min(n, 8))]
-    else:
-        probe_y = [A2 @ f for f in probe_f]
-    for y in probe_y:
-        h, hp, _ = activation_eval(act, y)
-        measured = max(measured, float(np.linalg.norm(h)), float(np.linalg.norm(hp)))
-    return max(measured, _activation_cap(kind, a2_norm, m))
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Immutable problem data: matrices, target, ridge weights, constants.
 
     ``R`` is the norm budget: spectral norms of A1 and A2 must not exceed it.
     ``beta`` is the declared floor on the softmax denominator, in (0, 0.1].
+    Construction takes each spectral norm once and keeps it as ``norm_A1`` and
+    ``norm_A2``; ``R_h`` is ``activation_bound`` of the kept ``norm_A2``.
     """
 
     A1: np.ndarray
@@ -197,16 +177,14 @@ class ProblemInstance:
     activation: Activation
     R: float
     beta: float = 0.05
+    norm_A1: float = field(init=False)
+    norm_A2: float = field(init=False)
+    R_h: float = field(init=False)
 
     def __post_init__(self):
-        A1 = np.asarray(self.A1, dtype=float)
-        A2 = np.asarray(self.A2, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "A1", A1)
-        object.__setattr__(self, "A2", A2)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "w", w)
+        for name in ("A1", "A2", "b", "w"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        A1, A2, b, w = self.A1, self.A2, self.b, self.w
         if A1.ndim != 2 or A2.ndim != 2 or b.ndim != 1 or w.ndim != 1:
             raise ShapeError("A1, A2 must be matrices; b, w vectors")
         n, d = A1.shape
@@ -229,21 +207,12 @@ class ProblemInstance:
             raise ValueError("R must be positive")
         if not (0.0 < self.beta <= 0.1):
             raise ValueError("beta must lie in (0, 0.1]")
-        slack = 1.0 + 1e-9
         for name, arr in (("A1", A1), ("A2", A2)):
             s = float(np.linalg.norm(arr, 2))
-            if s > self.R * slack:
+            if s > self.R * (1.0 + 1e-9):
                 raise ValueError(f"spectral norm of {name} is {s:.6g}, exceeding R={self.R:.6g}")
-        if self.activation.R_h is None:
-            object.__setattr__(
-                self,
-                "activation",
-                Activation(
-                    self.activation.kind,
-                    self.activation.L_h,
-                    estimate_activation_bound(self.activation.kind, A2),
-                ),
-            )
+            object.__setattr__(self, f"norm_{name}", s)
+        object.__setattr__(self, "R_h", activation_bound(self.activation.kind, self.norm_A2, m))
 
     @property
     def n(self) -> int:
@@ -384,7 +353,9 @@ def eval_forward(inst: ProblemInstance, x: np.ndarray) -> ModelState:
     hval, hprime, hdp = _ACTIVATIONS[inst.activation.kind](a2f)
     c = hval - inst.b
     q2 = _matvec(inst.A2.T, hprime * c)
-    loss_L = 0.5 * _inner(c, c)
+    # c.c overflows past ~1.3e154, like the ridge loss above: an infinite loss is the caller's to report
+    with np.errstate(over="ignore"):
+        loss_L = 0.5 * _inner(c, c)
     if single:
         alpha, loss_L, loss_reg = float(alpha), float(loss_L), float(loss_reg)
     else:
@@ -425,13 +396,11 @@ def instance_to_json(inst: ProblemInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> ProblemInstance:
-    A1 = np.asarray(doc["A1"], dtype=float)
-    A2 = np.asarray(doc["A2"], dtype=float)
     inst = ProblemInstance(
-        A1=A1,
-        A2=A2,
-        b=np.asarray(doc["b"], dtype=float),
-        w=np.asarray(doc["w"], dtype=float),
+        A1=doc["A1"],
+        A2=doc["A2"],
+        b=doc["b"],
+        w=doc["w"],
         activation=Activation(doc["activation"]),
         R=float(doc["R"]),
         beta=float(doc["beta"]),

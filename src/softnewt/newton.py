@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .bounds import LogConstant
+from .bounds import LogConstant, vector_norm
 from .derivatives import grad
 from .hessian import hess_L
 from .model import EvaluationOverflowError, ModelState, ProblemInstance, eval_forward
@@ -226,9 +226,7 @@ def solve(
     cause in ``error_message``.
     """
     x = np.asarray(x0, dtype=float)
-    # entries near the float64 limit overflow the norm to inf, which is over budget too
-    with np.errstate(over="ignore"):
-        x0_norm = float(np.linalg.norm(x))
+    x0_norm = vector_norm(x)
     if x0_norm > inst.R:
         warnings.warn(f"||x0|| = {x0_norm:.4g} exceeds the norm budget R = {inst.R}", stacklevel=2)
     track_r = x_ref is not None
@@ -258,9 +256,9 @@ def solve(
             return stop("error", str(exc))
         gb = grad(state, inst)
         # a norm past the float64 range is inf, which the tests below read as not converged
+        gnorm = vector_norm(gb.grad_tot)
         with np.errstate(over="ignore"):
-            gnorm = float(np.linalg.norm(gb.grad_tot))
-            r = float(np.linalg.norm(x - x_ref)) if track_r else math.nan
+            r = vector_norm(x - x_ref) if track_r else math.nan
         report.grad_norms.append(gnorm)
         report.loss_tots.append(state.loss_tot)
         if track_r:
@@ -298,7 +296,7 @@ def basin_check(
     Hessian-Lipschitz ratio; callers record both.
     """
     with np.errstate(over="ignore"):  # an overflowing distance is inf: no certificate
-        r0 = float(np.linalg.norm(np.asarray(x0, dtype=float) - np.asarray(x_ref, dtype=float)))
+        r0 = vector_norm(np.asarray(x0, dtype=float) - np.asarray(x_ref, dtype=float))
     if r0 == 0.0:
         return True
     if l <= 0.0:

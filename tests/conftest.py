@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 import softnewt as sn
+from softnewt.generate import ridge_recipe, softmax
+from softnewt.model import L_H
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "s1.json")
 
@@ -61,22 +64,17 @@ def random_instance(seed, *, n=None, m=None, d=None, kind=None, ridge="unit", no
     act = sn.Activation(kind)
     x_plant = rng.standard_normal(d)
     x_plant *= 0.4 * R / max(np.linalg.norm(x_plant), 1e-12)
-    from softnewt.generate import softmax
-    from softnewt.model import activation_eval, estimate_activation_bound
-
-    act = sn.Activation(kind, R_h=estimate_activation_bound(kind, A2))
-    hval, _, _ = activation_eval(act, A2 @ softmax(A1 @ x_plant))
+    hval, _, _ = sn.activation_eval(act, A2 @ softmax(A1 @ x_plant))
     b = hval + noise * rng.standard_normal(m)
+    inst = sn.ProblemInstance(A1=A1, A2=A2, b=b, w=np.ones(n), activation=act, R=R, beta=0.05)
     if ridge == "unit":
         w = rng.uniform(0.5, 1.5, size=n)
     elif ridge == "recipe":
-        from softnewt.generate import ridge_recipe
-
         sigma_min = float(np.linalg.svd(A1, compute_uv=False)[-1])
-        w = np.full(n, np.sqrt(ridge_recipe(R, act.R_h, act.L_h, sigma_min, 1.0)))
+        w = np.full(n, np.sqrt(ridge_recipe(R, inst.R_h, L_H, sigma_min, 1.0)))
     else:
         raise ValueError(ridge)
-    return sn.ProblemInstance(A1=A1, A2=A2, b=b, w=w, activation=act, R=R, beta=0.05)
+    return dataclasses.replace(inst, w=w)
 
 
 def random_points(inst, seed, count, radius_frac=0.5):

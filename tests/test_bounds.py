@@ -9,7 +9,7 @@ from conftest import ALL_KINDS, random_instance, random_points
 
 import softnewt as sn
 from softnewt.bounds import (
-    LogConstant, TooFewAdmissiblePointsError, constants_from_params, measured_radius, probe_empirical,
+    LogConstant, TooFewAdmissiblePointsError, constants_from_params, measured_radius, probe_empirical, vector_norm,
 )
 from softnewt.derivatives import eval_p, eval_Q2, grad
 from softnewt.hessian import g_terms, hess_L, kernel
@@ -62,6 +62,29 @@ def test_log_constant_basics():
     near = LogConstant(709.5)
     assert near.value == math.exp(709.5) and near.to_json()["value"] == math.exp(709.5)
     assert LogConstant(0.0).tightness(math.exp(709.5)) == pytest.approx(math.exp(709.5))
+
+
+def test_log_constant_encodes_an_infinite_log():
+    # a log past float64 (log exp(R^2) = R^2 at R ~ 1e200) is +inf, written as mantissa inf times 10^0
+    inf = LogConstant(math.inf)
+    assert inf.mantissa_exp10() == (math.inf, 0)
+    assert inf.value == math.inf and inf.holds(1e308) and inf.tightness(1e308) == 0.0
+    assert inf.to_json() == {"log10": math.inf, "mantissa": math.inf, "exp10": 0, "value": None}
+    assert '"mantissa": Infinity' in dumps(inf.to_json())
+    assert LogConstant(-math.inf).to_json() == {"log10": None, "mantissa": 0.0, "exp10": 0, "value": 0.0}
+
+
+def test_vector_norm_rescales_only_where_the_squares_overflow():
+    rng = np.random.default_rng(3)
+    for k in (-300, -5, 0, 5, 150):
+        v = rng.standard_normal(7) * 10.0**k
+        assert vector_norm(v) == float(np.linalg.norm(v))
+    assert vector_norm(np.array([1e200])) == 1e200
+    assert vector_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    # past the float64 range, or with a non-finite entry, the norm stays as numpy gives it
+    assert vector_norm(np.array([1.5e308, 1.5e308])) == math.inf
+    assert vector_norm(np.array([np.inf, 1.0])) == math.inf
+    assert math.isnan(vector_norm(np.array([np.nan, 1e200])))
 
 
 def test_direct_substitution_formula():
@@ -173,6 +196,28 @@ def test_measured_radius_includes_target_vector(s1_instance):
         activation=sn.Activation("tanh"), R=s1_instance.R,
     )
     assert measured_radius(big_b) >= np.linalg.norm(big_b.b)
+
+
+def test_instance_norms_are_taken_once(monkeypatch):
+    # loading takes one spectral norm per matrix; the constants and the probe read the kept ones
+    inst, _ = sn.gen_instance(7, 3, 2, "softplus", 4, noise=0.1)
+    doc = sn.instance_to_json(inst)
+    taken = []
+    real = np.linalg.norm
+
+    def counting(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and axis is None and np.ndim(x) == 2:
+            taken.append(np.shape(x))
+        return real(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    loaded = sn.instance_from_json(doc)
+    assert sorted(taken) == [(3, 7), (7, 2)]
+    taken.clear()
+    sn.compute_constants(loaded)
+    assert probe_empirical(loaded, random_points(loaded, 5, 6)).n_admissible >= 2
+    assert taken == []
+    assert (loaded.norm_A1, loaded.norm_A2, loaded.R_h) == (inst.norm_A1, inst.norm_A2, inst.R_h)
 
 
 def test_report_json_round_trip(s1_instance, s1_golden):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -177,6 +178,23 @@ def test_main_builds_the_parser_once(inst_file, monkeypatch, capsys):
         cli._parser.cache_clear()
     assert len(built) == 1
     assert outputs[0] == outputs[1] and "invalid choice: 'newton'" in outputs[0].err
+
+
+def test_bounds_with_overflowing_constants(tmp_path, capsys):
+    # ||b|| ~ 1e200 sets the radius, so exp(R^2) and every log built on it overflow:
+    # the table prints inf, bounds.json writes mantissa inf, and the norms of b and c stay finite
+    inst = str(tmp_path / "inst.json")
+    assert main(["gen", "--n", "5", "--m", "4", "--d", "2", "--activation", "identity", "--seed", "12",
+                 "--w", "1e100,1,1e100,0.001,1", "--noise", "1e200", "--out", inst]) == 0
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--probes", "5", "--seed", "12", "--instance", inst, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert any(line.split()[:2] == ["M", "inf"] for line in captured.out.splitlines())
+    doc = load_path(out)
+    assert doc["analytic"]["M"] == {"exp10": 0, "log10": math.inf, "mantissa": math.inf, "value": None}
+    assert doc["analytic"]["norm_c"]["exp10"] == 200 and 1e200 < doc["R_used"] < math.inf
+    assert 1e200 < doc["empirical"]["norm_c"] < math.inf
 
 
 def test_run_overflow_exit_2_with_report(inst_file, tmp_path, capsys):

@@ -105,7 +105,7 @@ def test_q2_norm_bound_on_admissible_points():
 
     for seed in range(20):
         inst = random_instance(seed)
-        rh = inst.activation.R_h
+        rh = inst.R_h
         for x in random_points(inst, seed + 9000, 3):
             st_ = sn.eval_forward(inst, x)
             if st_.alpha < inst.beta:

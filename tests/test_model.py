@@ -1,10 +1,10 @@
 import json
-import tracemalloc
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,8 +16,9 @@ from softnewt.model import (
     ACTIVATION_KINDS,
     DenominatorFloorWarning,
     EvaluationOverflowError,
+    L_H,
     ShapeError,
-    estimate_activation_bound,
+    activation_bound,
 )
 from softnewt.serialize import dumps
 
@@ -132,13 +133,13 @@ def test_activation_derivative_self_check(kind, y):
 
 
 def test_activation_declared_constants_cover_derivatives():
-    # L_h must upper-bound sup|h'| and sup|h''| on a wide grid
+    # L_H must upper-bound sup|h'| and sup|h''| on a wide grid
     y = np.linspace(-30, 30, 4001)
     for kind in ("identity", "tanh", "sigmoid", "softplus"):
         act = sn.Activation(kind)
         _, hp, hpp = sn.activation_eval(act, y)
-        assert np.max(np.abs(hp)) <= act.L_h + 1e-12
-        assert np.max(np.abs(hpp)) <= act.L_h + 1e-12
+        assert np.max(np.abs(hp)) <= L_H + 1e-12
+        assert np.max(np.abs(hpp)) <= L_H + 1e-12
 
 
 def test_overflow_error_names_coordinate():
@@ -256,7 +257,7 @@ def test_construction_invariants():
 def test_activation_bound_estimate_covers_probes(s1_instance):
     # R_h must dominate both norms at arbitrary admissible points
     inst = s1_instance
-    rh = inst.activation.R_h
+    rh = inst.R_h
     assert rh == pytest.approx(np.sqrt(2.0))
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -264,26 +265,39 @@ def test_activation_bound_estimate_covers_probes(s1_instance):
         st_ = sn.eval_forward(inst, x)
         assert np.linalg.norm(st_.hval) <= rh + 1e-12
         assert np.linalg.norm(st_.hprime) <= rh + 1e-12
-    assert estimate_activation_bound("identity", inst.A2) >= np.sqrt(2.0)
+    assert activation_bound("identity", inst.norm_A2, inst.m) >= np.sqrt(2.0)
 
 
-def test_activation_bound_memory_is_linear_in_n():
-    # the vertex probes read columns of A2; no n x n identity is built
-    n = 4000
-    A2 = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, n)) / np.sqrt(n)
-    tracemalloc.start()
-    try:
-        got = estimate_activation_bound("tanh", A2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB; one n x n array is {8 * n * n / 2**20:.0f} MiB"
-    for kind in ACTIVATION_KINDS:
-        units = [np.zeros(n) for _ in range(8)]
-        for i, e in enumerate(units):
-            e[i] = 1.0
-        explicit = estimate_activation_bound(kind, A2, probe_f=[np.full(n, 1.0 / n)] + units)
-        assert estimate_activation_bound(kind, A2) == explicit
+@st.composite
+def simplex_cases(draw):
+    """An A2 at a random scale, dense or with one nonzero column, and simplex points f (vertices included)."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    A2 = draw(hnp.arrays(float, (m, n), elements=st.floats(-1.0, 1.0))) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    A2 *= draw(hnp.arrays(bool, (m, n)))  # zero entries, where softplus sits at log 2
+    if draw(st.booleans()):
+        A2[:, np.arange(n) != draw(st.integers(0, n - 1))] = 0.0
+    weights = draw(st.lists(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)), max_size=4))
+    return A2, [v / v.sum() for v in weights if v.sum() > 0] + [np.full(n, 1.0 / n), *np.eye(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=simplex_cases(), kind=st.sampled_from(ACTIVATION_KINDS))
+@example(case=(np.array([[1e3], [0.0]]), [np.ones(1)]), kind="softplus")  # h = (1e3, log 2): ||h|| > ||A2||
+def test_activation_bound_covers_simplex_points(case, kind):
+    # R_h is the analytic cap alone, so every kind's cap must bound ||h(A2 f)|| and ||h'(A2 f)||
+    A2, fs = case
+    m, n = A2.shape
+    inst = sn.ProblemInstance(
+        A1=np.ones((n, 1)), A2=A2, b=np.zeros(m), w=np.ones(n), activation=sn.Activation(kind),
+        R=2.0 * max(math.sqrt(n), float(np.linalg.norm(A2, 2))),
+    )
+    # rounding: A2 @ f errs by n eps || |A2| || <= n eps sqrt(min(m, n)) ||A2||, the sum of f by
+    # n eps, the norm's sum of m squares by m eps, the SVD's largest value by max(m, n) eps
+    kappa = n * math.sqrt(min(m, n)) + n + m + max(m, n) + 4
+    slack = 1.0 + 2.0 * kappa * np.finfo(float).eps
+    for f in fs:
+        h, hp, _ = sn.activation_eval(inst.activation, A2 @ f)
+        assert max(np.linalg.norm(h), np.linalg.norm(hp)) <= inst.R_h * slack
 
 
 def test_instance_json_round_trip(s1_instance):

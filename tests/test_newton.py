@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
 from softnewt.bounds import probe_empirical
-from softnewt.model import EvaluationOverflowError
+from softnewt.model import DenominatorFloorWarning, EvaluationOverflowError
 from softnewt.newton import NotPositiveDefiniteError
 from softnewt.oracle import spectral
 
@@ -356,3 +356,18 @@ def test_damping_counts_halvings(s1_instance, s1_reference):
 def test_norm_budget_warning(s1_instance):
     with pytest.warns(UserWarning, match="norm budget"):
         sn.solve(s1_instance, np.full(2, 5.0), exact_cfg(max_iters=1))
+
+
+def test_norms_past_square_overflow_are_reported():
+    # A1 = [[-1], [-2]]: at x = 1e200 the squares of x and of the gradient overflow, their norms do not
+    inst = sn.ProblemInstance(
+        A1=np.array([[-1.0], [-2.0]]), A2=np.array([[0.5, -0.5]]), b=np.array([0.1]), w=np.array([1.0, 1.0]),
+        activation=sn.Activation("tanh"), R=3.0,
+    )
+    with pytest.warns(UserWarning, match=r"\|\|x0\|\| = 1e\+308 exceeds"), pytest.warns(DenominatorFloorWarning):
+        sn.solve(inst, np.array([1e308]), exact_cfg(max_iters=0))
+    with pytest.warns(UserWarning, match=r"\|\|x0\|\| = 1e\+200 exceeds"), pytest.warns(DenominatorFloorWarning):
+        rep = sn.solve(inst, np.array([1e200]), exact_cfg(eps=1e-8), x_ref=np.zeros(1))
+    assert rep.r_t[0] == 1e200 and rep.grad_norms[0] == pytest.approx(5e200, rel=1e-15)
+    assert all(math.isfinite(r) for r in rep.r_t + rep.ratios)
+    assert sn.basin_check(np.array([1e200]), np.zeros(1), M=1e-300, l=1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import softnewt as sn
+from softnewt.model import L_H
 from softnewt.oracle import FdConfig, ProbeEvaluationError, fd_gradient, fd_hessian, spectral
 
 
@@ -57,9 +58,9 @@ def test_spectral_trivial_and_golden(s1_instance, s1_golden, s1_state):
 
     lo, hi, vals = spectral(sn.kernel(s1_state, s1_instance))
     np.testing.assert_allclose(vals, s1_golden["hessian"]["B_spectrum"], atol=1e-13)
-    act = s1_instance.activation
     R = max(np.linalg.norm(s1_instance.A1, 2), np.linalg.norm(s1_instance.A2, 2))
-    psd = 12.0 * act.R_h * act.L_h * R * (R + act.R_h)
+    R_h = s1_instance.R_h
+    psd = 12.0 * R_h * L_H * R * (R + R_h)
     assert max(abs(lo), abs(hi)) <= psd
 
 
