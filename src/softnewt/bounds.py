@@ -5,12 +5,14 @@ exp(64), and the Hessian-Lipschitz constant overflows float64 long before the
 measured quantities do. Tightness ratios (measured / bound) are therefore
 formed by subtracting logs.
 
-The empirical probe evaluates each measured quantity once per admissible
-point and stacks it over the points. Norm maxima come from the stacks; each
-Lipschitz ratio compares every point with all later points, one point's row
-of differences at a time. A matrix quantity keeps only a Frobenius bound per
-pair and takes the spectral norm only of the pairs whose bound can still set
-the maximum, so the probe never holds all pair differences at once.
+The empirical probe evaluates the points in one stacked forward pass and
+each measured quantity in one stacked call (see the stack contract in
+``hessian``), so every stack is built once over the admissible points. Norm
+maxima come from the stacks; each Lipschitz ratio compares every pair of
+points, in chunks of pairs whose differences take at most ``_CHUNK_BYTES``.
+A matrix quantity keeps only a Frobenius bound per pair and takes the
+spectral norm only of the pairs whose bound can still set the maximum, so the
+probe never holds all pair differences at once.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ NORM_KEYS = ("f", "c", "Q2", "q2", "p")
 
 # pairs per spectral-norm call in the screened Lipschitz pass
 _SVD_BATCH = 8
+
+# bytes of pair differences, or of stacked n x n kernels, that the probe holds at once
+_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True, order=True)
@@ -230,18 +235,41 @@ class TooFewAdmissiblePointsError(ValueError):
     """Fewer than two probe points pass the denominator floor beta."""
 
 
-def _admissible_states(inst: ProblemInstance, sample_points):
-    states, excluded = [], 0
-    log_beta = math.log(inst.beta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DenominatorFloorWarning)
-        for x in sample_points:
-            st = eval_forward(inst, np.asarray(x, dtype=float))
-            if st.log_alpha >= log_beta:
-                states.append(st)
-            else:
-                excluded += 1
-    return states, excluded
+def _admissible_states(inst: ProblemInstance, X: np.ndarray):
+    """The stacked state of the points whose denominator clears beta, and the count of the rest.
+
+    One stacked forward pass; fewer than two admissible points raise
+    ``TooFewAdmissiblePointsError``.
+    """
+    count = 0
+    if len(X):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DenominatorFloorWarning)
+            every = eval_forward(inst, X)
+        keep = every.log_alpha >= math.log(inst.beta)
+        count = int(keep.sum())
+    if count < 2:
+        raise TooFewAdmissiblePointsError(
+            f"need at least 2 admissible probe points for Lipschitz probes, got {count}"
+        )
+    return every.rows(keep), len(X) - count
+
+
+def _chunks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each over at most ``_CHUNK_BYTES`` of items.
+
+    A slice holds one item at least, and a count of 0 gives one empty slice.
+    """
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
+
+
+def _pair_diffs(S: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """(chunk, S[first] - S[last] over the chunk) for chunks of pairs under ``_CHUNK_BYTES``."""
+    for c in _chunks(len(first), S[0].nbytes):
+        D = S[first[c]]
+        D -= S[last[c]]  # in place: two chunk-sized arrays live at once, not three
+        yield c, D
 
 
 def _norms(key: str, D: np.ndarray) -> np.ndarray:
@@ -289,49 +317,48 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     excluded and counted. Fewer than two admissible points cannot support the
     pairwise Lipschitz probes and raise ``TooFewAdmissiblePointsError``.
 
-    Each quantity is evaluated once per point and stacked over the points; the
-    norm maxima are read from the stacks, and each Lipschitz ratio compares
-    every point with all later points in one batched norm. A matrix quantity
-    screens its pairs with the Frobenius bound on the spectral norm and takes
-    the spectral norm only of pairs, in descending bound order, whose bound
-    exceeds the maximum so far. Memory holds one point's row of differences
-    plus a few scalars per pair: its indices, its distance and a bound per
-    matrix quantity.
+    The points are evaluated in one stacked ``eval_forward`` call, and each
+    quantity in one stacked call per chunk of points; a chunk's dense kernels
+    (n^2 floats per point) take at most ``_CHUNK_BYTES``, or one point, and
+    their spectra one batched ``eigvalsh`` call. The norm maxima are read from
+    the stacks, and each Lipschitz ratio compares every pair of distinct
+    points, in pair order (i, j > i), in chunks whose differences take at most
+    ``_CHUNK_BYTES``. A matrix quantity screens its pairs with the Frobenius
+    bound on the spectral norm and takes the spectral norm only of pairs, in
+    descending bound order, whose bound exceeds the maximum so far. Memory
+    holds the stacks (linear in the points), one chunk of differences, and a
+    few scalars per pair: its indices, its distance and a bound per matrix
+    quantity.
     """
-    states, excluded = _admissible_states(inst, sample_points)
-    if len(states) < 2:
-        raise TooFewAdmissiblePointsError(
-            f"need at least 2 admissible probe points for Lipschitz probes, got {len(states)}"
-        )
-    R_used = measured_radius(inst, [st.x for st in states])
-    beta_used = min(st.alpha for st in states)
-    report = compute_constants(inst, R=R_used, beta=beta_used)
-    report.n_admissible = len(states)
+    states, excluded = _admissible_states(inst, np.asarray(sample_points, dtype=float))
+    X = states.x
+    report = compute_constants(inst, R=measured_radius(inst, X), beta=float(np.min(states.alpha)))
+    report.n_admissible = len(X)
     report.n_excluded = excluded
 
-    # one row per point, keyed by the report entry each quantity feeds
-    rows = []
     lam_min, lam_max = math.inf, -math.inf
-    for st in states:
+    chunks = []
+    for c in _chunks(len(X), 8 * inst.n * inst.n):
+        st = states.rows(c)
         lo, hi, _ = spectral(kernel(st, inst))
-        lam_min, lam_max = min(lam_min, lo), max(lam_max, hi)
-        rows.append(
-            {
-                "lip_u": st.u,
-                "lip_alpha": [st.alpha],
-                "lip_alpha_inv": [1.0 / st.alpha],
-                "lip_f": st.f,
-                "lip_c": st.c,
-                "lip_Q2": eval_Q2(st, inst),
-                "lip_q2": st.q2,
-                "lip_g": grad(st, inst).grad_L,
-                "lip_p": eval_p(st, inst),
-                "M": hess_L(st, inst).H_L,
-                **{f"lip_{k}": G for k, G in g_terms(st, inst).items()},
-            }
-        )
-    stacks = {key: np.stack([row[key] for row in rows]) for key in rows[0]}
-    X = np.stack([st.x for st in states])
+        lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
+        chunks.append({
+            "lip_Q2": eval_Q2(st, inst),
+            "lip_q2": st.q2,
+            "lip_g": grad(st, inst).grad_L,
+            "lip_p": eval_p(st, inst),
+            "M": hess_L(st, inst).H_L,
+            **{f"lip_{k}": G for k, G in g_terms(st, inst).items()},
+        })
+    # keyed by the report entry each quantity feeds
+    stacks = {
+        "lip_u": states.u,
+        "lip_alpha": states.alpha[:, None],
+        "lip_alpha_inv": (1.0 / states.alpha)[:, None],
+        "lip_f": states.f,
+        "lip_c": states.c,
+        **{key: np.concatenate([q[key] for q in chunks]) for key in chunks[0]},
+    }
 
     report.lambda_min_B = lam_min
     report.lambda_max_B = lam_max
@@ -343,23 +370,18 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
         # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points;
         # a matrix key keeps each pair's bound ||D||_F / dx for the screened pass below
         emp.update(dict.fromkeys(stacks, 0.0))
-        screened = {key: [] for key, S in stacks.items() if S.ndim == 3 and key != "lip_p"}
-        firsts, lasts, dxs = [], [], []
-        for i in range(len(X) - 1):
-            dx = _norms("x", X[i] - X[i + 1 :])
-            later = i + 1 + np.flatnonzero(dx)
-            dx = dx[dx != 0.0]
-            firsts.append(np.full(len(later), i))
-            lasts.append(later)
-            dxs.append(dx)
-            for key, S in stacks.items():
-                if key in screened:
-                    screened[key].append(_spectral_bounds(S[i] - S[later]) / dx)
-                else:
-                    emp[key] = max(emp[key], _max_norm(key, S[i] - S[later], dx))
-    first, last, dx = (np.concatenate(a) for a in (firsts, lasts, dxs))
+        first, last = np.triu_indices(len(X), 1)
+        dx = np.concatenate([_norms("x", D) for _, D in _pair_diffs(X, first, last)])
+        apart = dx != 0.0
+        first, last, dx = first[apart], last[apart], dx[apart]
+        screened = {}
+        for key, S in stacks.items():
+            if S.ndim == 3 and key != "lip_p":
+                screened[key] = np.concatenate([_spectral_bounds(D) for _, D in _pair_diffs(S, first, last)]) / dx
+            else:
+                for c, D in _pair_diffs(S, first, last):
+                    emp[key] = max(emp[key], _max_norm(key, D, dx[c]))
     for key, ub in screened.items():
-        ub = np.concatenate(ub)
         order = np.argsort(-ub)
         S = stacks[key]
         for start in range(0, len(order), _SVD_BATCH):

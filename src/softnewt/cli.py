@@ -235,17 +235,18 @@ def _rel_err(value: np.ndarray, ref: np.ndarray) -> float:
 def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     """Yield (name, passed, margin, detail) over every invariant suite.
 
-    Each sample point is evaluated once; only the finite-difference oracles
-    evaluate the perturbed points around it, one stacked call per stencil.
+    The sample points are evaluated in one stacked call, and their gradients
+    and Hessians in one stacked call each; only the finite-difference oracles
+    evaluate the perturbed points around them, one stacked call per stencil.
     """
     rng = _rng(seed)
     d = inst.d
     xs = [0.35 * inst.R * rng.standard_normal(d) / math.sqrt(d) for _ in range(max(trials, 2))]
-    states = [eval_forward(inst, x) for x in xs]
-    grads = [grad(st, inst) for st in states]
-    hbs = [hess_L(st, inst) for st in states[:10]]
+    states = eval_forward(inst, np.array(xs))
+    grads = grad(states, inst)
+    hbs = hess_L(states.rows(slice(10)), inst)
 
-    dev_norm = max(abs(float(np.sum(np.abs(st.f))) - 1.0) for st in states)
+    dev_norm = max(abs(float(np.sum(np.abs(f))) - 1.0) for f in states.f)
     yield "softmax_normalization", dev_norm <= 1e-12, dev_norm, "max |1 - ||f||_1|"
 
     # the oracles pass each stencil as one (k, d) stack
@@ -256,28 +257,31 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
         return grad(eval_forward(inst, X), inst).grad_tot
 
     cfg2 = FdConfig()
-    worst = max(_rel_err(gb.grad_tot, fd_gradient(loss_at, x, cfg2)) for x, gb in zip(xs, grads))
+    worst = max(_rel_err(g, fd_gradient(loss_at, x, cfg2)) for x, g in zip(xs, grads.grad_tot))
     yield "gradient_vs_finite_difference", worst <= 1e-6, worst, "relative l2 error"
 
-    worst = max(_rel_err(hb.H_tot, fd_hessian(grad_at, x, cfg2)) for x, hb in zip(xs, hbs))
+    worst = max(_rel_err(H, fd_hessian(grad_at, x, cfg2)) for x, H in zip(xs, hbs.H_tot))
     yield "hessian_vs_finite_difference", worst <= 1e-5, worst, "relative Frobenius error"
 
     worst = 0.0
     scale = 1.0
-    for st, hb in zip(states[:5], hbs):
+    for r in range(min(5, len(xs))):
+        # one point at a time: a kernel holds n^2 floats, and b_terms twelve more
+        st, H_L = states.rows(r), hbs.H_L[r]
         B = kernel(st, inst)
-        scale = max(scale, float(np.max(np.abs(hb.H_L))))
+        scale = max(scale, float(np.max(np.abs(H_L))))
         gaps = (
-            hb.H_L - hess_L_entries(st, inst),
-            hb.H_L - inst.A1.T @ B @ inst.A1,
+            H_L - hess_L_entries(st, inst),
+            H_L - inst.A1.T @ B @ inst.A1,
             sum(b_terms(st, inst)) - B,
-            hb.B_diag - np.diag(B),
+            hbs.B_diag[r] - np.diag(B),
         )
         worst = max(worst, *(float(np.max(np.abs(gap))) for gap in gaps))
     yield "hessian_route_agreement", worst <= 1e-10 * scale, worst, "max elementwise gap"
 
+    P = eval_p(states, inst)
     worst = max(
-        float(np.linalg.norm(gb.grad_L - eval_p(st, inst).T @ st.q2)) for st, gb in zip(states, grads)
+        float(np.linalg.norm(g - P[r].T @ states.q2[r])) for r, g in enumerate(grads.grad_L)
     )
     yield "gradient_chain_consistency", worst <= 1e-12, worst, "||grad_L - P^T q2||"
 

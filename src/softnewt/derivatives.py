@@ -10,6 +10,13 @@ term is assembled from it through the per-entry identity
 equivalently grad_L = A1.T @ (diag(f) - f f.T) @ q2 = P.T @ q2. The solver's
 gradient forms no n x d or m x n array; ``eval_p`` and ``eval_Q2`` build P and
 Q2 for the callers that read them.
+
+Stack contract: ``grad``, ``eval_p`` and ``eval_Q2`` accept the (k, d) stack
+state that ``eval_forward`` returns and give one row (or one matrix) per
+point, each bitwise equal to the call on that point's own state. A stack
+takes one matrix-vector product per row (``model._matvec``) where a point
+takes one, never a matrix-matrix product, and broadcasts its elementwise and
+outer products.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelState, ProblemInstance, ShapeError, _inner, _matvec
+from .model import ModelState, ProblemInstance, ShapeError, _inner, _matvec, _outer
 
 __all__ = ["GradientBundle", "eval_p", "eval_Q2", "grad"]
 
@@ -39,30 +46,26 @@ def _leading_shape(state: ModelState, inst: ProblemInstance) -> tuple:
 
 
 def _check(state: ModelState, inst: ProblemInstance) -> None:
-    """One point's state; a stack would broadcast silently through the n x n and m x n forms."""
+    """One point's state, for the per-point oracles that take no stack."""
     if _leading_shape(state, inst):
-        raise ShapeError("a stacked state is accepted only by grad; evaluate one point")
+        raise ShapeError("this route takes one point; a stacked state is not accepted")
 
 
 def eval_p(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """Softmax Jacobian columns: P = (diag(f) - f f^T) @ A1, shape n x d."""
-    _check(state, inst)
+    """Softmax Jacobian columns: P = (diag(f) - f f^T) @ A1, shape n x d (k x n x d for a stack)."""
+    _leading_shape(state, inst)
     f = state.f
-    return f[:, None] * inst.A1 - np.outer(f, f @ inst.A1)
+    return f[..., :, None] * inst.A1 - _outer(f, _matvec(inst.A1.T, f))
 
 
 def eval_Q2(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """Q2 = diag(h'(A2 f)) @ A2, shape m x n."""
-    _check(state, inst)
-    return state.hprime[:, None] * inst.A2
+    """Q2 = diag(h'(A2 f)) @ A2, shape m x n (k x m x n for a stack)."""
+    _leading_shape(state, inst)
+    return state.hprime[..., :, None] * inst.A2
 
 
 def grad(state: ModelState, inst: ProblemInstance) -> GradientBundle:
-    """Gradient of the data term, the ridge term, and their sum.
-
-    A stacked state gives one gradient row per point, each bitwise equal to
-    the gradient of that point's own state.
-    """
+    """Gradient of the data term, the ridge term, and their sum (one row per point of a stack)."""
     _leading_shape(state, inst)
     f, q2 = state.f, state.q2
     A1t = inst.A1.T

@@ -22,7 +22,19 @@ pass (q2 is ``ModelState.q2``). Everything else is read from them:
 Q2 = diag(h') A2 and S = A2^T diag(h'' o c) A2 (Q2 J = diag(h') A2 J folds its
 two quadratic parts into the one above). They build P, Q2, q2 = Q2^T c and S
 themselves, never from the factors or the forward pass's q2, and are the
-references the routes above are checked against.
+references the routes above are checked against. ``hess_L_entries`` sums
+one row of d entries at a time, each with the same float operations as its
+own literal per-entry sum.
+
+Stack contract: ``_factors``, ``hess_L``, ``kernel`` and ``g_terms`` accept the
+(k, d) stack state that ``eval_forward`` returns. Every field then gains a
+leading axis of length k, and row r is bitwise equal to the call on point r's
+own state: a stack takes one matrix-vector product per row
+(``model._matvec``) where a point takes one, one matrix-matrix product per
+row where a point takes one, and broadcasts its elementwise and outer
+products. ``kernel`` of a stack holds k n x n matrices, so callers chunk
+their points. ``b_terms`` and ``hess_L_entries`` take one point and raise
+ShapeError on a stack, and ``hess_f_pair`` takes one point.
 """
 
 from __future__ import annotations
@@ -31,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import _check, eval_Q2, eval_p
-from .model import ModelState, ProblemInstance
+from .derivatives import _check, _leading_shape, eval_Q2, eval_p
+from .model import ModelState, ProblemInstance, _inner, _matvec, _outer
 
 __all__ = [
     "HessianBundle",
@@ -66,43 +78,57 @@ def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.
     f = state.f
     ai = inst.A1[:, i]
     aj = inst.A1[:, j]
-    fi = float(f @ ai)
-    fj = float(f @ aj)
-    return (
-        2.0 * fi * fj * f
-        - float(f @ (ai * aj)) * f
-        - fj * (f * ai)
-        - fi * (f * aj)
-        + ai * f * aj
-    )
+    return _d2f(f, ai, aj, float(f @ ai), float(f @ aj), float(f @ (ai * aj)))
+
+
+def _d2f(f, ai, aj, fi, fj, fij):
+    """``hess_f_pair``'s symmetric form from a_i, a_j and <f,a_i>, <f,a_j>, <f,a_i o a_j>; broadcasts."""
+    return 2.0 * fi * fj * f - fij * f - fj * (f * ai) - fi * (f * aj) + ai * f * aj
 
 
 def _factors(state: ModelState, inst: ProblemInstance):
-    """(A2 J, h'^2, h'' o c, f, v, s) in O(n m); J = diag(f) - f f^T is never formed."""
-    _check(state, inst)
+    """(A2 J, h'^2, h'' o c, f, v, s) in O(n m) per point; J = diag(f) - f f^T is never formed.
+
+    For a stack each is stacked along a leading axis, and s is a (k, 1) column.
+    """
+    single = not _leading_shape(state, inst)
     f, q2 = state.f, state.q2
-    AJ = inst.A2 * f - np.outer(state.a2f, f)
-    return AJ, state.hprime**2, state.hdoubleprime * state.c, f, f * q2, float(q2 @ f)
+    AJ = inst.A2 * f[..., None, :] - _outer(state.a2f, f)
+    s = _inner(q2, f)
+    return AJ, state.hprime**2, state.hdoubleprime * state.c, f, f * q2, float(s) if single else s
 
 
 def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """Literal per-entry H_L, the reference for the factored route.
+    """Literal per-entry H_L at one point, the reference for the factored route.
 
-    P and Q2 are built once, then each entry is summed on its own as
-    (Q2 p_j)^T (Q2 p_i) + sum(c o h'' o (A2 p_j) o (A2 p_i)) + c^T Q2 d2f/dx_i dx_j.
+    P and Q2 are built once, then entry (i, j) is summed on its own as
+    (Q2 p_j)^T (Q2 p_i) + sum(c o h'' o (A2 p_j) o (A2 p_i)) + c^T Q2 d2f/dx_i dx_j,
+    with d2f/dx_i dx_j in ``hess_f_pair``'s symmetric form. Each row i is
+    evaluated at once over j: every dot product, matrix-vector product and sum
+    is the one the entry takes alone, stacked over j, so a row holds d n-vectors
+    (O(d n) memory).
     """
+    _check(state, inst)
     P = eval_p(state, inst)
     Q2 = eval_Q2(state, inst)
     d = inst.d
-    QP = [Q2 @ P[:, i] for i in range(d)]
-    AP = [inst.A2 @ P[:, i] for i in range(d)]
+    f, c = state.f, state.c
+    A1t = inst.A1.T  # row j: a_j
+    QP = _matvec(Q2, P.T)  # row j: Q2 p_j
+    AP = _matvec(inst.A2, P.T)  # row j: A2 p_j
+    cAP = c * state.hdoubleprime * AP
+    fa = _inner(f, A1t)  # row j: <f, a_j>
     H = np.empty((d, d))
     for i in range(d):
-        for j in range(d):
-            term1 = float(QP[j] @ QP[i])
-            term2 = float(np.sum(state.c * state.hdoubleprime * AP[j] * AP[i]))
-            term3 = float(state.c @ (Q2 @ hess_f_pair(state, inst, i, j)))
-            H[i, j] = term1 + term2 + term3
+        ai = A1t[i]
+        # <f, a_i o a_j>; a_i o a_j is a fresh contiguous vector in the per-entry sum, and a
+        # strided one takes a different dot kernel
+        fij = _inner(f, np.multiply(ai, A1t, order="C"))
+        F = _d2f(f, ai, A1t, fa[i, 0], fa, fij)  # row j: d2f/dx_i dx_j
+        term1 = _inner(QP, QP[i])
+        term2 = np.sum(cAP * AP[i], axis=-1)
+        term3 = _inner(c, _matvec(Q2, F))
+        H[i] = term1[:, 0] + term2 + term3[:, 0]
     return H
 
 
@@ -115,19 +141,20 @@ def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     instance. Only m x n and d x d arrays are formed, so this is the
     solver's route at any n. It equals the sum of ``g_terms``; summed this way
     the terms that cancel (all of them at n = 1, where A2 J and u are 0)
-    cancel exactly. diag(B) = g^T (A2 J)^2 + (2 f - 1) o u.
+    cancel exactly. diag(B) = g^T (A2 J)^2 + (2 f - 1) o u. A stack gives
+    each field one row per point.
     """
     AJ, hp2, curv, f, v, s = _factors(state, inst)
     A1 = inst.A1
     g = hp2 + curv
     G = AJ @ A1
     u = s * f - v
-    a = A1.T @ f
-    w = A1.T @ u
-    H_L = G.T @ (g[:, None] * G)
-    H_L += np.outer(a, w) + np.outer(w, a) - A1.T @ (u[:, None] * A1)
+    a = _matvec(A1.T, f)
+    w = _matvec(A1.T, u)
+    H_L = np.swapaxes(G, -1, -2) @ (g[..., :, None] * G)
+    H_L += _outer(a, w) + _outer(w, a) - A1.T @ (u[..., :, None] * A1)
     H_tot = H_L + inst.ridge_gram
-    B_diag = g @ (AJ * AJ) + (2.0 * f - 1.0) * u
+    B_diag = _matvec(np.swapaxes(AJ * AJ, -1, -2), g) + (2.0 * f - 1.0) * u
     return HessianBundle(H_L=H_L, H_tot=H_tot, B_diag=B_diag)
 
 
@@ -135,14 +162,16 @@ def kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     """The dense n x n curvature kernel B, in O(n^2 m); for diagnostics only.
 
     B = (A2 J)^T diag(g) (A2 J) + f u^T + u f^T - diag(u) with
-    g = h'^2 + h'' o c and u = s f - v: one n x n product.
+    g = h'^2 + h'' o c and u = s f - v: one n x n product per point, so a
+    stack of k points holds k n^2 floats.
     """
     AJ, hp2, curv, f, v, s = _factors(state, inst)
     u = s * f - v
-    B = AJ.T @ ((hp2 + curv)[:, None] * AJ)
-    B += np.outer(f, u)
-    B += np.outer(u, f)
-    B.flat[:: inst.n + 1] -= u
+    B = np.swapaxes(AJ, -1, -2) @ ((hp2 + curv)[..., :, None] * AJ)
+    B += _outer(f, u)
+    B += _outer(u, f)
+    n = inst.n
+    B.reshape(B.shape[:-2] + (n * n,))[..., :: n + 1] -= u
     return B
 
 
@@ -162,6 +191,7 @@ def b_terms(state: ModelState, inst: ProblemInstance) -> list[np.ndarray]:
     with Qt = Q2^T Q2 and S = A2^T diag(h''(A2 f) o c) A2. Their sum equals
     ``kernel`` to rounding.
     """
+    _check(state, inst)
     Q2 = eval_Q2(state, inst)
     q2 = Q2.T @ state.c
     f = state.f
@@ -195,17 +225,20 @@ def g_terms(state: ModelState, inst: ProblemInstance) -> dict[str, np.ndarray]:
     literal G5 = 2 a t^T is one-sided; the Hessian holds (a t^T + t a^T)).
     These feed the per-piece Lipschitz tightness probes. Q2 P = diag(h') G
     with G = (A2 J) A1 = A2 P, so G1 = G^T diag(h'^2) G and
-    G2 = G^T diag(h'' o c) G share the one factor.
+    G2 = G^T diag(h'' o c) G share the one factor. A stack gives each piece one
+    matrix per point.
     """
     AJ, hp2, curv, f, v, s = _factors(state, inst)
-    G = AJ @ inst.A1
-    a = inst.A1.T @ f
-    t = inst.A1.T @ v
+    A1 = inst.A1
+    G = AJ @ A1
+    a = _matvec(A1.T, f)
+    t = _matvec(A1.T, v)
+    s = s[..., None] if np.ndim(s) else s  # (k, 1, 1) against a stack of d x d pieces
     return {
-        "G1": G.T @ (hp2[:, None] * G),
-        "G2": G.T @ (curv[:, None] * G),
-        "G3": 2.0 * s * np.outer(a, a),
-        "G4": s * (inst.A1.T @ (f[:, None] * inst.A1)),
-        "G5": 2.0 * np.outer(a, t),
-        "G6": inst.A1.T @ (v[:, None] * inst.A1),
+        "G1": np.swapaxes(G, -1, -2) @ (hp2[..., :, None] * G),
+        "G2": np.swapaxes(G, -1, -2) @ (curv[..., :, None] * G),
+        "G3": 2.0 * s * _outer(a, a),
+        "G4": s * (A1.T @ (f[..., :, None] * A1)),
+        "G5": 2.0 * _outer(a, t),
+        "G6": A1.T @ (v[..., :, None] * A1),
     }

@@ -148,7 +148,8 @@ def activation_bound(kind: str, a2_norm: float, m: int) -> float:
     """R_h: a bound on ||h(A2 f)||_2 and ||h'(A2 f)||_2 over the simplex, from ``a2_norm`` = ||A2||.
 
     ||A2 f|| <= ||A2|| as ||f||_2 <= ||f||_1 = 1; |h'| <= 1, so ||h'|| <= sqrt(m);
-    |h| <= 1 for tanh and sigmoid, |y| for identity and |y| + log 2 for softplus.
+    |h| <= 1 for tanh and sigmoid, |y| for identity and |y| + log 2 for softplus,
+    whose h' = sigmoid(y) <= softplus(y) <= |y| + log 2 needs no other cap.
     """
     rm = math.sqrt(m)
     if kind == "identity":
@@ -156,7 +157,7 @@ def activation_bound(kind: str, a2_norm: float, m: int) -> float:
     if kind in ("tanh", "sigmoid"):
         return rm
     if kind == "softplus":
-        return max(a2_norm + math.log(2.0) * rm, rm)
+        return a2_norm + math.log(2.0) * rm
     raise ValueError(kind)
 
 
@@ -263,6 +264,10 @@ class ModelState:
     loss_reg: float
     loss_tot: float
 
+    def rows(self, idx) -> "ModelState":
+        """The points of a stack that ``idx`` (an index, slice, mask or index array) selects."""
+        return ModelState(**{name: value[idx] for name, value in vars(self).items()})
+
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x for a point, or A @ row for each row of a stack.
@@ -276,13 +281,20 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _inner(a: np.ndarray, b: np.ndarray):
-    """a @ b for two points, or for two stacks a (k, 1) column of the rows' inner products.
+    """a @ b for two vectors; otherwise the inner products over the last axis,
+    broadcast over the leading ones, with a trailing axis of length 1 (a (k, 1)
+    column for two stacks).
 
-    Each row takes one dot product, so it is bitwise equal to ``a[r] @ b[r]``.
+    Each takes one dot product, so it is bitwise equal to ``a[r] @ b[r]``.
     """
-    if a.ndim == 1:
+    if a.ndim == b.ndim == 1:
         return a @ b
-    return (a[:, None, :] @ b[:, :, None])[:, :, 0]
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer(a, b) for two vectors, or for two stacks the outer product of each pair of rows."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def _overflow_error(z: np.ndarray) -> EvaluationOverflowError:

@@ -1,9 +1,10 @@
 """Independent verification machinery.
 
 Finite differences of scalar losses and vector gradients, plus a dense
-symmetric eigensolver wrapper. Golden values for the closed-form modules are
-certified against these routines, which never call the closed forms: they
-only difference values of the function they are given.
+symmetric eigensolver wrapper for one matrix or a stack of them. Golden
+values for the closed-form modules are certified against these routines,
+which never call the closed forms: they only difference values of the
+function they are given.
 
 That function takes a (k, d) stack of points and returns one value (or one
 gradient row) per point. Each derivative evaluates its whole stencil in one
@@ -123,17 +124,26 @@ def fd_hessian(
     return H_sym
 
 
-def spectral(Msym: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(lambda_min, lambda_max, ascending spectrum) of a symmetric matrix.
+def spectral(Msym: np.ndarray):
+    """(lambda_min, lambda_max, ascending spectrum) of a symmetric matrix, or of each of a (k, n, n) stack.
 
-    Symmetrizes first; inputs asymmetric beyond 1e-8 (relative to the largest
-    entry) are rejected.
+    Symmetrizes first; a matrix asymmetric beyond 1e-8 (relative to its
+    largest entry) is rejected. A stack takes one batched ``eigvalsh`` call
+    and gives length-k arrays of extremes and a (k, n) array of spectra.
     """
     M = np.asarray(Msym, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("spectral expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if float(np.max(np.abs(M - M.T))) > 1e-8 * scale:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError("spectral expects a square matrix or a (k, n, n) stack of them")
+    MT = np.swapaxes(M, -1, -2)
+    # one scratch array serves |M|, |M - M^T| and (M + M^T) / 2, so a stack costs one copy of its size
+    W = np.abs(M)
+    scale = np.maximum(1.0, np.max(W, axis=(-2, -1), initial=0.0))
+    np.abs(np.subtract(M, MT, out=W), out=W)
+    if np.any(np.max(W, axis=(-2, -1), initial=0.0) > 1e-8 * scale):
         raise ValueError("matrix is not symmetric within 1e-8")
-    vals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return float(vals[0]), float(vals[-1]), vals
+    np.add(M, MT, out=W)
+    W *= 0.5
+    vals = np.linalg.eigvalsh(W)
+    if M.ndim == 2:
+        return float(vals[0]), float(vals[-1]), vals
+    return vals[:, 0], vals[:, -1], vals

@@ -367,6 +367,35 @@ def test_screened_probe_measures_few_spectral_norms(monkeypatch):
     assert sum(measured) - 20 < 8 * 190 / 4, sum(measured)
 
 
+def test_probe_stacks_its_calls(monkeypatch):
+    import softnewt.bounds as bounds_mod
+    from softnewt import hessian
+
+    calls = {"eval_forward": 0, "_factors": 0, "eigvalsh": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bounds_mod, "eval_forward")
+    counted(hessian, "_factors")
+    counted(np.linalg, "eigvalsh")
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
+    rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
+    assert rep.n_admissible == 20
+    # one stacked forward pass; per chunk of points, kernel, hess_L and g_terms each take
+    # one factor pass and the chunk's spectra one eigvalsh call (one of each per point before)
+    assert calls["eval_forward"] == 1
+    chunks = math.ceil(20 / max(1, bounds_mod._CHUNK_BYTES // (8 * 64 * 64)))
+    assert chunks < 20
+    assert calls["_factors"] <= 3 * chunks and calls["eigvalsh"] == chunks, calls
+
+
 def test_spectral_bounds_cover_underflow_and_zeros():
     from softnewt.bounds import _spectral_bounds
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -359,10 +360,25 @@ def test_verify_evaluates_each_point_once(monkeypatch):
     assert all(passed for _, passed, _, _ in checks)
     # one literal oracle per route-check point
     assert calls["eval_p"] == 5
-    # the sample points, one stacked call per FD stencil around them, and the sketch's x = 0
-    assert calls["eval_forward"] == trials + trials + min(trials, 10) + 1
+    # one stacked call for the sample points, one per FD stencil around them, and the sketch's x = 0
+    assert calls["eval_forward"] == 1 + trials + min(trials, 10) + 1
     # the determinism check's two draws go through the leverage sampler
     assert calls["leverage_scores"] >= 2
+
+
+def test_verify_memory_holds_one_kernel_at_a_time():
+    # the route check compares each point's dense n x n kernel with its twelve b_terms and
+    # their sum; a stack of its five kernels would hold five more n x n arrays at once
+    n = 300
+    inst, _ = sn.gen_instance(n, 16, 8, "tanh", 1, noise=0.05)
+    tracemalloc.start()
+    try:
+        checks = list(cli._verify_checks(inst, 1, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(passed for _, passed, _, _ in checks)
+    assert peak < 20 * 8 * n * n, f"peak {peak / (8 * n * n):.1f} n x n arrays"
 
 
 def test_bounds_table(inst_file, tmp_path, capsys):

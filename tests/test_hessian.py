@@ -4,11 +4,12 @@ import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from conftest import ALL_KINDS, random_instance, random_points
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softnewt as sn
-from softnewt.hessian import B_TERM_NAMES, b_terms, g_terms, hess_L_entries, kernel
+from softnewt.derivatives import eval_p, eval_Q2
+from softnewt.hessian import B_TERM_NAMES, _factors, b_terms, g_terms, hess_f_pair, hess_L_entries, kernel
 from softnewt.model import DenominatorFloorWarning
 from softnewt.oracle import FdConfig, fd_hessian, spectral
 
@@ -225,3 +226,89 @@ def test_curvature_routes_agree(case):
     # the forward pass's q2 against the oracle route Q2^T c
     q2_gap = float(np.max(np.abs(st_.q2 - sn.eval_Q2(st_, inst).T @ st_.c)))
     assert q2_gap <= 1e-12 * max(1.0, float(np.max(np.abs(st_.q2))))
+
+
+def evaluate(inst, x):
+    """The forward pass at a point or a stack, floor warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DenominatorFloorWarning)
+        return sn.eval_forward(inst, x)
+
+
+def seeded_case(seed, n, m, d, kind):
+    """A ``random_instance`` of the given shape and kind, and one point in it."""
+    inst = random_instance(seed, n=n, m=m, d=d, kind=kind)
+    return inst, random_points(inst, seed + 1, 1)[0]
+
+
+@st.composite
+def seeded_cases(draw):
+    """Desk shapes up to the cli benchmark's (n 64, m 16, d 8), down to n = m = d = 1, any kind."""
+    return seeded_case(
+        draw(st.integers(0, 2**16)), draw(st.sampled_from([1, 5, 40, 64])), draw(st.sampled_from([1, 4, 16])),
+        draw(st.sampled_from([1, 3, 8])), draw(st.sampled_from(ALL_KINDS)),
+    )
+
+
+def loop_hess_L_entries(state, inst):
+    """The per-entry loop that the stacked hess_L_entries replaced, kept as its reference."""
+    P = eval_p(state, inst)
+    Q2 = eval_Q2(state, inst)
+    d = inst.d
+    QP = [Q2 @ P[:, i] for i in range(d)]
+    AP = [inst.A2 @ P[:, i] for i in range(d)]
+    H = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            term1 = float(QP[j] @ QP[i])
+            term2 = float(np.sum(state.c * state.hdoubleprime * AP[j] * AP[i]))
+            term3 = float(state.c @ (Q2 @ hess_f_pair(state, inst, i, j)))
+            H[i, j] = term1 + term2 + term3
+    return H
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.one_of(curvature_cases(), seeded_cases()))
+@example(case=seeded_case(1, 1, 4, 3, "tanh"))  # n = 1
+@example(case=seeded_case(2, 40, 16, 1, "softplus"))  # d = 1
+@example(case=seeded_case(3, 1, 1, 1, "identity"))
+def test_hess_L_entries_equals_loop(case):
+    inst, x = case
+    state = evaluate(inst, x)
+    assert np.array_equal(hess_L_entries(state, inst), loop_hess_L_entries(state, inst))
+
+
+@st.composite
+def stack_cases(draw):
+    """An instance as above and a stack of 1-8 points, some of them repeated."""
+    inst, _ = draw(st.one_of(curvature_cases(), seeded_cases()))
+    point = hnp.arrays(float, inst.d, elements=st.floats(-3.0, 3.0))
+    distinct = draw(st.lists(point, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return inst, np.array([distinct[i] for i in picks])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=stack_cases())
+def test_stacked_routes_equal_rows(case):
+    inst, X = case
+    stacked = evaluate(inst, X)
+    points = [evaluate(inst, x) for x in X]
+    routes = {
+        "_factors": lambda s: _factors(s, inst),
+        "hess_L": lambda s: tuple(vars(sn.hess_L(s, inst)).values()),
+        "g_terms": lambda s: tuple(g_terms(s, inst).values()),
+        "eval_p": lambda s: (eval_p(s, inst),),
+        "eval_Q2": lambda s: (eval_Q2(s, inst),),
+        "kernel": lambda s: (kernel(s, inst),),
+    }
+    for name, route in routes.items():
+        rows = route(stacked)
+        for r, state in enumerate(points):
+            for i, (row, value) in enumerate(zip(rows, route(state), strict=True)):
+                assert np.array_equal(row[r].reshape(np.shape(value)), value), (name, i)
+    # the stack's spectra in one batched call
+    lo, hi, spectra = spectral(kernel(stacked, inst))
+    for r, state in enumerate(points):
+        lo_r, hi_r, spectrum = spectral(kernel(state, inst))
+        assert (lo[r], hi[r]) == (lo_r, hi_r) and np.array_equal(spectra[r], spectrum)

@@ -214,15 +214,20 @@ def test_dimension_errors():
         activation=sn.Activation("tanh"), R=1.5,
     )
     st_other = sn.eval_forward(one_row, np.zeros(2))
-    for fn in (sn.grad, sn.hess_L, sn.kernel):
+    for fn in (sn.grad, sn.hess_L, sn.kernel, g_terms, hess_L_entries, b_terms, eval_p, eval_Q2):
         with pytest.raises(ShapeError):
             fn(st_other, inst)
-    # a stack of two points: grad gives one row per point; the Hessian routes take one point
     with pytest.raises(ShapeError):
         sn.eval_forward(inst, np.zeros((2, 3)))
+    # a stack of two points: the stacked routes give one row per point; the oracles take one point
     st_stack = sn.eval_forward(inst, np.zeros((2, 2)))
     assert sn.grad(st_stack, inst).grad_tot.shape == (2, 2)
-    for fn in (sn.hess_L, sn.kernel, g_terms, hess_L_entries, b_terms, eval_p, eval_Q2):
+    hb = sn.hess_L(st_stack, inst)
+    assert (hb.H_L.shape, hb.H_tot.shape, hb.B_diag.shape) == ((2, 2, 2), (2, 2, 2), (2, 2))
+    assert sn.kernel(st_stack, inst).shape == (2, 2, 2)
+    assert all(G.shape == (2, 2, 2) for G in g_terms(st_stack, inst).values())
+    assert eval_p(st_stack, inst).shape == (2, 2, 2) and eval_Q2(st_stack, inst).shape == (2, 1, 2)
+    for fn in (hess_L_entries, b_terms):
         with pytest.raises(ShapeError):
             fn(st_stack, inst)
     with pytest.raises(ShapeError):
@@ -283,6 +288,8 @@ def simplex_cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=simplex_cases(), kind=st.sampled_from(ACTIVATION_KINDS))
 @example(case=(np.array([[1e3], [0.0]]), [np.ones(1)]), kind="softplus")  # h = (1e3, log 2): ||h|| > ||A2||
+# m >= 24 with ||A2|| = 0: h = log 2 in every coordinate, so the softplus cap log(2) sqrt(m) is attained
+@example(case=(np.zeros((24, 1)), [np.ones(1)]), kind="softplus")
 def test_activation_bound_covers_simplex_points(case, kind):
     # R_h is the analytic cap alone, so every kind's cap must bound ||h(A2 f)|| and ||h'(A2 f)||
     A2, fs = case

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,36 @@ def test_loc_smoke():
     package = Path(script).resolve().parent.parent / "src" / "softnewt"
     assert [name for name, _ in rows[:-1]] == sorted(p.name for p in package.glob("*.py"))
     assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1]) > 0
+
+
+def test_scale_sweep_smoke(tmp_path):
+    out = tmp_path / "BENCH_scale.json"
+    parent = {"rows": [{"layer": "grad", "n": 16, "m": 16, "d": 8, "rel": 1.0}]}
+    out.write_text(json.dumps({"runs": {"parent": [parent]}}))
+    # the script at one tiny shape in place of SHAPES
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import scale_sweep; "
+        "scale_sweep.SHAPES = ((16, 16, 8),); "
+        "raise SystemExit(scale_sweep.main(['--label', 'change', '--out', sys.argv[2]]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SCRIPT.parent), str(out)], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["runs"]["parent"] == [parent]  # other runs are kept
+    [run] = doc["runs"]["change"]
+    assert run["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    layers = [row["layer"] for row in run["rows"]]
+    assert layers == [
+        "eval_forward", "grad", "hess_L", "kernel+spectral", "hess_L_entries", "leverage_scores", "subsample",
+        "verify_sandwich", "cholesky_solve", "probe_empirical", "solve_exact", "solve_sketched",
+    ]
+    for row in run["rows"]:
+        assert (row["n"], row["m"], row["d"]) == (16, 16, 8)
+        assert row["best_s"] > 0 and row["rel"] == row["best_s"] / row["reference_s"] and row["peak_bytes"] >= 0
+    assert [(row["layer"], row["runs"], row["rel_median"]) for row in doc["summary"]["parent"]] == [("grad", 1, 1.0)]
+    summary = doc["summary"]["change"]
+    assert [row["layer"] for row in summary] == layers
+    for row, s in zip(run["rows"], summary):
+        assert s["runs"] == 1 and s["rel_min"] == s["rel_median"] == s["rel_max"] == row["rel"]
