@@ -9,11 +9,13 @@ BLAS pinned to one thread. For each shape in ``SHAPES`` and each layer it
 records the best-of-3 time of one call, that time divided by the best-of-3
 time of one call of perfbench's reference gemm loop (``perfbench/reference.py``)
 taken right after it, so that host drift cancels, and the ``tracemalloc``
-peak of one call. Each invocation
-appends one run under ``runs[label]`` with perfbench's environment header and
-keeps every other run in the file, so running a copy of this script from a
-checkout of the parent commit with ``--label parent`` and the same ``--out``,
-alternating with ``--label change``, records both sides' runs. ``summary``
+peak of one call. The dense layers (``DENSE_LAYERS``: the n x n kernel and
+its spectrum, the per-entry Hessian and the empirical probe) run only at
+n <= ``DENSE_MAX_N``. Each invocation appends one run under ``runs[label]``
+with perfbench's environment header and keeps every other run in the file,
+so running a copy of this script from a checkout of the parent commit with
+``--label parent`` and the same ``--out``, alternating with ``--label
+change``, records both sides' runs. ``summary``
 then holds, per label, layer and shape, the median, lowest and highest
 relative time over that label's runs.
 """
@@ -37,8 +39,11 @@ pin_blas()
 import numpy as np  # noqa: E402
 from reference import gemm_loop  # noqa: E402
 
-# (n, m, d); later shapes extend n toward 10^6
-SHAPES = ((64, 16, 8), (1600, 16, 8))
+# (n, m, d)
+SHAPES = ((64, 16, 8), (1600, 16, 8), (100_000, 16, 8), (100_000, 16, 64), (1_000_000, 16, 8))
+# the layers that form dense n x n kernels, and the per-entry Hessian oracle, run only up to this n
+DENSE_LAYERS = ("kernel+spectral", "hess_L_entries", "probe_empirical")
+DENSE_MAX_N = 1600
 REPEATS = 3
 MIN_REPEAT_S = 0.02  # a repeat runs the call enough times to take at least this long
 PROBES = 20
@@ -75,7 +80,10 @@ def peak_bytes(fn) -> int:
 
 
 def layers(sn, n: int, m: int, d: int) -> dict:
-    """Each layer's call at one shape, on a seeded instance, start point and probe set."""
+    """Each layer's call at one shape, on a seeded instance, start point and probe set.
+
+    ``DENSE_LAYERS`` are left out above ``DENSE_MAX_N``.
+    """
     from softnewt import hessian, newton, sketch
 
     inst, _ = sn.gen_instance(n, m, d, "tanh", 1, noise=0.05)
@@ -85,16 +93,17 @@ def layers(sn, n: int, m: int, d: int) -> dict:
     st = sn.eval_forward(inst, x0)
     hb = sn.hess_L(st, inst)
     g = sn.grad(st, inst).grad_tot
-    dw = hb.B_diag + inst.w**2
+    dw = sn.kernel_diag(st, inst) + inst.w**2
     # fewer draws than rows, so the sampler runs at every shape (the default count exceeds n here)
     draws = max(1, n // 2)
     sk = sketch.subsample(inst.A1, dw, 0.3, 0.1, seed=1, num_draws=draws)
     exact = sn.NewtonConfig(mode="exact", eps=1e-8)
     sketched = sn.NewtonConfig(mode="sketched", eps=1e-8, eps0=0.45, max_iters=20, seed=1)
-    return {
+    calls = {
         "eval_forward": lambda: sn.eval_forward(inst, x0),
         "grad": lambda: sn.grad(st, inst),
         "hess_L": lambda: sn.hess_L(st, inst),
+        "kernel_diag": lambda: sn.kernel_diag(st, inst),
         "kernel+spectral": lambda: sn.spectral(sn.kernel(st, inst)),
         "hess_L_entries": lambda: hessian.hess_L_entries(st, inst),
         "leverage_scores": lambda: sketch.leverage_scores(inst.A1, dw),
@@ -105,6 +114,10 @@ def layers(sn, n: int, m: int, d: int) -> dict:
         "solve_exact": lambda: sn.solve(inst, x0, exact),
         "solve_sketched": lambda: sn.solve(inst, x0, sketched),
     }
+    if n > DENSE_MAX_N:
+        for layer in DENSE_LAYERS:
+            del calls[layer]
+    return calls
 
 
 def summarize(runs: list) -> list:
@@ -141,7 +154,7 @@ def main(argv=None) -> int:
                 "layer": layer, "n": n, "m": m, "d": d, "best_s": best, "reference_s": reference_s,
                 "rel": best / reference_s, "peak_bytes": peak_bytes(fn),
             })
-            print(f"n={n:<6} {layer:<16} {best * 1e3:10.3f} ms {best / reference_s:9.4f} ref "
+            print(f"n={n:<7} d={d:<2} {layer:<16} {best * 1e3:10.3f} ms {best / reference_s:9.4f} ref "
                   f"{rows[-1]['peak_bytes'] / 2**20:8.2f} MiB", flush=True)
 
     out = Path(args.out)

@@ -5,7 +5,7 @@ and an approximate (sketched) Newton solver with contraction monitoring.
 from .bounds import BoundReport, LogConstant, compute_constants, probe_empirical
 from .derivatives import GradientBundle, eval_p, eval_Q2, grad
 from .generate import gen_instance
-from .hessian import HessianBundle, b_terms, hess_f_pair, hess_L, kernel
+from .hessian import HessianBundle, b_terms, hess_f_pair, hess_L, kernel, kernel_diag
 from .model import (
     Activation,
     ModelState,
@@ -47,6 +47,7 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "kernel",
+    "kernel_diag",
     "leverage_scores",
     "newton_step",
     "probe_empirical",

@@ -161,15 +161,19 @@ def constants_from_params(n: int, R: float, beta: float, L_h: float, R_h: float)
 
 
 def vector_norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)``, or for a finite v whose squares overflow it, max|v| * ||v / max|v|||.
+    """``np.linalg.norm(v)`` over all entries; for a finite v whose squares overflow, max|v| * ||v / max|v|||.
 
-    The plain norm reads inf once an entry passes ~1.3e154; every finite one is returned unchanged.
+    Bitwise ``np.linalg.norm``: the square root of the one dot product of the
+    ravelled array with itself. The plain norm reads inf once an entry passes
+    ~1.3e154; every finite one is returned unchanged.
     """
+    v = np.asarray(v, dtype=float).ravel(order="K")
     with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(v))
+        r = math.sqrt(v @ v)
     if r == math.inf and np.isfinite(v).all():
         s = float(np.max(np.abs(v)))
-        r = s * float(np.linalg.norm(v / s))
+        v = v / s
+        r = s * math.sqrt(v @ v)
     return r
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .derivatives import eval_p, eval_Q2, grad
 from .generate import gen_instance
-from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entries, kernel
+from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entries, kernel, kernel_diag
 from .model import EvaluationOverflowError, ProblemInstance, _rng, eval_forward, instance_from_json, instance_to_json
 from .newton import NewtonConfig, RunReport, basin_check, solve
 from .oracle import FdConfig, ProbeEvaluationError, fd_gradient, fd_hessian
@@ -229,7 +229,8 @@ def cmd_run(args) -> int:
 
 
 def _rel_err(value: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.linalg.norm(value - ref)) / max(float(np.linalg.norm(ref)), 1e-30)
+    """||value - ref|| / ||ref|| over all entries; a norm whose squares overflow is rescaled, not inf."""
+    return bounds_mod.vector_norm(value - ref) / max(bounds_mod.vector_norm(ref), 1e-30)
 
 
 def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
@@ -274,7 +275,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
             H_L - hess_L_entries(st, inst),
             H_L - inst.A1.T @ B @ inst.A1,
             sum(b_terms(st, inst)) - B,
-            hbs.B_diag[r] - np.diag(B),
+            kernel_diag(st, inst) - np.diag(B),
         )
         worst = max(worst, *(float(np.max(np.abs(gap))) for gap in gaps))
     yield "hessian_route_agreement", worst <= 1e-10 * scale, worst, "max elementwise gap"
@@ -294,7 +295,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     ok = psd.holds(abs(lo)) and psd.holds(abs(hi))
     yield "psd_sandwich", ok, psd.tightness(max(abs(lo), abs(hi))), "kernel spectrum inside +-bound"
 
-    dw = hess_L(eval_forward(inst, np.zeros(d)), inst).B_diag + inst.w**2
+    dw = kernel_diag(eval_forward(inst, np.zeros(d)), inst) + inst.w**2
     if np.all(dw > 0):
         hits = 0
         n_seeds = 20

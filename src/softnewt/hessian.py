@@ -10,9 +10,12 @@ B has this one representation: the m x n factor A2 J, the m-vectors h'^2
 and h'' o c, and f, v, s, all formed in O(n m) without J from the forward
 pass (q2 is ``ModelState.q2``). Everything else is read from them:
 
-- ``hess_L`` is the production route: O(n m d + n d^2) time, no n x n array
-  at any n. From one factor pass it returns H_L, H_tot and ``B_diag`` =
-  diag(B) (O(n m) more), the sketched step's surrogate.
+- ``hess_L`` is the production route: H_L and H_tot in O(n m d + n d^2), no
+  n x n array at any n. It never forms A2 J: its m x d product
+  G = (A2 J) A1 = (A2 o f) A1 - (A2 f)(f^T A1) takes one m x n temporary.
+- ``kernel_diag`` is the one route for diag(B) = g^T (A2 J)^2 + (2 f - 1) o u,
+  in O(n m); the sketched step's surrogate. Only the sketched step and the
+  checks that compare it read it.
 - ``kernel`` returns the dense B in O(n^2 m) time and n^2 memory. It is for
   diagnostics (spectrum probes, route-agreement checks) and is never called
   by the solver.
@@ -26,15 +29,16 @@ references the routes above are checked against. ``hess_L_entries`` sums
 one row of d entries at a time, each with the same float operations as its
 own literal per-entry sum.
 
-Stack contract: ``_factors``, ``hess_L``, ``kernel`` and ``g_terms`` accept the
-(k, d) stack state that ``eval_forward`` returns. Every field then gains a
-leading axis of length k, and row r is bitwise equal to the call on point r's
-own state: a stack takes one matrix-vector product per row
-(``model._matvec``) where a point takes one, one matrix-matrix product per
-row where a point takes one, and broadcasts its elementwise and outer
-products. ``kernel`` of a stack holds k n x n matrices, so callers chunk
-their points. ``b_terms`` and ``hess_L_entries`` take one point and raise
-ShapeError on a stack, and ``hess_f_pair`` takes one point.
+Stack contract: ``_factors``, ``hess_L``, ``kernel_diag``, ``kernel`` and
+``g_terms`` accept the (k, d) stack state that ``eval_forward`` returns.
+Every field then gains a leading axis of length k, and row r is bitwise
+equal to the call on point r's own state: a stack takes one matrix-vector
+product per row (``model._matvec``) where a point takes one, one
+matrix-matrix product per row where a point takes one, and broadcasts its
+elementwise and outer products. ``kernel`` of a stack holds k n x n
+matrices, so callers chunk their points. ``b_terms`` and ``hess_L_entries``
+take one point and raise ShapeError on a stack, and ``hess_f_pair`` takes one
+point.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "hess_L",
     "hess_L_entries",
     "kernel",
+    "kernel_diag",
     "b_terms",
     "B_TERM_NAMES",
     "g_terms",
@@ -62,9 +67,10 @@ B_TERM_NAMES = tuple(f"B{i}" for i in range(1, 13))
 
 @dataclass
 class HessianBundle:
+    """H_L = A1^T B A1 and H_tot = H_L + A1^T diag(w^2) A1; diag(B) is ``kernel_diag``'s."""
+
     H_L: np.ndarray  # d x d
     H_tot: np.ndarray  # d x d
-    B_diag: np.ndarray  # n, diag(B)
 
 
 def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.ndarray:
@@ -90,12 +96,28 @@ def _factors(state: ModelState, inst: ProblemInstance):
     """(A2 J, h'^2, h'' o c, f, v, s) in O(n m) per point; J = diag(f) - f f^T is never formed.
 
     For a stack each is stacked along a leading axis, and s is a (k, 1) column.
+    ``kernel`` and ``kernel_diag`` read A2 J; ``hess_L`` and ``g_terms`` need
+    only its product with A1 (``_G``).
     """
     single = not _leading_shape(state, inst)
     f, q2 = state.f, state.q2
     AJ = inst.A2 * f[..., None, :] - _outer(state.a2f, f)
     s = _inner(q2, f)
     return AJ, state.hprime**2, state.hdoubleprime * state.c, f, f * q2, float(s) if single else s
+
+
+def _G(state: ModelState, inst: ProblemInstance):
+    """(G, a) with G = (A2 J) A1 = (A2 o f) A1 - (A2 f) a^T and a = A1^T f.
+
+    One m x n temporary (A2 o f) per point, where forming A2 J takes three.
+    A stack gives each one row per point.
+    """
+    _leading_shape(state, inst)
+    f = state.f
+    a = _matvec(inst.A1.T, f)
+    G = (inst.A2 * f[..., None, :]) @ inst.A1
+    G -= _outer(state.a2f, a)
+    return G, a
 
 
 def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
@@ -133,29 +155,37 @@ def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 
 
 def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
-    """Hessian of the data term, the total Hessian and diag(B), in O(n m d + n d^2).
+    """Hessian of the data term and the total Hessian, in O(n m d + n d^2).
 
     H_L = A1^T B A1 = G^T diag(g) G + a w^T + w a^T - A1^T diag(u) A1, with
-    G = (A2 J) A1, g = h'^2 + h'' o c, u = s f - v, a = A1^T f and
-    w = A1^T u, and H_tot = H_L + ``inst.ridge_gram``, which is formed once per
-    instance. Only m x n and d x d arrays are formed, so this is the
+    G = (A2 J) A1 = (A2 o f) A1 - (A2 f) a^T (``_G``), g = h'^2 + h'' o c,
+    u = s f - v, a = A1^T f and w = A1^T u, and H_tot = H_L +
+    ``inst.ridge_gram``, which is formed once per instance. Only one m x n
+    temporary and m x d, n x d and d x d arrays are formed, so this is the
     solver's route at any n. It equals the sum of ``g_terms``; summed this way
-    the terms that cancel (all of them at n = 1, where A2 J and u are 0)
-    cancel exactly. diag(B) = g^T (A2 J)^2 + (2 f - 1) o u. A stack gives
-    each field one row per point.
+    the terms that cancel (all of them at n = 1, where G and u are 0) cancel
+    exactly. diag(B) is ``kernel_diag``'s. A stack gives each field one row
+    per point.
     """
-    AJ, hp2, curv, f, v, s = _factors(state, inst)
-    A1 = inst.A1
-    g = hp2 + curv
-    G = AJ @ A1
-    u = s * f - v
-    a = _matvec(A1.T, f)
+    G, a = _G(state, inst)
+    A1, f, q2 = inst.A1, state.f, state.q2
+    g = state.hprime**2 + state.hdoubleprime * state.c
+    u = _inner(q2, f) * f - f * q2
     w = _matvec(A1.T, u)
     H_L = np.swapaxes(G, -1, -2) @ (g[..., :, None] * G)
     H_L += _outer(a, w) + _outer(w, a) - A1.T @ (u[..., :, None] * A1)
-    H_tot = H_L + inst.ridge_gram
-    B_diag = _matvec(np.swapaxes(AJ * AJ, -1, -2), g) + (2.0 * f - 1.0) * u
-    return HessianBundle(H_L=H_L, H_tot=H_tot, B_diag=B_diag)
+    return HessianBundle(H_L=H_L, H_tot=H_L + inst.ridge_gram)
+
+
+def kernel_diag(state: ModelState, inst: ProblemInstance) -> np.ndarray:
+    """diag(B) = g^T (A2 J)^2 + (2 f - 1) o u in O(n m), without B; one row per point of a stack.
+
+    The one route for diag(B): the sketched step's surrogate diag(B) + w^2
+    and the checks that compare it with ``kernel``.
+    """
+    AJ, hp2, curv, f, v, s = _factors(state, inst)
+    u = s * f - v
+    return _matvec(np.swapaxes(AJ * AJ, -1, -2), hp2 + curv) + (2.0 * f - 1.0) * u
 
 
 def kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
@@ -225,14 +255,14 @@ def g_terms(state: ModelState, inst: ProblemInstance) -> dict[str, np.ndarray]:
     literal G5 = 2 a t^T is one-sided; the Hessian holds (a t^T + t a^T)).
     These feed the per-piece Lipschitz tightness probes. Q2 P = diag(h') G
     with G = (A2 J) A1 = A2 P, so G1 = G^T diag(h'^2) G and
-    G2 = G^T diag(h'' o c) G share the one factor. A stack gives each piece one
-    matrix per point.
+    G2 = G^T diag(h'' o c) G share the one factor, formed as ``hess_L`` forms
+    it. A stack gives each piece one matrix per point.
     """
-    AJ, hp2, curv, f, v, s = _factors(state, inst)
-    A1 = inst.A1
-    G = AJ @ A1
-    a = _matvec(A1.T, f)
+    G, a = _G(state, inst)
+    A1, f, q2 = inst.A1, state.f, state.q2
+    hp2, curv, v = state.hprime**2, state.hdoubleprime * state.c, f * q2
     t = _matvec(A1.T, v)
+    s = _inner(q2, f)
     s = s[..., None] if np.ndim(s) else s  # (k, 1, 1) against a stack of d x d pieces
     return {
         "G1": np.swapaxes(G, -1, -2) @ (hp2[..., :, None] * G),

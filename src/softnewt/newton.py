@@ -11,7 +11,11 @@ the resulting Ht from the true total Hessian is measured every iteration.
 
 Each iterate is evaluated once: ``solve`` computes its forward pass and
 gradient, and ``newton_step`` takes both and adds a single ``hess_L`` call,
-which gives H_tot and diag(B) from one pass over the kernel factors.
+which gives H_tot from the m x d product G = (A2 J) A1 without forming A2 J.
+Only a sketched step forms A2 J, in its one ``kernel_diag`` call for diag(B).
+The d x d system is factored by LAPACK's Cholesky (``dpotrf``/``dpotrs``, the
+routines ``scipy.linalg.cho_factor``/``cho_solve`` call) without the wrappers'
+checks.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .bounds import LogConstant, vector_norm
 from .derivatives import grad
-from .hessian import hess_L
+from .hessian import hess_L, kernel_diag
 from .model import EvaluationOverflowError, ModelState, ProblemInstance, eval_forward
 from .sketch import SketchResult, subsample
 
@@ -85,14 +90,24 @@ class StepDiagnostics:
 
 
 def _spd_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    try:
-        cf = scipy.linalg.cho_factor(H, lower=True)
-    except np.linalg.LinAlgError as exc:
+    """H^-1 rhs for a d x d float64 H, bitwise ``cho_solve(cho_factor(H, lower=True), rhs)``.
+
+    The same LAPACK calls without the wrappers' layers, and the same outcome
+    for every input they reject: a non-finite H, then a failed factorization,
+    then a non-finite rhs. The failed factorization raises
+    NotPositiveDefiniteError with the least eigenvalue of H's symmetric part;
+    the others raise the wrappers' ValueError. A factorization of a finite H
+    that succeeds has a finite factor, so it needs no check.
+    """
+    if not np.isfinite(H).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(H, lower=True, clean=False)
+    if info != 0:
         lam = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
-        raise NotPositiveDefiniteError(
-            f"{what} is not positive definite (lambda_min ~ {lam:.6g})", lam
-        ) from exc
-    return scipy.linalg.cho_solve(cf, rhs)
+        raise NotPositiveDefiniteError(f"{what} is not positive definite (lambda_min ~ {lam:.6g})", lam)
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return dpotrs(c, rhs, lower=True)[0]
 
 
 def _uphill(inst: ProblemInstance, x: np.ndarray, limit: float) -> bool:
@@ -118,9 +133,10 @@ def newton_step(
 
     ``state`` is the forward pass at the iterate and ``grad_tot`` its total
     gradient, so the step evaluates nothing at the iterate itself: one
-    ``hess_L`` call gives H_tot and, in sketched mode, diag(B). A sketched step
-    draws with the seed derived from (cfg.seed, t). A Hessian or a gradient
-    with non-finite entries raises NotPositiveDefiniteError with lambda_min nan.
+    ``hess_L`` call gives H_tot and, in sketched mode only, one
+    ``kernel_diag`` call gives diag(B). A sketched step draws with the seed
+    derived from (cfg.seed, t). A Hessian or a gradient with non-finite
+    entries raises NotPositiveDefiniteError with lambda_min nan.
     """
     x_t = state.x
     hb = hess_L(state, inst)
@@ -133,7 +149,7 @@ def newton_step(
     if cfg.mode == "exact":
         H = hb.H_tot
     else:
-        dprime = hb.B_diag + inst.w * inst.w
+        dprime = kernel_diag(state, inst) + inst.w * inst.w
         if np.any(dprime <= 0.0):
             raise NotPositiveDefiniteError(
                 "diagonal surrogate diag(B) + w^2 has nonpositive entries; raise w",

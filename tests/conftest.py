@@ -1,9 +1,23 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
+
+# When a property test fails, hypothesis's pytest plugin imports its patch
+# writer, which imports libcst, whose import raises mypy_extensions'
+# DeprecationWarning. Under pyproject's error::DeprecationWarning filter that
+# warning would end the whole session in an INTERNALERROR, so the module is
+# imported here, once, with that one warning silenced; the filter stays in
+# force for everything else.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: hypothesis writes no patches
+        pass
 
 import softnewt as sn
 from softnewt.generate import ridge_recipe, softmax

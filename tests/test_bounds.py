@@ -3,9 +3,12 @@ import math
 import tracemalloc
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from conftest import ALL_KINDS, random_instance, random_points
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import softnewt as sn
 from softnewt.bounds import (
@@ -85,6 +88,35 @@ def test_vector_norm_rescales_only_where_the_squares_overflow():
     assert vector_norm(np.array([1.5e308, 1.5e308])) == math.inf
     assert vector_norm(np.array([np.inf, 1.0])) == math.inf
     assert math.isnan(vector_norm(np.array([np.nan, 1e200])))
+
+
+@st.composite
+def scaled_arrays(draw):
+    """An array of 0-24 entries up to 1e3, as a vector or a (transposed) matrix, scaled by 10^-320 to 10^300.
+
+    Every entry stays finite, and from about 10^151 on the squares overflow.
+    """
+    shape = draw(st.sampled_from([(0,), (1,), (7,), (24,), (3, 4), (4, 3)]))
+    v = draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):
+        v = v.T  # a strided view: the norm sums in memory order
+    with np.errstate(under="ignore"):
+        return v * 10.0 ** draw(st.integers(-320, 300))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(v=scaled_arrays())
+@example(v=np.array([1e200, -1e200, 3.0]))
+@example(v=np.array([[1e160, 0.0], [0.0, -1e160]]).T)
+def test_vector_norm_is_numpys_norm_until_the_squares_overflow(v):
+    with np.errstate(over="ignore"):
+        ref = float(np.linalg.norm(v))
+    if ref < math.inf:
+        assert vector_norm(v) == ref
+    else:
+        # every entry finite: the rescaled norm, finite and within rounding of the true one
+        s = float(np.max(np.abs(v)))
+        assert vector_norm(v) == s * float(np.linalg.norm(v / s)) < math.inf
 
 
 def test_direct_substitution_formula():
@@ -371,7 +403,7 @@ def test_probe_stacks_its_calls(monkeypatch):
     import softnewt.bounds as bounds_mod
     from softnewt import hessian
 
-    calls = {"eval_forward": 0, "_factors": 0, "eigvalsh": 0}
+    calls = {"eval_forward": 0, "_factors": 0, "_G": 0, "eigvalsh": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -384,16 +416,18 @@ def test_probe_stacks_its_calls(monkeypatch):
 
     counted(bounds_mod, "eval_forward")
     counted(hessian, "_factors")
+    counted(hessian, "_G")
     counted(np.linalg, "eigvalsh")
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     assert rep.n_admissible == 20
-    # one stacked forward pass; per chunk of points, kernel, hess_L and g_terms each take
-    # one factor pass and the chunk's spectra one eigvalsh call (one of each per point before)
+    # one stacked forward pass; per chunk of points, kernel takes one pass that forms A2 J,
+    # hess_L and g_terms one pass each that forms only G = (A2 J) A1, and the chunk's
+    # spectra one eigvalsh call (one of each per point before)
     assert calls["eval_forward"] == 1
     chunks = math.ceil(20 / max(1, bounds_mod._CHUNK_BYTES // (8 * 64 * 64)))
     assert chunks < 20
-    assert calls["_factors"] <= 3 * chunks and calls["eigvalsh"] == chunks, calls
+    assert calls == {"eval_forward": 1, "_factors": chunks, "_G": 2 * chunks, "eigvalsh": chunks}, calls
 
 
 def test_spectral_bounds_cover_underflow_and_zeros():

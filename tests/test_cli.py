@@ -290,6 +290,23 @@ def test_run_overflowing_ridge_reports_without_warnings(tmp_path, capsys):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_verify_measures_errors_past_the_square_overflow(tmp_path, capsys):
+    # a ridge weight of 1e100 puts entries of grad_tot and H_tot past 1e154, whose
+    # squares overflow: the finite-difference errors are measured on rescaled norms
+    inst = tmp_path / "big_w.json"
+    assert main(["gen", "--n", "3", "--m", "2", "--d", "1", "--seed", "12", "--w", "0,1e100,0.001",
+                 "--out", str(inst)]) == 0
+    out = tmp_path / "verify.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--instance", str(inst), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    checks = {c["name"]: c for c in load_path(out)["checks"]}
+    for name in ("gradient_vs_finite_difference", "hessian_vs_finite_difference"):
+        assert checks[name]["passed"] and checks[name]["margin"] <= 1e-10, checks[name]
+
+
 def test_run_with_one_admissible_iterate_skips_bounds(tmp_path):
     # alpha(x) = exp(-50 x): the start x = 1 is below beta, the converged x = 0 is not,
     # so no pair of admissible points is left for the Lipschitz probes

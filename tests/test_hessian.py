@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import softnewt as sn
 from softnewt.derivatives import eval_p, eval_Q2
-from softnewt.hessian import B_TERM_NAMES, _factors, b_terms, g_terms, hess_f_pair, hess_L_entries, kernel
+from softnewt.hessian import (
+    B_TERM_NAMES, _factors, b_terms, g_terms, hess_f_pair, hess_L_entries, kernel, kernel_diag,
+)
 from softnewt.model import DenominatorFloorWarning
 from softnewt.oracle import FdConfig, fd_hessian, spectral
 
@@ -151,7 +153,7 @@ def test_factored_route_equals_per_entry_and_kernel():
         np.testing.assert_allclose(inst.A1.T @ B @ inst.A1, hb.H_L, atol=1e-11 * scale)
         B_scale = max(1.0, np.max(np.abs(B)))
         np.testing.assert_allclose(sum(b_terms(st_, inst)), B, atol=1e-12 * B_scale)
-        np.testing.assert_allclose(hb.B_diag, np.diag(B), atol=1e-12 * B_scale)
+        np.testing.assert_allclose(kernel_diag(st_, inst), np.diag(B), atol=1e-12 * B_scale)
 
 
 def test_hessian_symmetry_and_psd_first_block():
@@ -201,22 +203,23 @@ def curvature_cases(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=curvature_cases())
 def test_curvature_routes_agree(case):
-    # the single-form routes (hess_L, kernel, g_terms) against the split-form
+    # the single-form routes (hess_L, kernel_diag, kernel, g_terms) against the split-form
     # oracles, within verify's 1e-10 relative route-agreement bound
     inst, x = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DenominatorFloorWarning)
         st_ = sn.eval_forward(inst, x)
     hb = sn.hess_L(st_, inst)
+    B_diag = kernel_diag(st_, inst)
     B = kernel(st_, inst)
     G = g_terms(st_, inst)
     if inst.n == 1:
-        assert np.all(hb.H_L == 0.0) and np.all(hb.B_diag == 0.0)
+        assert np.all(hb.H_L == 0.0) and np.all(B_diag == 0.0)
     A1 = inst.A1
     gaps = {
         "hess_L_entries": hb.H_L - hess_L_entries(st_, inst),
         "A1^T kernel A1": hb.H_L - A1.T @ B @ A1,
-        "diag(kernel)": hb.B_diag - np.diag(B),
+        "diag(kernel)": B_diag - np.diag(B),
         "sum(b_terms)": sum(b_terms(st_, inst)) - B,
         "g_terms": hb.H_L - (G["G1"] + G["G2"] + G["G3"] - G["G4"] - 0.5 * (G["G5"] + G["G5"].T) + G["G6"]),
     }
@@ -297,6 +300,7 @@ def test_stacked_routes_equal_rows(case):
     routes = {
         "_factors": lambda s: _factors(s, inst),
         "hess_L": lambda s: tuple(vars(sn.hess_L(s, inst)).values()),
+        "kernel_diag": lambda s: (kernel_diag(s, inst),),
         "g_terms": lambda s: tuple(g_terms(s, inst).values()),
         "eval_p": lambda s: (eval_p(s, inst),),
         "eval_Q2": lambda s: (eval_Q2(s, inst),),

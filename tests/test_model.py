@@ -214,7 +214,7 @@ def test_dimension_errors():
         activation=sn.Activation("tanh"), R=1.5,
     )
     st_other = sn.eval_forward(one_row, np.zeros(2))
-    for fn in (sn.grad, sn.hess_L, sn.kernel, g_terms, hess_L_entries, b_terms, eval_p, eval_Q2):
+    for fn in (sn.grad, sn.hess_L, sn.kernel_diag, sn.kernel, g_terms, hess_L_entries, b_terms, eval_p, eval_Q2):
         with pytest.raises(ShapeError):
             fn(st_other, inst)
     with pytest.raises(ShapeError):
@@ -223,7 +223,8 @@ def test_dimension_errors():
     st_stack = sn.eval_forward(inst, np.zeros((2, 2)))
     assert sn.grad(st_stack, inst).grad_tot.shape == (2, 2)
     hb = sn.hess_L(st_stack, inst)
-    assert (hb.H_L.shape, hb.H_tot.shape, hb.B_diag.shape) == ((2, 2, 2), (2, 2, 2), (2, 2))
+    assert (hb.H_L.shape, hb.H_tot.shape) == ((2, 2, 2), (2, 2, 2))
+    assert sn.kernel_diag(st_stack, inst).shape == (2, 2)
     assert sn.kernel(st_stack, inst).shape == (2, 2, 2)
     assert all(G.shape == (2, 2, 2) for G in g_terms(st_stack, inst).values())
     assert eval_p(st_stack, inst).shape == (2, 2, 2) and eval_Q2(st_stack, inst).shape == (2, 1, 2)

@@ -1,19 +1,21 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import ALL_KINDS, random_instance, random_points
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
 from softnewt.bounds import probe_empirical
 from softnewt.model import DenominatorFloorWarning, EvaluationOverflowError
-from softnewt.newton import NotPositiveDefiniteError
+from softnewt.newton import NotPositiveDefiniteError, _spd_solve
 from softnewt.oracle import spectral
 
 
@@ -165,18 +167,20 @@ def test_non_finite_hessian_ends_as_error_report(s1_instance):
 
 @pytest.mark.parametrize("mode", ["exact", "sketched"])
 def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch, mode):
-    # a solve of k steps evaluates the gradient once per iterate (k + 1) and
-    # the kernel factors once per step (k): the step takes its gradient from
-    # solve, and hess_L gives H_tot and diag(B) together. The gradient reads
-    # q2 from the forward pass, so neither P nor Q2 is built. The ridge Gram
-    # A1^T diag(w^2) A1 is formed once per instance
+    # a solve of k steps evaluates the gradient once per iterate (k + 1): the
+    # step takes its gradient from solve. hess_L gives H_tot from G = (A2 J) A1
+    # without the kernel factors, so an exact solve never forms A2 J, and a
+    # sketched one forms it once per step (k), in its one kernel_diag call. The
+    # gradient reads q2 from the forward pass, so neither P nor Q2 is built.
+    # The ridge Gram A1^T diag(w^2) A1 is formed once per instance
     import softnewt.derivatives as derivatives_mod
     import softnewt.hessian as hessian_mod
     import softnewt.newton as newton_mod
 
-    calls = {"grad": 0, "_factors": 0, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 0}
+    calls = {"grad": 0, "_factors": 0, "kernel_diag": 0, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 0}
     for mod, name in (
-        (newton_mod, "grad"), (hessian_mod, "_factors"), (derivatives_mod, "eval_p"), (derivatives_mod, "eval_Q2"),
+        (newton_mod, "grad"), (hessian_mod, "_factors"), (newton_mod, "kernel_diag"), (derivatives_mod, "eval_p"),
+        (derivatives_mod, "eval_Q2"),
     ):
         def counted(*args, _fn=getattr(mod, name), _name=name):
             calls[_name] += 1
@@ -197,7 +201,10 @@ def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch, mode
     rep = sn.solve(inst, s1_reference + np.array([0.2, -0.1]), cfg)
     k = rep.n_iters
     assert rep.status == "converged" and k >= 2
-    assert calls == {"grad": k + 1, "_factors": k, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 1}
+    per_step = k if mode == "sketched" else 0
+    assert calls == {
+        "grad": k + 1, "_factors": per_step, "kernel_diag": per_step, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 1,
+    }
     # the cached Gram gives the H_tot that forming it in place gave, bit for bit
     hb = sn.hess_L(sn.eval_forward(inst, rep.final_x), inst)
     w2 = inst.w * inst.w
@@ -371,3 +378,72 @@ def test_norms_past_square_overflow_are_reported():
     assert rep.r_t[0] == 1e200 and rep.grad_norms[0] == pytest.approx(5e200, rel=1e-15)
     assert all(math.isfinite(r) for r in rep.r_t + rep.ratios)
     assert sn.basin_check(np.array([1e200]), np.zeros(1), M=1e-300, l=1.0)
+
+
+def test_exact_step_memory_is_linear_in_n():
+    # one exact step at n = 2e4 holds at most one m x n temporary (G's factor
+    # A2 o f) and n-vectors, never A2 J or diag(B): its peak stays within
+    # 1.25 max(m, d) n floats
+    n, m, d = 20_000, 16, 8
+    inst, _ = sn.gen_instance(n, m, d, "tanh", 1, noise=0.05)
+    x = 0.3 * np.random.default_rng(1).standard_normal(d)
+    state = sn.eval_forward(inst, x)
+    grad_tot = sn.grad(state, inst).grad_tot
+    inst.ridge_gram  # formed once per instance, not per step
+    tracemalloc.start()
+    try:
+        sn.newton_step(inst, state, grad_tot, exact_cfg())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * max(m, d) * n * 8, peak
+
+
+def cho_reference(H, rhs, what):
+    """The scipy wrapper route that ``_spd_solve`` replaced, kept as its reference."""
+    try:
+        cf = scipy.linalg.cho_factor(H, lower=True)
+    except np.linalg.LinAlgError as exc:
+        lam = float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
+        raise NotPositiveDefiniteError(f"{what} is not positive definite (lambda_min ~ {lam:.6g})", lam) from exc
+    return scipy.linalg.cho_solve(cf, rhs)
+
+
+def solve_outcome(route, H, rhs):
+    """The route's solution, or the type, message and lambda_min of what it raised."""
+    try:
+        return route(H, rhs, "the Hessian")
+    except (NotPositiveDefiniteError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "lambda_min", None)
+
+
+@st.composite
+def spd_systems(draw):
+    """F F^T + shift I for d <= 12, from well conditioned through singular to indefinite, and a right side.
+
+    F may be rank deficient (hypothesis shrinks toward zeros), and an
+    optional perturbation of 1e-12 makes H slightly asymmetric.
+    """
+    d = draw(st.integers(1, 12))
+    F = draw(hnp.arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    shift = draw(st.sampled_from([1.0, 1e-3, 1e-8, 1e-13, 0.0, -1e-13, -1e-3, -1.0]))
+    H = F @ F.T + shift * np.eye(d)
+    if draw(st.booleans()):
+        H += draw(hnp.arrays(float, (d, d), elements=st.floats(-1e-12, 1e-12)))
+    return H, draw(hnp.arrays(float, d, elements=st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(system=spd_systems())
+@example(system=(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2)))  # indefinite
+@example(system=(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.ones(2)))  # near singular
+@example(system=(np.array([[np.inf]]), np.ones(1)))
+@example(system=(np.eye(2), np.array([np.nan, 1.0])))
+@example(system=(-np.eye(2), np.array([np.inf, 1.0])))  # the factorization fails before rhs is read
+def test_spd_solve_equals_cho_factor_and_solve(system):
+    H, rhs = system
+    got, ref = solve_outcome(_spd_solve, H, rhs), solve_outcome(cho_reference, H, rhs)
+    if isinstance(ref, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+    else:
+        assert got == ref

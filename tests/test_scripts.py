@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiment.py"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_run_experiment_smoke(tmp_path):
@@ -48,8 +50,8 @@ def test_scale_sweep_smoke(tmp_path):
     assert run["env"]["OPENBLAS_NUM_THREADS"] == "1"
     layers = [row["layer"] for row in run["rows"]]
     assert layers == [
-        "eval_forward", "grad", "hess_L", "kernel+spectral", "hess_L_entries", "leverage_scores", "subsample",
-        "verify_sandwich", "cholesky_solve", "probe_empirical", "solve_exact", "solve_sketched",
+        "eval_forward", "grad", "hess_L", "kernel_diag", "kernel+spectral", "hess_L_entries", "leverage_scores",
+        "subsample", "verify_sandwich", "cholesky_solve", "probe_empirical", "solve_exact", "solve_sketched",
     ]
     for row in run["rows"]:
         assert (row["n"], row["m"], row["d"]) == (16, 16, 8)
@@ -59,3 +61,36 @@ def test_scale_sweep_smoke(tmp_path):
     assert [row["layer"] for row in summary] == layers
     for row, s in zip(run["rows"], summary):
         assert s["runs"] == 1 and s["rel_min"] == s["rel_median"] == s["rel_max"] == row["rel"]
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_abort_the_session(tmp_path):
+    # a session with this suite's pytest settings and conftest: a failing @given
+    # test is reported as FAILED, and the tests after it still run
+    (tmp_path / "pyproject.toml").write_text((TESTS.parent / "pyproject.toml").read_text())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "conftest.py").write_text((TESTS / "conftest.py").read_text())
+    (tmp_path / "tests" / "test_property.py").write_text(FAILING_PROPERTY)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout[-3000:]
+    assert proc.returncode == 1, proc.stdout[-3000:]
+    assert "FAILED tests/test_property.py::test_fails" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout
