@@ -24,6 +24,7 @@ relative time over that label's runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 import tracemalloc
@@ -82,13 +83,17 @@ def peak_bytes(fn) -> int:
 def layers(sn, n: int, m: int, d: int) -> dict:
     """Each layer's call at one shape, on a seeded instance, start point and probe set.
 
+    The start point is a seeded Gaussian scaled by 0.3 sqrt(8 / d), so its
+    norm stays near 0.85 at every d.
+
     ``DENSE_LAYERS`` are left out above ``DENSE_MAX_N``.
     """
     from softnewt import hessian, newton, sketch
 
     inst, _ = sn.gen_instance(n, m, d, "tanh", 1, noise=0.05)
     rng = np.random.Generator(np.random.Philox(key=1))
-    x0 = 0.3 * rng.standard_normal(d)
+    # scaled so that ||x0|| ~ 0.3 sqrt(8) at every d, inside the norm budget R = 1.5
+    x0 = 0.3 * math.sqrt(8 / d) * rng.standard_normal(d)
     probes = [g * rng.uniform(0.1, 0.9) * inst.R / np.linalg.norm(g) for g in rng.standard_normal((PROBES, d))]
     st = sn.eval_forward(inst, x0)
     hb = sn.hess_L(st, inst)

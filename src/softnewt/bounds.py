@@ -322,17 +322,17 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     pairwise Lipschitz probes and raise ``TooFewAdmissiblePointsError``.
 
     The points are evaluated in one stacked ``eval_forward`` call, and each
-    quantity in one stacked call per chunk of points; a chunk's dense kernels
-    (n^2 floats per point) take at most ``_CHUNK_BYTES``, or one point, and
-    their spectra one batched ``eigvalsh`` call. The norm maxima are read from
-    the stacks, and each Lipschitz ratio compares every pair of distinct
-    points, in pair order (i, j > i), in chunks whose differences take at most
-    ``_CHUNK_BYTES``. A matrix quantity screens its pairs with the Frobenius
-    bound on the spectral norm and takes the spectral norm only of pairs, in
-    descending bound order, whose bound exceeds the maximum so far. Memory
-    holds the stacks (linear in the points), one chunk of differences, and a
-    few scalars per pair: its indices, its distance and a bound per matrix
-    quantity.
+    quantity in one stacked call over all of them. Only the dense kernels
+    (n^2 floats per point) are chunked: a chunk takes at most
+    ``_CHUNK_BYTES``, or one point, and its spectra one batched ``eigvalsh``
+    call. The norm maxima are read from the stacks, and each Lipschitz ratio
+    compares every pair of distinct points, in pair order (i, j > i), in
+    chunks whose differences take at most ``_CHUNK_BYTES``. A matrix quantity
+    screens its pairs with the Frobenius bound on the spectral norm and takes
+    the spectral norm only of pairs, in descending bound order, whose bound
+    exceeds the maximum so far. Memory holds the stacks (linear in the
+    points), one chunk of differences, and a few scalars per pair: its
+    indices, its distance and a bound per matrix quantity.
     """
     states, excluded = _admissible_states(inst, np.asarray(sample_points, dtype=float))
     X = states.x
@@ -341,19 +341,9 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     report.n_excluded = excluded
 
     lam_min, lam_max = math.inf, -math.inf
-    chunks = []
     for c in _chunks(len(X), 8 * inst.n * inst.n):
-        st = states.rows(c)
-        lo, hi, _ = spectral(kernel(st, inst))
+        lo, hi, _ = spectral(kernel(states.rows(c), inst))
         lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
-        chunks.append({
-            "lip_Q2": eval_Q2(st, inst),
-            "lip_q2": st.q2,
-            "lip_g": grad(st, inst).grad_L,
-            "lip_p": eval_p(st, inst),
-            "M": hess_L(st, inst).H_L,
-            **{f"lip_{k}": G for k, G in g_terms(st, inst).items()},
-        })
     # keyed by the report entry each quantity feeds
     stacks = {
         "lip_u": states.u,
@@ -361,7 +351,12 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
         "lip_alpha_inv": (1.0 / states.alpha)[:, None],
         "lip_f": states.f,
         "lip_c": states.c,
-        **{key: np.concatenate([q[key] for q in chunks]) for key in chunks[0]},
+        "lip_Q2": eval_Q2(states, inst),
+        "lip_q2": states.q2,
+        "lip_g": grad(states, inst).grad_L,
+        "lip_p": eval_p(states, inst),
+        "M": hess_L(states, inst).H_L,
+        **{f"lip_{k}": G for k, G in g_terms(states, inst).items()},
     }
 
     report.lambda_min_B = lam_min
@@ -397,7 +392,5 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
             emp[key] = max(emp[key], ratio)
 
     report.empirical = emp
-    report.tightness = {
-        k: report.analytic[k].tightness(v) for k, v in emp.items() if k in report.analytic
-    }
+    report.tightness = {k: report.analytic[k].tightness(v) for k, v in emp.items()}
     return report

@@ -1,44 +1,45 @@
 """Closed-form second derivatives.
 
 The data-term Hessian factors as H_L = A1^T B A1 with an n x n curvature
-kernel. With J = diag(f) - f f^T, v = f o q2, s = <q2, f>, u = s f - v and
-g = h'^2 + h'' o c,
+kernel. With J = diag(f) - f f^T, the centred D = A2 - (A2 f) 1^T (so that
+A2 J = D diag(f)), u = <q2, f> f - f o q2 and g = h'^2 + h'' o c,
 
-    B = (A2 J)^T diag(g) (A2 J) + f u^T + u f^T - diag(u).
+    B = (D diag f)^T diag(g) (D diag f) + f u^T + u f^T - diag(u).
 
-B has this one representation: the m x n factor A2 J, the m-vectors h'^2
-and h'' o c, and f, v, s, all formed in O(n m) without J from the forward
-pass (q2 is ``ModelState.q2``). Everything else is read from them:
+B has this one representation: the m x n factor D (``_centred_A2``), the
+m-vector g and the n-vector u (``_g_u``), and f, all formed in O(n m)
+without J from the forward pass (q2 is ``ModelState.q2``). Everything else
+is read from them:
 
 - ``hess_L`` is the production route: H_L and H_tot in O(n m d + n d^2), no
-  n x n array at any n. It never forms A2 J: its m x d product
+  n x n array at any n. It never forms D: its m x d product
   G = (A2 J) A1 = (A2 o f) A1 - (A2 f)(f^T A1) takes one m x n temporary.
-- ``kernel_diag`` is the one route for diag(B) = g^T (A2 J)^2 + (2 f - 1) o u,
-  in O(n m); the sketched step's surrogate. Only the sketched step and the
-  checks that compare it read it.
-- ``kernel`` returns the dense B in O(n^2 m) time and n^2 memory. It is for
-  diagnostics (spectrum probes, route-agreement checks) and is never called
-  by the solver.
+- ``kernel_diag`` is the one route for diag(B) = f o f o ((D o D)^T g) +
+  (2 f - 1) o u, in O(n m) with D squared in place; the sketched step's
+  surrogate. Only the sketched step and the checks that compare it read it.
+- ``kernel`` returns the dense B in O(n^2 m) time and n^2 memory, with D
+  scaled by f in place. It is for diagnostics (spectrum probes,
+  route-agreement checks) and is never called by the solver.
 
 ``hess_L_entries`` (H_L summed entry by entry), ``b_terms`` and
 ``hess_f_pair`` keep the per-entry split form J Q2^T Q2 J + J S J + ..., with
 Q2 = diag(h') A2 and S = A2^T diag(h'' o c) A2 (Q2 J = diag(h') A2 J folds its
 two quadratic parts into the one above). They build P, Q2, q2 = Q2^T c and S
-themselves, never from the factors or the forward pass's q2, and are the
+themselves, never from D, G or the forward pass's q2, and are the
 references the routes above are checked against. ``hess_L_entries`` sums
 one row of d entries at a time, each with the same float operations as its
 own literal per-entry sum.
 
-Stack contract: ``_factors``, ``hess_L``, ``kernel_diag``, ``kernel`` and
-``g_terms`` accept the (k, d) stack state that ``eval_forward`` returns.
-Every field then gains a leading axis of length k, and row r is bitwise
-equal to the call on point r's own state: a stack takes one matrix-vector
-product per row (``model._matvec``) where a point takes one, one
-matrix-matrix product per row where a point takes one, and broadcasts its
-elementwise and outer products. ``kernel`` of a stack holds k n x n
-matrices, so callers chunk their points. ``b_terms`` and ``hess_L_entries``
-take one point and raise ShapeError on a stack, and ``hess_f_pair`` takes one
-point.
+Stack contract: ``_centred_A2``, ``_g_u``, ``_G``, ``hess_L``,
+``kernel_diag``, ``kernel`` and ``g_terms`` accept the (k, d) stack state
+that ``eval_forward`` returns. Every field then gains a leading axis of
+length k, and row r is bitwise equal to the call on point r's own state: a
+stack takes one matrix-vector product per row (``model._matvec``) where a
+point takes one, one matrix-matrix product per row where a point takes one,
+and broadcasts its elementwise and outer products. ``kernel`` of a stack
+holds k n x n matrices, so callers chunk their points. ``b_terms`` and
+``hess_L_entries`` take one point and raise ShapeError on a stack, and
+``hess_f_pair`` takes one point.
 """
 
 from __future__ import annotations
@@ -92,24 +93,22 @@ def _d2f(f, ai, aj, fi, fj, fij):
     return 2.0 * fi * fj * f - fij * f - fj * (f * ai) - fi * (f * aj) + ai * f * aj
 
 
-def _factors(state: ModelState, inst: ProblemInstance):
-    """(A2 J, h'^2, h'' o c, f, v, s) in O(n m) per point; J = diag(f) - f f^T is never formed.
+def _centred_A2(state: ModelState, inst: ProblemInstance) -> np.ndarray:
+    """D = A2 - (A2 f) 1^T, one m x n array per point, so that A2 J = D diag(f); callers may overwrite it."""
+    _leading_shape(state, inst)
+    return inst.A2 - state.a2f[..., :, None]
 
-    For a stack each is stacked along a leading axis, and s is a (k, 1) column.
-    ``kernel`` and ``kernel_diag`` read A2 J; ``hess_L`` and ``g_terms`` need
-    only its product with A1 (``_G``).
-    """
-    single = not _leading_shape(state, inst)
+
+def _g_u(state: ModelState):
+    """(g, u) = (h'^2 + h'' o c, <q2, f> f - f o q2): B's weights on D diag(f) and its rank-one parts."""
     f, q2 = state.f, state.q2
-    AJ = inst.A2 * f[..., None, :] - _outer(state.a2f, f)
-    s = _inner(q2, f)
-    return AJ, state.hprime**2, state.hdoubleprime * state.c, f, f * q2, float(s) if single else s
+    return state.hprime**2 + state.hdoubleprime * state.c, _inner(q2, f) * f - f * q2
 
 
 def _G(state: ModelState, inst: ProblemInstance):
     """(G, a) with G = (A2 J) A1 = (A2 o f) A1 - (A2 f) a^T and a = A1^T f.
 
-    One m x n temporary (A2 o f) per point, where forming A2 J takes three.
+    One m x n temporary (A2 o f) per point, a pass fewer than D diag(f).
     A stack gives each one row per point.
     """
     _leading_shape(state, inst)
@@ -158,8 +157,8 @@ def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     """Hessian of the data term and the total Hessian, in O(n m d + n d^2).
 
     H_L = A1^T B A1 = G^T diag(g) G + a w^T + w a^T - A1^T diag(u) A1, with
-    G = (A2 J) A1 = (A2 o f) A1 - (A2 f) a^T (``_G``), g = h'^2 + h'' o c,
-    u = s f - v, a = A1^T f and w = A1^T u, and H_tot = H_L +
+    G = (A2 J) A1 = (A2 o f) A1 - (A2 f) a^T (``_G``), g and u from
+    ``_g_u``, a = A1^T f and w = A1^T u, and H_tot = H_L +
     ``inst.ridge_gram``, which is formed once per instance. Only one m x n
     temporary and m x d, n x d and d x d arrays are formed, so this is the
     solver's route at any n. It equals the sum of ``g_terms``; summed this way
@@ -168,38 +167,39 @@ def hess_L(state: ModelState, inst: ProblemInstance) -> HessianBundle:
     per point.
     """
     G, a = _G(state, inst)
-    A1, f, q2 = inst.A1, state.f, state.q2
-    g = state.hprime**2 + state.hdoubleprime * state.c
-    u = _inner(q2, f) * f - f * q2
-    w = _matvec(A1.T, u)
+    g, u = _g_u(state)
+    w = _matvec(inst.A1.T, u)
     H_L = np.swapaxes(G, -1, -2) @ (g[..., :, None] * G)
-    H_L += _outer(a, w) + _outer(w, a) - A1.T @ (u[..., :, None] * A1)
+    H_L += _outer(a, w) + _outer(w, a) - inst.A1.T @ (u[..., :, None] * inst.A1)
     return HessianBundle(H_L=H_L, H_tot=H_L + inst.ridge_gram)
 
 
 def kernel_diag(state: ModelState, inst: ProblemInstance) -> np.ndarray:
-    """diag(B) = g^T (A2 J)^2 + (2 f - 1) o u in O(n m), without B; one row per point of a stack.
+    """diag(B) = f o f o ((D o D)^T g) + (2 f - 1) o u in O(n m), without B; one row per point of a stack.
 
-    The one route for diag(B): the sketched step's surrogate diag(B) + w^2
-    and the checks that compare it with ``kernel``.
+    D is squared in place: one m x n array per point. The one route for
+    diag(B): the sketched step's surrogate and the checks against ``kernel``.
     """
-    AJ, hp2, curv, f, v, s = _factors(state, inst)
-    u = s * f - v
-    return _matvec(np.swapaxes(AJ * AJ, -1, -2), hp2 + curv) + (2.0 * f - 1.0) * u
+    D = _centred_A2(state, inst)
+    D *= D
+    g, u = _g_u(state)
+    f = state.f
+    return f * f * _matvec(np.swapaxes(D, -1, -2), g) + (2.0 * f - 1.0) * u
 
 
 def kernel(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     """The dense n x n curvature kernel B, in O(n^2 m); for diagnostics only.
 
-    B = (A2 J)^T diag(g) (A2 J) + f u^T + u f^T - diag(u) with
-    g = h'^2 + h'' o c and u = s f - v: one n x n product per point, so a
-    stack of k points holds k n^2 floats.
+    B = (D diag f)^T diag(g) (D diag f) + f u^T + u f^T - diag(u) with
+    D = ``_centred_A2`` scaled by f in place: one n x n product per point,
+    so a stack of k points holds k n^2 floats.
     """
-    AJ, hp2, curv, f, v, s = _factors(state, inst)
-    u = s * f - v
-    B = np.swapaxes(AJ, -1, -2) @ ((hp2 + curv)[..., :, None] * AJ)
-    B += _outer(f, u)
-    B += _outer(u, f)
+    AJ = _centred_A2(state, inst)
+    AJ *= state.f[..., None, :]
+    g, u = _g_u(state)
+    B = np.swapaxes(AJ, -1, -2) @ (g[..., :, None] * AJ)
+    B += _outer(state.f, u)
+    B += _outer(u, state.f)
     n = inst.n
     B.reshape(B.shape[:-2] + (n * n,))[..., :: n + 1] -= u
     return B

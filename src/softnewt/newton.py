@@ -12,7 +12,7 @@ the resulting Ht from the true total Hessian is measured every iteration.
 Each iterate is evaluated once: ``solve`` computes its forward pass and
 gradient, and ``newton_step`` takes both and adds a single ``hess_L`` call,
 which gives H_tot from the m x d product G = (A2 J) A1 without forming A2 J.
-Only a sketched step forms A2 J, in its one ``kernel_diag`` call for diag(B).
+Only a sketched step forms an m x n factor of B, in its one ``kernel_diag`` call.
 The d x d system is factored by LAPACK's Cholesky (``dpotrf``/``dpotrs``, the
 routines ``scipy.linalg.cho_factor``/``cho_solve`` call) without the wrappers'
 checks.
@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .bounds import LogConstant, vector_norm
 from .derivatives import grad
 from .hessian import hess_L, kernel_diag
-from .model import EvaluationOverflowError, ModelState, ProblemInstance, eval_forward
+from .model import EvaluationOverflowError, ModelState, ProblemInstance, ShapeError, eval_forward
 from .sketch import SketchResult, subsample
 
 __all__ = [
@@ -239,9 +239,11 @@ def solve(
     divergence. Sketched mode resamples each iteration with a fresh seed
     derived from (cfg.seed, t). A forward pass that overflows, or a Hessian
     that fails its factorization, ends the run with status "error" and the
-    cause in ``error_message``.
+    cause in ``error_message``. An x0 other than a length-d vector raises ShapeError.
     """
     x = np.asarray(x0, dtype=float)
+    if x.shape != (inst.d,):
+        raise ShapeError(f"x0 must be a vector of length {inst.d}, got shape {x.shape}")
     x0_norm = vector_norm(x)
     if x0_norm > inst.R:
         warnings.warn(f"||x0|| = {x0_norm:.4g} exceeds the norm budget R = {inst.R}", stacklevel=2)

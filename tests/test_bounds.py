@@ -179,6 +179,8 @@ def test_soundness_on_random_instances():
         inst = random_instance(seed, n=max(2, seed % 6), kind=None)
         pts = random_points(inst, seed + 21000, 8, radius_frac=0.8)
         rep = probe_empirical(inst, pts)
+        # every measured quantity has its analytic constant, so each gets a tightness
+        assert set(rep.empirical) <= set(rep.analytic)
         for key in SOUND_KEYS:
             assert rep.tightness[key] <= 1.0, (seed, key, rep.tightness[key])
         psd = rep.analytic["psd_bound"]
@@ -403,7 +405,7 @@ def test_probe_stacks_its_calls(monkeypatch):
     import softnewt.bounds as bounds_mod
     from softnewt import hessian
 
-    calls = {"eval_forward": 0, "_factors": 0, "_G": 0, "eigvalsh": 0}
+    calls = {"eval_forward": 0, "_centred_A2": 0, "_G": 0, "eigvalsh": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -415,19 +417,19 @@ def test_probe_stacks_its_calls(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(bounds_mod, "eval_forward")
-    counted(hessian, "_factors")
+    counted(hessian, "_centred_A2")
     counted(hessian, "_G")
     counted(np.linalg, "eigvalsh")
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     assert rep.n_admissible == 20
-    # one stacked forward pass; per chunk of points, kernel takes one pass that forms A2 J,
-    # hess_L and g_terms one pass each that forms only G = (A2 J) A1, and the chunk's
-    # spectra one eigvalsh call (one of each per point before)
+    # one stacked forward pass; hess_L and g_terms one pass each over all points that forms
+    # only G = (A2 J) A1; per chunk of points, kernel one pass that forms the centred A2 and
+    # the chunk's spectra one eigvalsh call
     assert calls["eval_forward"] == 1
     chunks = math.ceil(20 / max(1, bounds_mod._CHUNK_BYTES // (8 * 64 * 64)))
     assert chunks < 20
-    assert calls == {"eval_forward": 1, "_factors": chunks, "_G": 2 * chunks, "eigvalsh": chunks}, calls
+    assert calls == {"eval_forward": 1, "_centred_A2": chunks, "_G": 2, "eigvalsh": chunks}, calls
 
 
 def test_spectral_bounds_cover_underflow_and_zeros():

@@ -441,3 +441,55 @@ def test_artifact_float_round_trip(inst_file):
     assert txt1 == txt2
     back = sn.instance_to_json(sn.instance_from_json(doc))
     assert np.array_equal(np.asarray(back["A1"]), np.asarray(doc["A1"]))
+
+
+@pytest.mark.parametrize("reference", [[], ["--no-reference"]])
+def test_run_stored_stack_exits_3_without_traceback(tmp_path, capsys, reference):
+    # a (2, d) stack is a valid eval_forward input but not a start point
+    inst_path = tmp_path / "v.json"
+    assert main(["gen", "--n", "8", "--m", "4", "--d", "3", "--seed", "7", "--out", str(inst_path)]) == 0
+    stack = tmp_path / "stack.json"
+    stack.write_text("[[0.01, 0.02, 0.03], [0.1, 0.1, 0.1]]")
+    capsys.readouterr()
+    rc = main(["run", "--instance", str(inst_path), "--x0", "stored", "--x0-path", str(stack),
+               "--out-dir", str(tmp_path), *reference])
+    assert rc == 3
+    # stderr holds one JSON error and nothing else
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration" and "needs 3 components" in err["message"], err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_starts_at_a_stored_x0(inst_file, tmp_path):
+    start = tmp_path / "start.json"
+    dump_path({"x0": [0.05, -0.02]}, start)
+    rc = main(["run", "--instance", inst_file, "--x0", "stored", "--x0-path", str(start), "--no-reference",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    golden = load_path(tmp_path / "report.json")["golden"]
+    assert golden["x0"] == golden["iterates"][0] == [0.05, -0.02]
+
+
+def test_run_stored_file_without_a_start_exits_3(inst_file, tmp_path, capsys):
+    start = tmp_path / "start.json"
+    dump_path({"start": [0.05, -0.02]}, start)
+    rc = main(["run", "--instance", inst_file, "--x0", "stored", "--x0-path", str(start), "--no-reference",
+               "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration" and "holds neither 'x0' nor a run report" in err["message"]
+
+
+def test_verify_failing_invariant_exits_1(inst_file, tmp_path, capsys, monkeypatch):
+    fd_gradient = cli.fd_gradient
+    monkeypatch.setattr(cli, "fd_gradient", lambda *args, **kwargs: fd_gradient(*args, **kwargs) + 1.0)
+    out = tmp_path / "margins.json"
+    rc = main(["verify", "--instance", inst_file, "--trials", "4", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] gradient_vs_finite_difference:"), captured.out
+    assert captured.err == "failing invariants: gradient_vs_finite_difference\n"
+    doc = load_path(out)
+    assert doc["all_passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["gradient_vs_finite_difference"]

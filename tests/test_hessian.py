@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import softnewt as sn
 from softnewt.derivatives import eval_p, eval_Q2
 from softnewt.hessian import (
-    B_TERM_NAMES, _factors, b_terms, g_terms, hess_f_pair, hess_L_entries, kernel, kernel_diag,
+    B_TERM_NAMES, _centred_A2, _g_u, b_terms, g_terms, hess_f_pair, hess_L_entries, kernel, kernel_diag,
 )
 from softnewt.model import DenominatorFloorWarning
 from softnewt.oracle import FdConfig, fd_hessian, spectral
@@ -298,7 +298,8 @@ def test_stacked_routes_equal_rows(case):
     stacked = evaluate(inst, X)
     points = [evaluate(inst, x) for x in X]
     routes = {
-        "_factors": lambda s: _factors(s, inst),
+        "_centred_A2": lambda s: (_centred_A2(s, inst),),
+        "_g_u": _g_u,
         "hess_L": lambda s: tuple(vars(sn.hess_L(s, inst)).values()),
         "kernel_diag": lambda s: (kernel_diag(s, inst),),
         "g_terms": lambda s: tuple(g_terms(s, inst).values()),

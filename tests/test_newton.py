@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
 from softnewt.bounds import probe_empirical
-from softnewt.model import DenominatorFloorWarning, EvaluationOverflowError
+from softnewt.model import DenominatorFloorWarning, EvaluationOverflowError, ShapeError
 from softnewt.newton import NotPositiveDefiniteError, _spd_solve
 from softnewt.oracle import spectral
 
@@ -169,17 +169,17 @@ def test_non_finite_hessian_ends_as_error_report(s1_instance):
 def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch, mode):
     # a solve of k steps evaluates the gradient once per iterate (k + 1): the
     # step takes its gradient from solve. hess_L gives H_tot from G = (A2 J) A1
-    # without the kernel factors, so an exact solve never forms A2 J, and a
-    # sketched one forms it once per step (k), in its one kernel_diag call. The
+    # without the kernel factor, so an exact solve never forms the centred A2,
+    # and a sketched one forms it once per step (k), in its one kernel_diag call. The
     # gradient reads q2 from the forward pass, so neither P nor Q2 is built.
     # The ridge Gram A1^T diag(w^2) A1 is formed once per instance
     import softnewt.derivatives as derivatives_mod
     import softnewt.hessian as hessian_mod
     import softnewt.newton as newton_mod
 
-    calls = {"grad": 0, "_factors": 0, "kernel_diag": 0, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 0}
+    calls = {"grad": 0, "_centred_A2": 0, "kernel_diag": 0, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 0}
     for mod, name in (
-        (newton_mod, "grad"), (hessian_mod, "_factors"), (newton_mod, "kernel_diag"), (derivatives_mod, "eval_p"),
+        (newton_mod, "grad"), (hessian_mod, "_centred_A2"), (newton_mod, "kernel_diag"), (derivatives_mod, "eval_p"),
         (derivatives_mod, "eval_Q2"),
     ):
         def counted(*args, _fn=getattr(mod, name), _name=name):
@@ -203,7 +203,7 @@ def test_one_evaluation_per_iterate(s1_instance, s1_reference, monkeypatch, mode
     assert rep.status == "converged" and k >= 2
     per_step = k if mode == "sketched" else 0
     assert calls == {
-        "grad": k + 1, "_factors": per_step, "kernel_diag": per_step, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 1,
+        "grad": k + 1, "_centred_A2": per_step, "kernel_diag": per_step, "eval_p": 0, "eval_Q2": 0, "ridge_gram": 1,
     }
     # the cached Gram gives the H_tot that forming it in place gave, bit for bit
     hb = sn.hess_L(sn.eval_forward(inst, rep.final_x), inst)
@@ -397,6 +397,32 @@ def test_exact_step_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * max(m, d) * n * 8, peak
+
+
+def test_sketched_step_memory_is_linear_in_n():
+    # one sketched step at n = 2e4 draws 5752 rows; diag(B) squares the centred A2 in place,
+    # one m x n array, so the step's peak stays within 1.5 max(m, d) n floats
+    n, m, d = 20_000, 16, 8
+    inst, _ = sn.gen_instance(n, m, d, "tanh", 1, noise=0.05)
+    x = 0.3 * np.random.default_rng(1).standard_normal(d)
+    state = sn.eval_forward(inst, x)
+    grad_tot = sn.grad(state, inst).grad_tot
+    inst.ridge_gram  # formed once per instance, not per step
+    tracemalloc.start()
+    try:
+        _, diag = sn.newton_step(inst, state, grad_tot, sn.NewtonConfig(mode="sketched", eps0=0.45))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not diag.sketch.exact and diag.sketch.num_draws == 5752
+    assert peak <= 1.5 * max(m, d) * n * 8, peak
+
+
+def test_solve_rejects_an_x0_that_is_not_a_vector(s1_instance):
+    d = s1_instance.d
+    for x0 in (np.zeros((2, d)), np.zeros(d + 1), np.float64(0.0)):
+        with pytest.raises(ShapeError, match=f"length {d}"):
+            sn.solve(s1_instance, x0, exact_cfg())
 
 
 def cho_reference(H, rhs, what):

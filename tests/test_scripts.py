@@ -63,6 +63,19 @@ def test_scale_sweep_smoke(tmp_path):
         assert s["runs"] == 1 and s["rel_min"] == s["rel_median"] == s["rel_max"] == row["rel"]
 
 
+def test_scale_sweep_solves_start_inside_the_norm_budget():
+    # the solve rows at d = 64 start at a point whose norm is below R, so solve does not warn
+    code = (
+        "import sys, warnings; sys.path.insert(0, sys.argv[1]); import scale_sweep; "
+        "sn = scale_sweep.import_softnewt(); calls = scale_sweep.layers(sn, 128, 16, 64); "
+        "warnings.simplefilter('error'); calls['solve_exact'](); calls['solve_sketched']()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SCRIPT.parent)], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
 
