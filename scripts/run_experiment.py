@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end contraction experiment.
 
-Generates a ridge-recipe instance, locates the reference optimum with exact
-Newton, starts both solvers from a basin-certified point, and prints the
+Generates a ridge-recipe instance, locates the reference optimum with damped
+exact Newton, starts both solvers from a basin-certified point, and prints the
 per-iteration contraction table plus the bound-tightness summary. Artifacts
 (instance, reports, bounds) land in --out-dir.
 
@@ -22,6 +22,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import softnewt as sn
 from softnewt.bounds import probe_empirical
+from softnewt.cli import _reference_optimum
+from softnewt.model import _rng
 from softnewt.oracle import spectral
 from softnewt.serialize import dump_path
 
@@ -45,22 +47,17 @@ def main() -> int:
     print(f"instance: n={inst.n} m={inst.m} d={inst.d} {inst.activation.kind} "
           f"R_h={inst.R_h:.3f} w_0={inst.w[0]:.2f}")
 
-    ref_cfg = sn.NewtonConfig(mode="exact", eps=1e-13, stationarity_tol=1e-13,
-                              max_iters=200, strict=False)
-    ref = sn.solve(inst, np.zeros(inst.d), ref_cfg)
-    assert ref.status == "converged", ref.status
-    x_ref = ref.final_x
+    x_ref = _reference_optimum(inst)
     l = spectral(sn.hess_L(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
 
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     pts = [x_ref + 0.15 * inst.R * rng.standard_normal(inst.d) for _ in range(10)]
     rep_bounds = probe_empirical(inst, pts)
     M_emp = rep_bounds.M_empirical
     r0 = min(0.05 * l / max(M_emp, 1e-12), 0.1 * inst.R)
     direction = rng.standard_normal(inst.d)
     x0 = x_ref + r0 * direction / np.linalg.norm(direction)
-    print(f"reference optimum after {ref.n_iters} exact iterations; "
-          f"l = {l:.3f}, empirical M = {M_emp:.3f}, r0 = {r0:.3e}")
+    print(f"reference optimum: l = {l:.3f}, empirical M = {M_emp:.3f}, r0 = {r0:.3e}")
     print(f"basin certificate (empirical M): {sn.basin_check(x0, x_ref, M=M_emp, l=l)}; "
           f"(analytic M): {sn.basin_check(x0, x_ref, M=rep_bounds.M, l=l)}")
 

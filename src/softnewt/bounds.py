@@ -8,11 +8,10 @@ formed by subtracting logs.
 The empirical probe evaluates the points in one stacked forward pass and
 each measured quantity in one stacked call (see the stack contract in
 ``hessian``), so every stack is built once over the admissible points. Norm
-maxima come from the stacks; each Lipschitz ratio compares every pair of
-points, in chunks of pairs whose differences take at most ``_CHUNK_BYTES``.
-A matrix quantity keeps only a Frobenius bound per pair and takes the
-spectral norm only of the pairs whose bound can still set the maximum, so the
-probe never holds all pair differences at once.
+maxima come from the stacks. Every Lipschitz ratio takes one screened pass:
+each pair gets an upper bound per key, in chunks of pairs whose differences
+take at most ``_CHUNK_BYTES``, and only the pairs whose bound can still set
+the maximum are measured, so the probe never holds all differences at once.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ _LN10 = math.log(10.0)
 
 NORM_KEYS = ("f", "c", "Q2", "q2", "p")
 
-# pairs per spectral-norm call in the screened Lipschitz pass
+# pairs measured per _max_norm call in the screened Lipschitz pass
 _SVD_BATCH = 8
 
 # bytes of pair differences, or of stacked n x n kernels, that the probe holds at once
@@ -269,11 +268,11 @@ def _chunks(count: int, item_bytes: int) -> list[slice]:
 
 
 def _pair_diffs(S: np.ndarray, first: np.ndarray, last: np.ndarray):
-    """(chunk, S[first] - S[last] over the chunk) for chunks of pairs under ``_CHUNK_BYTES``."""
+    """S[first] - S[last], in chunks of pairs under ``_CHUNK_BYTES``."""
     for c in _chunks(len(first), S[0].nbytes):
         D = S[first[c]]
         D -= S[last[c]]  # in place: two chunk-sized arrays live at once, not three
-        yield c, D
+        yield D
 
 
 def _norms(key: str, D: np.ndarray) -> np.ndarray:
@@ -314,6 +313,13 @@ def _spectral_bounds(D: np.ndarray) -> np.ndarray:
     return ub
 
 
+def _bounds(key: str, D: np.ndarray) -> np.ndarray:
+    """An upper bound on each ``_norms(key, D)``: the norm itself where it takes no SVD."""
+    if D.ndim == 3 and key != "lip_p":
+        return _spectral_bounds(D)
+    return _norms(key, D)
+
+
 def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     """Measure every bounded quantity at the admissible probe points.
 
@@ -325,14 +331,12 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     quantity in one stacked call over all of them. Only the dense kernels
     (n^2 floats per point) are chunked: a chunk takes at most
     ``_CHUNK_BYTES``, or one point, and its spectra one batched ``eigvalsh``
-    call. The norm maxima are read from the stacks, and each Lipschitz ratio
-    compares every pair of distinct points, in pair order (i, j > i), in
-    chunks whose differences take at most ``_CHUNK_BYTES``. A matrix quantity
-    screens its pairs with the Frobenius bound on the spectral norm and takes
-    the spectral norm only of pairs, in descending bound order, whose bound
-    exceeds the maximum so far. Memory holds the stacks (linear in the
-    points), one chunk of differences, and a few scalars per pair: its
-    indices, its distance and a bound per matrix quantity.
+    call. The norm maxima are read from the stacks. Each Lipschitz ratio
+    takes one screened pass over the pairs of distinct points: each pair gets
+    the bound ``_bounds(key, D) / ||x_i - x_j||``, and the pairs are measured
+    ``_SVD_BATCH`` at a time in descending bound order until no bound exceeds
+    the maximum so far. Memory holds the stacks (linear in the points), one
+    chunk of differences, and per pair its indices, distance and bound.
     """
     states, excluded = _admissible_states(inst, np.asarray(sample_points, dtype=float))
     X = states.x
@@ -366,30 +370,22 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     with np.errstate(over="ignore"):
         emp = {f"norm_{k}": _max_norm(f"lip_{k}", stacks[f"lip_{k}"], 1.0) for k in NORM_KEYS}
         emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
-        # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points;
-        # a matrix key keeps each pair's bound ||D||_F / dx for the screened pass below
+        # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points
         emp.update(dict.fromkeys(stacks, 0.0))
         first, last = np.triu_indices(len(X), 1)
-        dx = np.concatenate([_norms("x", D) for _, D in _pair_diffs(X, first, last)])
+        dx = np.concatenate([_norms("x", D) for D in _pair_diffs(X, first, last)])
         apart = dx != 0.0
         first, last, dx = first[apart], last[apart], dx[apart]
-        screened = {}
         for key, S in stacks.items():
-            if S.ndim == 3 and key != "lip_p":
-                screened[key] = np.concatenate([_spectral_bounds(D) for _, D in _pair_diffs(S, first, last)]) / dx
-            else:
-                for c, D in _pair_diffs(S, first, last):
-                    emp[key] = max(emp[key], _max_norm(key, D, dx[c]))
-    for key, ub in screened.items():
-        order = np.argsort(-ub)
-        S = stacks[key]
-        for start in range(0, len(order), _SVD_BATCH):
-            batch = order[start : start + _SVD_BATCH]
-            batch = batch[ub[batch] > emp[key]]
-            if not len(batch):
-                break
-            ratio = float(np.max(_norms(key, S[first[batch]] - S[last[batch]]) / dx[batch]))
-            emp[key] = max(emp[key], ratio)
+            # measure the pairs in descending bound order until no bound can raise the maximum
+            ub = np.concatenate([_bounds(key, D) for D in _pair_diffs(S, first, last)]) / dx
+            order = np.argsort(-ub)
+            for start in range(0, len(order), _SVD_BATCH):
+                batch = order[start : start + _SVD_BATCH]
+                batch = batch[ub[batch] > emp[key]]
+                if not len(batch):
+                    break
+                emp[key] = max(emp[key], _max_norm(key, S[first[batch]] - S[last[batch]], dx[batch]))
 
     report.empirical = emp
     report.tightness = {k: report.analytic[k].tightness(v) for k, v in emp.items()}

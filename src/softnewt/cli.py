@@ -1,13 +1,15 @@
 """Command-line harness: gen, run, verify, bounds.
 
 Exit codes: 0 success/converged, 1 verification failure, 2 non-converged run
-(max_iters, diverged, or runtime error), 3 configuration error.
+(max_iters, diverged, or runtime error) or a runtime error in verify or bounds,
+3 configuration error, a usage error on the command line included.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import math
 import sys
@@ -184,15 +186,7 @@ def cmd_run(args) -> int:
             "instance_path": args.instance,
             "x0": x0,
             "x_ref": x_ref,
-            "config": {
-                "mode": cfg.mode,
-                "eps": cfg.eps,
-                "delta": cfg.delta,
-                "eps0": cfg.eps0,
-                "max_iters": cfg.max_iters,
-                "seed": cfg.seed,
-                "stationarity_tol": cfg.stationarity_tol,
-            },
+            "config": dataclasses.asdict(cfg),
             **report.golden_json(),
         },
         "timing": {
@@ -220,9 +214,7 @@ def cmd_run(args) -> int:
         tdoc = {
             "schema_version": SCHEMA_VERSION,
             "x": report.final_x,
-            "frobenius_norms": {
-                name: float(np.linalg.norm(t)) for name, t in zip(B_TERM_NAMES, terms)
-            },
+            "frobenius_norms": {name: bounds_mod.vector_norm(t) for name, t in zip(B_TERM_NAMES, terms)},
         }
         dump_path(tdoc, outdir / "b_terms.json")
     print(f"status={report.status} iters={report.n_iters} grad={report.final_grad_norm:.3e}")
@@ -355,8 +347,15 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="softnewt", description=__doc__)
+    p = _Parser(prog="softnewt", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a random problem instance")
@@ -422,8 +421,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(dumps({"error": "configuration", "message": str(exc)}), file=sys.stderr)

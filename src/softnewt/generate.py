@@ -72,7 +72,8 @@ def gen_instance(
     b = hval + noise * rng.standard_normal(m)
 
     if w is None:
-        sigma_min = float(np.linalg.svd(A1, compute_uv=False)[-1])
+        # the d-th singular value, which an n x d matrix with n < d lacks: it is 0
+        sigma_min = float(np.linalg.svd(A1, compute_uv=False)[-1]) if n >= d else 0.0
         R_h = activation_bound(activation, float(np.linalg.norm(A2, 2)), m)
         w2 = ridge_recipe(r_target, R_h, L_H, sigma_min, l_target)
         w = np.full(n, math.sqrt(w2))

@@ -401,6 +401,27 @@ def test_screened_probe_measures_few_spectral_norms(monkeypatch):
     assert sum(measured) - 20 < 8 * 190 / 4, sum(measured)
 
 
+def test_every_lipschitz_key_is_screened(monkeypatch):
+    import softnewt.bounds as bounds_mod
+
+    measured = {}
+    max_norm = bounds_mod._max_norm
+
+    def counting(key, D, dx):
+        if np.ndim(dx):  # a pair batch; the norm maxima pass dx = 1.0
+            measured[key] = measured.get(key, 0) + len(D)
+        return max_norm(key, D, dx)
+
+    monkeypatch.setattr(bounds_mod, "_max_norm", counting)
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
+    rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
+    lip_keys = [k for k in rep.empirical if k == "M" or k.startswith("lip_")]
+    assert len(lip_keys) == 16
+    # every key is measured through the one screened pass, on fewer than half of its 190 pairs
+    assert sorted(measured) == sorted(lip_keys)
+    assert all(0 < count < 190 / 2 for count in measured.values()), measured
+
+
 def test_probe_stacks_its_calls(monkeypatch):
     import softnewt.bounds as bounds_mod
     from softnewt import hessian

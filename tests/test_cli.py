@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import ALL_KINDS
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import softnewt as sn
 from softnewt import cli, hessian, sketch
@@ -64,6 +69,125 @@ def test_gen_single_coordinate():
                      "--seed", "0", "--out", out]) == 0
         inst = sn.instance_from_json(load_path(out))
         np.testing.assert_allclose(sn.eval_forward(inst, np.array([0.3])).f, [1.0])
+
+
+def test_gen_rejects_fewer_rows_than_columns_under_the_recipe(tmp_path, capsys):
+    # n < d: A1 has only n singular values, and its d-th is 0, so the recipe has no floor
+    with pytest.raises(ValueError, match="full column rank"):
+        sn.gen_instance(2, 2, 3, "tanh", 1)
+    out = tmp_path / "nd.json"
+    assert main(["gen", "--n", "2", "--m", "2", "--d", "3", "--seed", "1", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "configuration" and "need n >= d" in err["message"]
+    assert not out.exists()
+    # given ridge weights skip the recipe
+    assert main(["gen", "--n", "2", "--m", "2", "--d", "3", "--seed", "1", "--w", "1,1", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["run"],  # a missing required option
+    ["run", "--instance", "inst.json", "--mode", "fast"],
+    ["gen", "--n", "abc", "--m", "2", "--d", "2", "--out", "x.json"],
+    ["run", "--instance", "inst.json", "--x0", "values", "--x0-values", "-1,2"],
+    ["bounds", "--instance", "inst.json", "--bogus"],
+])
+def test_usage_errors_exit_3_with_one_json_error(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "configuration" and err["message"].startswith("softnewt"), err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: softnewt")
+
+
+def test_run_report_records_every_solver_option(inst_file, tmp_path):
+    out = tmp_path / "damped"
+    assert main(["run", "--instance", inst_file, "--damping", "--no-strict", "--eps", "0.5", "--no-reference",
+                 "--out-dir", str(out)]) == 0
+    config = load_path(out / "report.json")["golden"]["config"]
+    assert config == {"mode": "exact", "eps": 0.5, "delta": 0.05, "eps0": 0.01, "max_iters": 200, "seed": 0,
+                      "stationarity_tol": 1e-10, "damping": True, "strict": False}
+
+
+def test_run_bterms_norms_past_the_square_overflow(tmp_path, capsys):
+    # noise 1e200 puts kernel entries past 1e154: their Frobenius norms are finite, their squares are not
+    inst = tmp_path / "r.json"
+    assert main(["gen", "--n", "9", "--m", "3", "--d", "2", "--seed", "353", "--noise", "1e200",
+                 "--out", str(inst)]) == 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--instance", str(inst), "--no-reference", "--max-iters", "0", "--emit", "bterms_json",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    norms = load_path(out / "b_terms.json")["frobenius_norms"]
+    assert all(math.isfinite(v) for v in norms.values()), norms
+    assert max(norms.values()) > 1e154
+
+
+def _not_json(inst_file, tmp_path):
+    path = tmp_path / "garbled.json"
+    path.write_text("{not json")
+    return ["run", "--instance", str(path)]
+
+
+def _argv(command, edit=None, *extra):
+    """argv for ``command`` on the instance file, or on a copy of it that ``edit`` changes in place."""
+    def build(inst_file, tmp_path):
+        path = inst_file
+        if edit is not None:
+            doc = load_path(inst_file)
+            edit(doc)
+            path = str(tmp_path / "edited.json")
+            dump_path(doc, path)
+        return [command, "--instance", path, *(inst_file if a == "{inst}" else a for a in extra)]
+    return build
+
+
+# name: (argv from the instance file and a scratch directory, error kind, a fragment of the message)
+FAILURE_PATHS = {
+    "instance not JSON": (_not_json, "configuration", "bad instance file"),
+    "instance without A1": (_argv("run", lambda d: d.pop("A1")), "configuration", "'A1'"),
+    "A1 a vector": (_argv("run", lambda d: d.update(A1=[1.0, 2.0])), "configuration", "must be matrices"),
+    "b of the wrong length": (_argv("bounds", lambda d: d.update(b=d["b"][:-1])), "configuration",
+                              "b must have length 3"),
+    "w of the wrong length": (_argv("verify", lambda d: d.update(w=d["w"] + [1.0])), "configuration",
+                              "w must have length 5"),
+    "R zero": (_argv("run", lambda d: d.update(R=0.0)), "configuration", "R must be positive"),
+    "declared n disagrees": (_argv("run", lambda d: d.update(n=6)), "configuration", "declared n=6 disagrees"),
+    "x0 values without values": (_argv("run", None, "--x0", "values"), "configuration", "requires --x0-values"),
+    "x0 stored without a path": (_argv("run", None, "--x0", "stored"), "configuration", "requires --x0-path"),
+    "out-dir an existing file": (_argv("run", None, "--out-dir", "{inst}"), "configuration",
+                                 "cannot create output dir"),
+    "gen into a missing directory": (
+        lambda f, t: ["gen", "--n", "3", "--m", "2", "--d", "2", "--out", str(t / "missing" / "inst.json")],
+        "io", "No such file or directory"),
+    "negative eps": (_argv("run", None, "--eps", "-1", "--no-strict"), "configuration", "eps must be positive"),
+    "negative max-iters": (_argv("run", None, "--max-iters", "-1"), "configuration", "max_iters nonnegative"),
+}
+
+
+@pytest.mark.parametrize("name", FAILURE_PATHS)
+def test_failure_paths_exit_3_with_one_json_error(name, inst_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a run that got past its checks would write here
+    build, kind, fragment = FAILURE_PATHS[name]
+    argv = build(inst_file, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == kind and fragment in err["message"], err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_exact_and_stored_optimum(inst_file, tmp_path):
@@ -171,14 +295,12 @@ def test_main_builds_the_parser_once(inst_file, monkeypatch, capsys):
         outputs = []
         for _ in range(2):
             assert main(["bounds", "--instance", inst_file, "--probes", "3"]) == 0
-            with pytest.raises(SystemExit) as exc:
-                main(["run", "--mode", "newton"])  # argparse's own usage error
-            assert exc.value.code == 2
+            assert main(["run", "--mode", "newton"]) == 3  # a usage error is a configuration error
             outputs.append(capsys.readouterr())
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
-    assert outputs[0] == outputs[1] and "invalid choice: 'newton'" in outputs[0].err
+    assert outputs[0] == outputs[1] and "invalid choice: 'newton'" in json.loads(outputs[0].err)["message"]
 
 
 def test_bounds_with_overflowing_constants(tmp_path, capsys):
@@ -493,3 +615,89 @@ def test_verify_failing_invariant_exits_1(inst_file, tmp_path, capsys, monkeypat
     doc = load_path(out)
     assert doc["all_passed"] is False
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["gradient_vs_finite_difference"]
+
+
+# exit codes the README documents for each command
+DOCUMENTED_EXITS = {"gen": {0, 3}, "run": {0, 2, 3}, "verify": {0, 1, 2, 3}, "bounds": {0, 2, 3}}
+
+
+def _csv(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+@st.composite
+def cli_sessions(draw):
+    """A ``gen`` command line, then one of ``run``, ``verify --trials 3`` or ``bounds --probes 5`` on its output."""
+    n, m, d = draw(st.integers(1, 16)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    gen = ["gen", "--n", str(n), "--m", str(m), "--d", str(d), "--activation", draw(st.sampled_from(ALL_KINDS)),
+           "--seed", str(draw(st.integers(0, 999)))]
+    options = {
+        "--w": st.lists(st.sampled_from([0.0, 1e-3, 1.0, 5.0, 1e100, 1e160]), min_size=n, max_size=n).map(_csv),
+        "--noise": st.sampled_from(["0.1", "1e50", "1e200"]),
+        "--r-target": st.sampled_from(["1e-8", "0.5", "1e3"]),
+        "--beta": st.sampled_from(["1e-300", "1e-3", "0.1"]),
+        "--l-target": st.sampled_from(["1e-3", "1", "1e300"]),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        gen += [f"{name}={draw(options[name])}"]
+    command = draw(st.sampled_from(["run", "verify", "bounds"]))
+    seed = ["--seed", str(draw(st.integers(0, 999)))]
+    if command == "verify":
+        return gen, ["verify", "--trials", "3", *seed]
+    if command == "bounds":
+        return gen, ["bounds", "--probes", "5", *seed]
+    run = ["run", "--mode", draw(st.sampled_from(["exact", "sketched"])), "--eps0", "0.45",
+           "--max-iters", draw(st.sampled_from(["0", "5", "50"])), *seed,
+           "--emit", ",".join(draw(st.lists(st.sampled_from(cli.EMIT_NAMES), min_size=1, unique=True)))]
+    x0 = draw(st.sampled_from(["zero", "gaussian", "values"]))
+    run += ["--x0", x0]
+    if x0 == "gaussian":
+        run += ["--x0-scale", draw(st.sampled_from(["0.1", "1", "1e3", "1e200"]))]
+    elif x0 == "values":
+        entries = st.sampled_from([0.0, 0.3, -1.0, 1e3, -1e154, 1e200, 1e308, -1e308])
+        run += [f"--x0-values={_csv(draw(st.lists(entries, min_size=d, max_size=d)))}"]
+    if draw(st.booleans()):
+        run += ["--damping", "--no-strict"]
+    if draw(st.booleans()):
+        run += ["--no-reference"]
+    if draw(st.booleans()):
+        run += ["--l-estimate", draw(st.sampled_from(["0", "1", "1e300"]))]
+    return gen, run
+
+
+def _session(argv, capsys):
+    """(exit code, stdout, stderr, RuntimeWarning messages) of one ``main`` call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _assert_contract(command, rc, out, err, runtime_warnings):
+    assert rc in DOCUMENTED_EXITS[command], (rc, out, err)
+    assert runtime_warnings == []
+    if rc == 0:
+        return
+    if command == "run" and rc == 2 and err == "":
+        assert out.startswith("status="), out  # a run that ended without converging writes its report
+    elif command == "verify" and rc == 1:
+        assert err.startswith("failing invariants: ") and "[FAIL]" in out, (out, err)
+    else:
+        doc = json.loads(err)  # one JSON error, nothing else
+        assert set(doc) == {"error", "message"} and doc["error"] in {"configuration", "io", "runtime"}, doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(session=cli_sessions())
+def test_cli_sessions_end_as_documented(session, capsys):
+    gen, follow = session
+    with tempfile.TemporaryDirectory() as td:
+        inst = os.path.join(td, "inst.json")
+        capsys.readouterr()
+        outcome = _session([*gen, "--out", inst], capsys)
+        _assert_contract("gen", *outcome)
+        if outcome[0] != 0:
+            return
+        outdir = ["--out-dir", os.path.join(td, "out")] if follow[0] == "run" else []
+        _assert_contract(follow[0], *_session([*follow, "--instance", inst, *outdir], capsys))
