@@ -41,7 +41,7 @@ import numpy as np  # noqa: E402
 from reference import gemm_loop  # noqa: E402
 
 # (n, m, d)
-SHAPES = ((64, 16, 8), (1600, 16, 8), (100_000, 16, 8), (100_000, 16, 64), (1_000_000, 16, 8))
+SHAPES = ((64, 16, 8), (1600, 16, 8), (10_000, 16, 8), (100_000, 16, 8), (100_000, 16, 64), (1_000_000, 16, 8))
 # the layers that form dense n x n kernels, and the per-entry Hessian oracle, run only up to this n
 DENSE_LAYERS = ("kernel+spectral", "hess_L_entries", "probe_empirical")
 DENSE_MAX_N = 1600
@@ -84,7 +84,10 @@ def layers(sn, n: int, m: int, d: int) -> dict:
     """Each layer's call at one shape, on a seeded instance, start point and probe set.
 
     The start point is a seeded Gaussian scaled by 0.3 sqrt(8 / d), so its
-    norm stays near 0.85 at every d.
+    norm stays near 0.85 at every d. ``exact_step`` and ``sketched_step`` each
+    take one ``newton_step`` from it, so a row pair reads the per-iteration
+    cost of the two modes; the sketched step draws fewer rows than n from
+    n = 10^4 up and takes the exact fallback below.
 
     ``DENSE_LAYERS`` are left out above ``DENSE_MAX_N``.
     """
@@ -115,6 +118,8 @@ def layers(sn, n: int, m: int, d: int) -> dict:
         "subsample": lambda: sketch.subsample(inst.A1, dw, 0.3, 0.1, seed=1, num_draws=draws),
         "verify_sandwich": lambda: sketch.verify_sandwich(inst.A1, dw, sk),
         "cholesky_solve": lambda: newton._spd_solve(hb.H_tot, g, "H_tot"),
+        "exact_step": lambda: sn.newton_step(inst, st, g, exact),
+        "sketched_step": lambda: sn.newton_step(inst, st, g, sketched),
         "probe_empirical": lambda: sn.probe_empirical(inst, probes),
         "solve_exact": lambda: sn.solve(inst, x0, exact),
         "solve_sketched": lambda: sn.solve(inst, x0, sketched),

@@ -7,7 +7,10 @@ fixed point is a stationary point of the objective the Hessian belongs to.
 Sketched mode subsamples the positive diagonal surrogate
 D' = diag_part(B(x_t)) + w o w (the subsampling contract requires a positive
 diagonal, which the full kernel is not); the end-to-end spectral deviation of
-the resulting Ht from the true total Hessian is measured every iteration.
+the resulting Ht from the true total Hessian is measured every iteration,
+from the generalized spectrum of the pair (Ht, H_tot) read by LAPACK
+``dsygvd`` directly (``sketch._generalized_eigvals``, bitwise the values of
+``scipy.linalg.eigh(Ht, H_tot, eigvals_only=True)``).
 
 Each iterate is evaluated once: ``solve`` computes its forward pass and
 gradient, and ``newton_step`` takes both and adds a single ``hess_L`` call,
@@ -26,14 +29,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .bounds import LogConstant, vector_norm
 from .derivatives import grad
 from .hessian import hess_L, kernel_diag
 from .model import EvaluationOverflowError, ModelState, ProblemInstance, ShapeError, eval_forward
-from .sketch import SketchResult, subsample
+from .sketch import SketchResult, _generalized_eigvals, subsample
 
 __all__ = [
     "NewtonConfig",
@@ -164,7 +166,7 @@ def newton_step(
         )
         H = inst.A1.T @ (sketch.dtilde[:, None] * inst.A1)
         try:
-            gen = scipy.linalg.eigh(0.5 * (H + H.T), 0.5 * (hb.H_tot + hb.H_tot.T), eigvals_only=True)
+            gen = _generalized_eigvals(0.5 * (H + H.T), 0.5 * (hb.H_tot + hb.H_tot.T))
             eps_e2e = float(np.max(np.abs(gen - 1.0)))
         except np.linalg.LinAlgError:
             eps_e2e = math.inf

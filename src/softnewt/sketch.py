@@ -7,8 +7,11 @@ diagonal Dt with
 
 with probability >= 1 - delta, by sampling rows with replacement proportionally
 to their leverage scores (mixed with a uniform floor to cap the variance of
-near-zero-leverage rows). Exact leverage scores are used; desk scale permits a
-full orthogonal factorization.
+near-zero-leverage rows). The leverage scores are exact up to rounding: they
+come from a pivoted Cholesky factor of the d x d Gram matrix, so no n x d
+orthogonal factor is formed. The generalized spectrum that measures the
+deviation is read by LAPACK ``dsygvd`` directly, in ``_generalized_eigvals``,
+which ``newton`` also uses.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpstrf, dsygvd, dtrtrs
 
 from .model import _rng
 from .serialize import SCHEMA_VERSION
@@ -60,11 +63,21 @@ class SketchResult:
 
 
 def leverage_scores(A: np.ndarray, dweights: np.ndarray) -> np.ndarray:
-    """Row leverage scores of diag(sqrt(dweights)) @ A.
+    """Row leverage scores of M = diag(sqrt(dweights)) @ A: squared row norms of an orthonormal basis of its range.
 
-    tau_i is the squared row norm of an orthonormal column basis; rank
-    deficiency is handled by truncating singular values below 1e-12 times the
-    largest. Sum of scores equals the rank; each lies in [0, 1].
+    M is divided by max|M|, which leaves tau unchanged and keeps the Gram
+    M^T M from overflowing or underflowing. LAPACK's pivoted Cholesky
+    ``dpstrf`` factors P^T M^T M P = L L^T and stops at its default
+    tolerance, d u max_j (M^T M)_jj (u the unit roundoff): a column whose
+    part outside the span of the earlier pivots is below about sqrt(d u) of
+    the largest counts as dependent, and the factor's rank r is the
+    numerical rank. tau is read from one n x r product M K, K holding L11^-T
+    (``dtrtrs``) on the pivot rows and zeros elsewhere. It agrees with an
+    SVD's scores within a multiple of kappa(M)^2 u; the scores sum to r and
+    lie in [0, 1] up to rounding.
+
+    An error in tau cannot bias a sketch: ``subsample`` divides each draw's
+    weight by the probability it draws with, so tau moves only the variance.
     """
     A = np.asarray(A, dtype=float)
     dweights = np.asarray(dweights, dtype=float)
@@ -72,12 +85,19 @@ def leverage_scores(A: np.ndarray, dweights: np.ndarray) -> np.ndarray:
         raise ValueError("dweights must be strictly positive")
     if A.ndim != 2 or dweights.shape != (A.shape[0],):
         raise ValueError("A must be n x d with dweights of length n")
+    n, d = A.shape
     M = np.sqrt(dweights)[:, None] * A
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(A.shape[0])
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    return np.einsum("ij,ij->i", U[:, :rank], U[:, :rank])
+    scale = max(M.max(initial=0.0), -M.min(initial=0.0))
+    if not np.isfinite(scale):
+        raise ValueError("A and dweights must be finite")
+    if scale == 0.0:
+        return np.zeros(n)
+    M /= scale
+    L, piv, r, _ = dpstrf(M.T @ M, lower=1)
+    K = np.zeros((d, r))
+    K[piv[:r] - 1] = dtrtrs(L[:r, :r], np.eye(r), lower=1)[0].T
+    Q = M @ K
+    return np.einsum("ij,ij->i", Q, Q)
 
 
 def sample_count(n: int, d: int, eps0: float, delta: float) -> int:
@@ -126,10 +146,7 @@ def subsample(
     tau = leverage_scores(A, dweights)
     p = np.maximum(tau, d / n)
     p = p / p.sum()
-    rng = _rng(seed)
-    draws = rng.choice(n, size=s, replace=True, p=p)
-    dtilde = np.zeros(n)
-    np.add.at(dtilde, draws, dweights[draws] / (s * p[draws]))
+    draws, dtilde = _draw(dweights, p, s, seed)
     return SketchResult(
         kept_indices=draws,
         dtilde=dtilde,
@@ -139,6 +156,20 @@ def subsample(
         exact=False,
         num_draws=s,
     )
+
+
+def _draw(dweights: np.ndarray, p: np.ndarray, s: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """s rows drawn with replacement from the distribution p, and the sum of dweights_i / (s p_i) per row.
+
+    The draws are bitwise ``_rng(seed).choice(p.size, size=s, replace=True,
+    p=p)``: the same float operations (numpy 2.4) without choice's
+    validation passes over a p that ``subsample`` has just built. ``bincount``
+    sums each row's weights in draw order, as ``np.add.at`` does.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(_rng(seed).random(s), side="right")
+    return draws, np.bincount(draws, weights=dweights[draws] / (s * p[draws]), minlength=p.size)
 
 
 def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -> float:
@@ -162,7 +193,23 @@ def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -
     if vals.size == 0:
         eps = 0.0
     else:
-        gen = scipy.linalg.eigh(0.5 * (Ht + Ht.T), H, eigvals_only=True)
+        gen = _generalized_eigvals(0.5 * (Ht + Ht.T), H)
         eps = float(np.max(np.abs(gen - 1.0)))
     result.eps_measured = eps
     return eps
+
+
+def _generalized_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a v = lambda b v, bitwise ``scipy.linalg.eigh(a, b, eigvals_only=True)``.
+
+    The wrapper's default route, LAPACK ``dsygvd`` with itype 1 on the lower
+    triangles, without its layers, and its outcome for every float64 square
+    pair it rejects: ValueError for a non-finite entry, LinAlgError when
+    LAPACK reports failure (b not positive definite, or no convergence).
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    w, _, info = dsygvd(a, b, jobz="N", uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
+    return w

@@ -125,6 +125,21 @@ def test_non_positive_definite_error_carries_lambda_min():
     assert "positive definite" in rep.error_message
 
 
+def test_sketched_step_reports_infinite_deviation_when_H_tot_is_indefinite():
+    # at x = 3 the total Hessian is indefinite (-1.3e-4) while diag(B) + w^2 is
+    # positive (1.7e-4 per row), so the sketched Hessian factors and the step is
+    # taken; the generalized spectrum against H_tot does not exist
+    inst = sn.ProblemInstance(
+        A1=np.array([[1.0], [-1.0]]), A2=np.array([[1.0, 0.0]]), b=np.array([0.9]),
+        w=np.full(2, 0.02), activation=sn.Activation("identity"), R=4.0,
+    )
+    state = sn.eval_forward(inst, np.array([3.0]))
+    assert sn.hess_L(state, inst).H_tot[0, 0] < 0.0
+    x_next, diag = step_at(inst, np.array([3.0]), exact_cfg(mode="sketched"))
+    assert diag.sketch.exact and np.all(diag.sketch.dtilde > 0.0)
+    assert diag.eps_end_to_end == math.inf and np.all(np.isfinite(x_next))
+
+
 def test_overflow_ends_as_error_report(s1_instance, monkeypatch):
     # a start whose exp(A1 x) leaves float64 ends the run, naming the coordinate
     row = s1_instance.A1[1]

@@ -1,14 +1,39 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
+from softnewt.model import _rng
 from softnewt.sketch import (
     SAMPLING_CONSTANT,
+    _draw,
+    _generalized_eigvals,
     leverage_scores,
     sample_count,
     subsample,
     verify_sandwich,
 )
+
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def svd_leverage(A, dweights):
+    """Leverage scores from a thin SVD of diag(sqrt(dweights)) A, cut at 1e-12 of the largest singular value.
+
+    The route ``leverage_scores`` took before its pivoted Cholesky, kept as
+    its oracle; also returns the singular values.
+    """
+    M = np.sqrt(dweights)[:, None] * A
+    Uf, s, _ = np.linalg.svd(M, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros(A.shape[0]), s
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    return np.einsum("ij,ij->i", Uf[:, :rank], Uf[:, :rank]), s
 
 
 def test_leverage_trivial_cases():
@@ -38,6 +63,146 @@ def test_leverage_properties_random():
         assert np.sum(tau) == pytest.approx(rank, abs=1e-8)
     with pytest.raises(ValueError, match="positive"):
         leverage_scores(np.eye(2), np.array([1.0, 0.0]))
+
+
+def leverage_tolerance(n, d, s):
+    """A bound on |tau - tau_svd| for an M with singular values s (descending, s[0] > 0).
+
+    With r the oracle's rank, kappa = s[0] / s[r-1] and rho = s[r] / s[0]
+    (0 when r = min(n, d)):
+    - The Gram M^T M is formed with an error below n u ||M||^2 and pivoted
+      Cholesky adds below d^2 u ||M||^2 (the 1/max|M| scaling adds one
+      rounding per entry, inside these). So the factor's basis Q = M_r L^-T
+      has ||Q^T Q - I|| <= (n + d^2) u kappa^2, and each tau_i moves by at
+      most that much; the factor 4 covers the constants of both bounds.
+    - A column that the oracle cuts and the factor keeps, on a pivot above
+      dpstrf's floor sqrt(d u) ||M||, adds at most (rho / sqrt(d u))^2.
+    - A cut column's residual tilts the kept pivot columns' span by at most
+      rho kappa times the pivoting's growth, below 2^d sqrt(d), and tau_i by
+      twice that.
+    """
+    r = int(np.sum(s > 1e-12 * s[0]))
+    kappa = s[0] / s[r - 1]
+    rho = s[r] / s[0] if r < s.size else 0.0
+    return 4 * (n + d * d) * kappa**2 * U + rho**2 / (d * U) + 2 ** (d + 1) * math.sqrt(d) * rho * kappa
+
+
+@st.composite
+def weighted_matrices(draw):
+    """(A, dweights) with n <= 30 rows and d <= 6 columns.
+
+    A = B C diag(10^e) has rank at most B's width; the column scales 10^e,
+    e in [-3, 3], spread the condition number up to about 1e6.
+    """
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    r = draw(st.integers(1, d))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    B = draw(hnp.arrays(float, (n, r), elements=unit))
+    C = draw(hnp.arrays(float, (r, d), elements=unit))
+    col_exp = draw(hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)))
+    log_w = draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    return B @ C * 10.0**col_exp, np.exp(log_w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=weighted_matrices())
+@example(case=(np.array([[1.0, 2.0, 1.0], [3.0, 4.0, 3.0], [5.0, -1.0, 5.0], [0.0, 2.0, 0.0]]), np.ones(4)))  # duplicate column
+@example(case=(np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, -1.0]]), np.array([0.5, 2.0, 1.0])))  # zero column
+@example(case=(np.zeros((5, 3)), np.ones(5)))  # all-zero A
+@example(case=(np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, 0.5, 2.0, 0.0]]), np.array([1.0, 3.0])))  # n < d
+@example(case=(np.array([[1.0], [-2.0], [0.0], [0.5]]), np.array([1.0, 1.0, 4.0, 0.25])))  # d = 1
+def test_leverage_scores_match_an_svd(case):
+    A, dw = case
+    n, d = A.shape
+    tau = leverage_scores(A, dw)
+    ref, s = svd_leverage(A, dw)
+    if s[0] == 0.0:
+        assert np.array_equal(tau, np.zeros(n))
+        return
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    assume(s[0] / s[rank - 1] <= 1e6)
+    tol = leverage_tolerance(n, d, s)
+    assert np.all(tau >= -tol) and np.all(tau <= 1.0 + tol)
+    assert abs(tau.sum() - rank) <= n * tol
+    assert np.max(np.abs(tau - ref)) <= tol
+
+
+@pytest.mark.parametrize("factor, dw_value", [(1e200, 1.0), (1e-170, 1.0), (1e10, 1e300)])
+def test_leverage_scores_at_scale_extremes(factor, dw_value):
+    # tau does not depend on the scale of M; an unscaled Gram would overflow at
+    # 1e200 and at 1e10 with D = 1e300, and underflow to zero at 1e-170
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((40, 5))
+    dw = np.exp(rng.standard_normal(40))
+    ref, s = svd_leverage(A, dw)
+    tau = leverage_scores(factor * A, dw_value * dw)  # RuntimeWarnings are errors here
+    assert tau.sum() == pytest.approx(5.0, abs=1e-12)
+    np.testing.assert_allclose(tau, ref, rtol=0, atol=leverage_tolerance(40, 5, s))
+
+
+def test_leverage_scores_reject_non_finite_input():
+    with pytest.raises(ValueError, match="finite"):
+        leverage_scores(np.array([[1.0], [np.nan]]), np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        leverage_scores(np.ones((2, 1)), np.array([1.0, np.inf]))
+
+
+def choice_reference(dweights, p, s, seed):
+    """``Generator.choice`` with ``np.add.at`` accumulation: the draw route that ``_draw`` replaced."""
+    draws = _rng(seed).choice(p.size, size=s, replace=True, p=p)
+    dtilde = np.zeros(p.size)
+    np.add.at(dtilde, draws, dweights[draws] / (s * p[draws]))
+    return draws, dtilde
+
+
+def assert_same_draws(got, ref):
+    assert got[0].dtype == ref[0].dtype and np.array_equal(got[0], ref[0])
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 60),
+    s=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.floats(0.1, 10.0),
+    data=st.data(),
+)
+def test_draw_equals_choice_and_add_at(n, s, seed, shape, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = rng.random(n) ** shape
+    p = p / p.sum()
+    dw = np.exp(rng.standard_normal(n))
+    assert_same_draws(_draw(dw, p, s, seed), choice_reference(dw, p, s, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789])
+def test_draw_edge_distributions(seed):
+    dw = np.exp(np.linspace(-1.0, 1.0, 9))
+    one_hot = np.zeros(9)
+    one_hot[4] = 1.0
+    nearly = np.full(9, 1e-300)
+    nearly[2] = 1.0
+    nearly = nearly / nearly.sum()
+    for p, s in ((np.ones(1), 1), (np.ones(1), 5), (np.full(9, 1 / 9), 1), (one_hot, 1), (one_hot, 50), (nearly, 50)):
+        dwp = dw[: p.size]
+        assert_same_draws(_draw(dwp, p, s, seed), choice_reference(dwp, p, s, seed))
+    assert np.all(_draw(dw, one_hot, 50, seed)[0] == 4)
+
+
+def test_subsample_draws_as_choice():
+    # the whole sampling path against choice with add.at accumulation over its own p
+    rng = np.random.default_rng(14)
+    for k in range(20):
+        n, d = int(rng.integers(5, 200)), int(rng.integers(1, 5))
+        A = rng.standard_normal((n, d))
+        A[: n // 4] *= 10.0
+        dw = np.exp(rng.standard_normal(n))
+        s = int(rng.integers(1, n))
+        p = np.maximum(leverage_scores(A, dw), d / n)
+        p = p / p.sum()
+        sk = subsample(A, dw, 0.3, 0.1, seed=k, num_draws=s)
+        assert_same_draws((sk.kept_indices, sk.dtilde), choice_reference(dw, p, s, k))
 
 
 def test_exact_fallback_small_instance(s1_golden):
@@ -119,6 +284,23 @@ def test_sandwich_success_rate_sampling_path():
     assert hits / n_seeds >= 0.9
 
 
+def test_sandwich_success_rate_at_d8():
+    # at n = 20000 the formula's count (3858 at eps0 = 0.45) is below n, so every seed draws
+    rng = np.random.default_rng(15)
+    n, d, eps0 = 20_000, 8, 0.45
+    A = rng.standard_normal((n, d))
+    A[:2000] *= 8.0  # spread the leverage around
+    dw = np.exp(rng.standard_normal(n))
+    hits = 0
+    n_seeds = 20
+    for seed in range(n_seeds):
+        sk = subsample(A, dw, eps0, 0.1, seed=seed)
+        assert not sk.exact and sk.num_draws == sample_count(n, d, eps0, 0.1) < n
+        if verify_sandwich(A, dw, sk) <= eps0:
+            hits += 1
+    assert hits / n_seeds >= 0.9
+
+
 def test_identity_structure_via_formula_fallback():
     # on a square identity the formula count always exceeds n: exact fallback,
     # and the reweighted Gram is diagonal by construction
@@ -161,3 +343,52 @@ def test_result_json():
     doc = sk.to_json()
     assert doc["schema_version"] == 1
     assert doc["exact"] is True and doc["seed"] == 7
+
+
+def eigh_outcome(route, a, b):
+    """The route's eigenvalues, or the type of what it raised."""
+    try:
+        return route(a, b)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def eigh_reference(a, b):
+    return scipy.linalg.eigh(a, b, eigvals_only=True)
+
+
+@st.composite
+def pencils(draw):
+    """(a, b) for d <= 12: b = G G^T + shift I from SPD through near-singular to indefinite.
+
+    a is symmetric or, with its upper triangle overwritten, asymmetric, and so
+    may b be: both routes read the lower triangles only.
+    """
+    d = draw(st.integers(1, 12))
+    F = draw(hnp.arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    G = draw(hnp.arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    a = F + F.T
+    b = G @ G.T + draw(st.sampled_from([1.0, 1e-3, 1e-8, 1e-13, 0.0, -1e-13, -1e-3, -1.0])) * np.eye(d)
+    for m in (a, b):
+        if draw(st.booleans()):
+            upper = np.triu_indices(d, 1)
+            m[upper] = draw(hnp.arrays(float, upper[0].size, elements=st.floats(-5.0, 5.0)))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pencil=pencils())
+@example(pencil=(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])))  # indefinite b
+@example(pencil=(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])))  # near-singular b
+@example(pencil=(np.array([[np.nan]]), np.eye(1)))
+@example(pencil=(np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]])))
+@example(pencil=(np.array([[1.0, np.inf], [0.0, 1.0]]), -np.eye(2)))  # an infinite upper entry is still checked
+def test_generalized_eigvals_equal_scipy_eigh(pencil):
+    a, b = pencil
+    a_in, b_in = a.copy(), b.copy()
+    got, ref = eigh_outcome(_generalized_eigvals, a, b), eigh_outcome(eigh_reference, a, b)
+    assert a.tobytes() == a_in.tobytes() and b.tobytes() == b_in.tobytes()  # the inputs are left alone
+    if isinstance(ref, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.tobytes() == ref.tobytes()
+    else:
+        assert got is ref
