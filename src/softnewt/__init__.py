@@ -16,13 +16,12 @@ from .model import (
     instance_to_json,
 )
 from .newton import NewtonConfig, RunReport, basin_check, newton_step, solve
-from .oracle import FdConfig, fd_gradient, fd_hessian, spectral
+from .oracle import fd_gradient, fd_hessian, spectral
 from .sketch import SketchResult, leverage_scores, subsample, verify_sandwich
 
 __all__ = [
     "Activation",
     "BoundReport",
-    "FdConfig",
     "GradientBundle",
     "HessianBundle",
     "LogConstant",

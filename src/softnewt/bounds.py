@@ -48,12 +48,6 @@ class LogConstant:
 
     log_value: float
 
-    @classmethod
-    def from_value(cls, v: float) -> "LogConstant":
-        if v < 0:
-            raise ValueError("LogConstant holds nonnegative values")
-        return cls(_ln(v))
-
     @property
     def value(self) -> float:
         """The plain float value; inf when it overflows float64."""

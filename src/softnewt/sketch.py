@@ -9,9 +9,9 @@ with probability >= 1 - delta, by sampling rows with replacement proportionally
 to their leverage scores (mixed with a uniform floor to cap the variance of
 near-zero-leverage rows). The leverage scores are exact up to rounding: they
 come from a pivoted Cholesky factor of the d x d Gram matrix, so no n x d
-orthogonal factor is formed. The generalized spectrum that measures the
-deviation is read by LAPACK ``dsygvd`` directly, in ``_generalized_eigvals``,
-which ``newton`` also uses.
+orthogonal factor is formed. The deviation of a pencil, here and in every
+sketched Newton step, has one route, ``_deviation``: the generalized
+spectrum of its symmetric parts, read by LAPACK ``dsygvd`` directly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg.lapack import dpstrf, dsygvd, dtrtrs
 
 from .model import _rng
-from .serialize import SCHEMA_VERSION
 
 __all__ = [
     "SketchResult",
@@ -43,23 +42,9 @@ SAMPLING_CONSTANT = 8.0
 class SketchResult:
     kept_indices: np.ndarray  # draws in order, with multiplicities
     dtilde: np.ndarray  # length n, zero off the kept set
-    eps_target: float
     eps_measured: float | None
-    seed: int
     exact: bool  # fallback Dt = D engaged
     num_draws: int
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kept_indices": self.kept_indices,
-            "dtilde": self.dtilde,
-            "eps_target": self.eps_target,
-            "eps_measured": self.eps_measured,
-            "seed": self.seed,
-            "exact": self.exact,
-            "num_draws": self.num_draws,
-        }
 
 
 def leverage_scores(A: np.ndarray, dweights: np.ndarray) -> np.ndarray:
@@ -137,9 +122,7 @@ def subsample(
         return SketchResult(
             kept_indices=np.arange(n),
             dtilde=dweights.copy(),
-            eps_target=eps0,
             eps_measured=0.0,
-            seed=int(seed),
             exact=True,
             num_draws=n,
         )
@@ -150,9 +133,7 @@ def subsample(
     return SketchResult(
         kept_indices=draws,
         dtilde=dtilde,
-        eps_target=eps0,
         eps_measured=None,
-        seed=int(seed),
         exact=False,
         num_draws=s,
     )
@@ -169,47 +150,50 @@ def _draw(dweights: np.ndarray, p: np.ndarray, s: int, seed: int) -> tuple[np.nd
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     draws = cdf.searchsorted(_rng(seed).random(s), side="right")
-    return draws, np.bincount(draws, weights=dweights[draws] / (s * p[draws]), minlength=p.size)
+    with np.errstate(over="ignore"):  # a weight past float64 is inf
+        weights = dweights[draws] / (s * p[draws])
+    return draws, np.bincount(draws, weights=weights, minlength=p.size)
 
 
 def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -> float:
     """Largest deviation of the generalized spectrum of (A^T Dt A, A^T D A) from 1.
 
     A singular Gram matrix is projected onto its numerical range (eigenvalues
-    above 1e-12 of the largest). Fills ``result.eps_measured``.
+    above 1e-12 of the largest). A Gram whose symmetric part is not finite
+    gives inf, as ``_deviation`` does. Fills ``result.eps_measured``.
     """
     A = np.asarray(A, dtype=float)
     dweights = np.asarray(dweights, dtype=float)
     H = A.T @ (dweights[:, None] * A)
     Ht = A.T @ (result.dtilde[:, None] * A)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.T))
-    tol = 1e-12 * max(vals[-1], 0.0)
-    keep = vals > tol
-    if not np.all(keep):
-        vecs = vecs[:, keep]
-        vals = vals[keep]
-        Ht = vecs.T @ Ht @ vecs
-        H = np.diag(vals)
-    if vals.size == 0:
-        eps = 0.0
-    else:
-        gen = _generalized_eigvals(0.5 * (Ht + Ht.T), H)
-        eps = float(np.max(np.abs(gen - 1.0)))
-    result.eps_measured = eps
-    return eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        H_sym = 0.5 * (H + H.T)
+    if np.isfinite(H_sym).all():  # otherwise _deviation reads inf
+        vals, vecs = np.linalg.eigh(H_sym)
+        keep = vals > 1e-12 * max(vals[-1], 0.0)
+        if not np.all(keep):
+            vecs = vecs[:, keep]
+            Ht = vecs.T @ Ht @ vecs
+            H = np.diag(vals[keep])
+    result.eps_measured = _deviation(Ht, H) if H.size else 0.0
+    return result.eps_measured
 
 
-def _generalized_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a v = lambda b v, bitwise ``scipy.linalg.eigh(a, b, eigvals_only=True)``.
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """max |lambda - 1| over the generalized spectrum a v = lambda b v of the symmetric parts of (a, b).
 
-    The wrapper's default route, LAPACK ``dsygvd`` with itype 1 on the lower
-    triangles, without its layers, and its outcome for every float64 square
-    pair it rejects: ValueError for a non-finite entry, LinAlgError when
-    LAPACK reports failure (b not positive definite, or no convergence).
+    The spectrum is LAPACK ``dsygvd`` with itype 1 on the lower triangles,
+    the call ``scipy.linalg.eigh(a, b, eigvals_only=True)`` makes, without
+    the wrapper's layers. A pencil it cannot read gives inf: a symmetric
+    part that is not finite (one past float64 included), or a failed
+    ``dsygvd`` (b not positive definite, or no convergence).
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = 0.5 * (a + a.T)
+        b = 0.5 * (b + b.T)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        return math.inf
     w, _, info = dsygvd(a, b, jobz="N", uplo="L")
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsygvd failed with info {info}")
-    return w
+        return math.inf
+    return float(np.max(np.abs(w - 1.0)))

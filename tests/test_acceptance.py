@@ -15,7 +15,7 @@ import softnewt as sn
 from softnewt.bounds import probe_empirical
 from softnewt.cli import main
 from softnewt.hessian import hess_L_entries
-from softnewt.oracle import FdConfig, fd_gradient, fd_hessian, spectral
+from softnewt.oracle import fd_gradient, fd_hessian, spectral
 from softnewt.serialize import dumps, load_path
 from softnewt.sketch import sample_count, subsample, verify_sandwich
 
@@ -27,12 +27,11 @@ def _report(num, name, detail):
 def test_criterion_1_gradient_correctness():
     t0 = time.perf_counter()
     worst = 0.0
-    cfg = FdConfig()
     for seed in range(100):
         inst = random_instance(seed, kind=ALL_KINDS[seed % 4])
         x = random_points(inst, seed + 40000, 1)[0]
         gb = sn.grad(sn.eval_forward(inst, x), inst)
-        g_fd = fd_gradient(lambda y: sn.eval_forward(inst, y).loss_tot, x, cfg)
+        g_fd = fd_gradient(lambda y: sn.eval_forward(inst, y).loss_tot, x)
         err = np.linalg.norm(gb.grad_tot - g_fd) / max(np.linalg.norm(g_fd), 1e-30)
         assert err <= 1e-6, f"seed {seed}: {err:.3e}"
         worst = max(worst, err)
@@ -44,13 +43,12 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_hessian_correctness():
     t0 = time.perf_counter()
     worst_fd, worst_route = 0.0, 0.0
-    cfg = FdConfig()
     for seed in range(50):
         inst = random_instance(seed + 200, kind=ALL_KINDS[seed % 4])
         x = random_points(inst, seed + 41000, 1)[0]
         st = sn.eval_forward(inst, x)
         hb = sn.hess_L(st, inst)
-        H_fd = fd_hessian(lambda y: sn.grad(sn.eval_forward(inst, y), inst).grad_L, x, cfg)
+        H_fd = fd_hessian(lambda y: sn.grad(sn.eval_forward(inst, y), inst).grad_L, x)
         err = np.linalg.norm(hb.H_L - H_fd) / max(np.linalg.norm(H_fd), 1e-30)
         assert err <= 1e-5, f"seed {seed}: FD error {err:.3e}"
         worst_fd = max(worst_fd, err)

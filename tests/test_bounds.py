@@ -39,7 +39,7 @@ from hypothesis.extra import numpy as hnp
     measured=st.floats(min_value=0.0, max_value=1e250),
 )
 def test_log_constant_holds_and_tightness_consistent(v, measured):
-    c = LogConstant.from_value(v)
+    c = LogConstant(math.log(v))
     assert c.holds(measured) == (measured <= 0.0 or math.log(measured) <= c.log_value)
     t = c.tightness(measured)
     if 0.0 < t < math.inf and measured > 0.0:
@@ -50,13 +50,13 @@ def test_log_constant_holds_and_tightness_consistent(v, measured):
 
 
 def test_log_constant_basics():
-    c = LogConstant.from_value(800.0)
+    c = LogConstant(math.log(800.0))
     m, e = c.mantissa_exp10()
     assert (m, e) == (pytest.approx(8.0), 2)
     assert c.value == pytest.approx(800.0)
     assert c.holds(799.0) and not c.holds(801.0)
     assert c.tightness(400.0) == pytest.approx(0.5)
-    z = LogConstant.from_value(0.0)
+    z = LogConstant(-math.inf)  # zero
     assert z.value == 0.0 and z.holds(0.0) and not z.holds(1e-300)
     huge = LogConstant(5000.0)
     assert huge.value == math.inf and huge.holds(1e300)

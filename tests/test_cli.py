@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import ALL_KINDS
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import softnewt as sn
@@ -505,6 +505,23 @@ def test_verify_evaluates_each_point_once(monkeypatch):
     assert calls["leverage_scores"] >= 2
 
 
+def test_verify_draws_one_fallback_sketch_for_the_sandwich_rate(monkeypatch):
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 1, noise=0.05)
+    subsample = cli.subsample
+    draws = []
+    monkeypatch.setattr(cli, "subsample", lambda *args, **kwargs: draws.append(subsample(*args, **kwargs)) or draws[-1])
+    checks = {name: (passed, margin, detail) for name, passed, margin, detail in cli._verify_checks(inst, 0, 3)}
+    # the first draw takes the exact fallback, whose verdict is every seed's; the determinism check draws twice
+    assert len(draws) == 3 and draws[0].exact
+    assert checks["sketch_sandwich_rate"] == (True, 1.0, "fraction of 20 seeds within eps0")
+    # where the sample count stays below n, each of the 20 seeds draws its own sketch
+    draws.clear()
+    monkeypatch.setattr(sketch, "sample_count", lambda n, d, eps0, delta: n - 1)
+    checks = {name: (passed, margin, detail) for name, passed, margin, detail in cli._verify_checks(inst, 0, 3)}
+    assert len(draws) == 22 and not any(sk.exact for sk in draws)
+    assert checks["sketch_sandwich_rate"][2] == "fraction of 20 seeds within eps0"
+
+
 def test_verify_memory_holds_one_kernel_at_a_time():
     # the route check compares each point's dense n x n kernel with its twelve b_terms and
     # their sum; a stack of its five kernels would hold five more n x n arrays at once
@@ -632,7 +649,8 @@ def cli_sessions(draw):
     gen = ["gen", "--n", str(n), "--m", str(m), "--d", str(d), "--activation", draw(st.sampled_from(ALL_KINDS)),
            "--seed", str(draw(st.integers(0, 999)))]
     options = {
-        "--w": st.lists(st.sampled_from([0.0, 1e-3, 1.0, 5.0, 1e100, 1e160]), min_size=n, max_size=n).map(_csv),
+        "--w": st.lists(st.sampled_from([0.0, 1e-3, 1.0, 5.0, 1e100, 1e154, 1.3e154, 1e160]), min_size=n,
+                        max_size=n).map(_csv),
         "--noise": st.sampled_from(["0.1", "1e50", "1e200"]),
         "--r-target": st.sampled_from(["1e-8", "0.5", "1e3"]),
         "--beta": st.sampled_from(["1e-300", "1e-3", "0.1"]),
@@ -665,6 +683,9 @@ def cli_sessions(draw):
     return gen, run
 
 
+EDGE_GEN = ["gen", "--n", "5", "--m", "3", "--d", "2", "--seed", "7"]
+
+
 def _session(argv, capsys):
     """(exit code, stdout, stderr, RuntimeWarning messages) of one ``main`` call."""
     with warnings.catch_warnings(record=True) as caught:
@@ -690,6 +711,11 @@ def _assert_contract(command, rc, out, err, runtime_warnings):
 
 @settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(session=cli_sessions())
+# ridge weights whose squares are finite but whose Grams overflow when symmetrized
+@example(session=(EDGE_GEN + ["--w=1.3e154,1,1,1,1"], ["run", "--mode", "sketched", "--eps0", "0.45", "--no-reference"]))
+@example(session=(EDGE_GEN + ["--w=1.3e154,1,1,1,1"], ["run", "--no-reference"]))
+@example(session=(EDGE_GEN + ["--w=1.3e154,1,1,1,1"], ["verify", "--trials", "3"]))
+@example(session=(EDGE_GEN + ["--w=1e154,1,1,1,1"], ["verify", "--trials", "3"]))
 def test_cli_sessions_end_as_documented(session, capsys):
     gen, follow = session
     with tempfile.TemporaryDirectory() as td:

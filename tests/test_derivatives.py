@@ -3,7 +3,7 @@ import pytest
 from conftest import random_instance, random_points
 
 import softnewt as sn
-from softnewt.oracle import FdConfig, fd_gradient
+from softnewt.oracle import fd_gradient
 
 
 def test_derivatives_match_golden(s1_instance, s1_golden, s1_state):
@@ -77,12 +77,11 @@ def test_gradient_zero_for_zero_matrix():
 
 
 def test_gradient_against_finite_differences_random():
-    cfg = FdConfig()
     for seed in range(100):
         inst = random_instance(seed)
         x = random_points(inst, seed + 5000, 1)[0]
         gb = sn.grad(sn.eval_forward(inst, x), inst)
-        g_fd = fd_gradient(lambda y: sn.eval_forward(inst, y).loss_tot, x, cfg)
+        g_fd = fd_gradient(lambda y: sn.eval_forward(inst, y).loss_tot, x)
         err = np.linalg.norm(gb.grad_tot - g_fd) / max(np.linalg.norm(g_fd), 1e-30)
         assert err <= 1e-6, f"seed {seed}: relative error {err:.3e}"
 

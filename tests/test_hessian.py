@@ -13,7 +13,7 @@ from softnewt.hessian import (
     B_TERM_NAMES, _centred_A2, _g_u, b_terms, g_terms, hess_f_pair, hess_L_entries, kernel, kernel_diag,
 )
 from softnewt.model import DenominatorFloorWarning
-from softnewt.oracle import FdConfig, fd_hessian, spectral
+from softnewt.oracle import fd_hessian, spectral
 
 
 def grad_tot_at(inst):
@@ -129,13 +129,12 @@ def test_single_coordinate_terms_sum_to_zero():
 
 
 def test_hessian_against_finite_differences_random():
-    cfg = FdConfig()
     for seed in range(50):
         inst = random_instance(seed)
         x = random_points(inst, seed + 11000, 1)[0]
         st_ = sn.eval_forward(inst, x)
         hb = sn.hess_L(st_, inst)
-        H_fd = fd_hessian(lambda y: sn.grad(sn.eval_forward(inst, y), inst).grad_L, x, cfg)
+        H_fd = fd_hessian(lambda y: sn.grad(sn.eval_forward(inst, y), inst).grad_L, x)
         err = np.linalg.norm(hb.H_L - H_fd) / max(np.linalg.norm(H_fd), 1e-30)
         assert err <= 1e-5, f"seed {seed}: relative Frobenius error {err:.3e}"
 
