@@ -13,8 +13,10 @@ Example:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from softnewt.bounds import probe_empirical
 from softnewt.cli import _reference_optimum
 from softnewt.model import _rng
 from softnewt.oracle import spectral
-from softnewt.serialize import dump_path
+from softnewt.serialize import SCHEMA_VERSION, dump_path
 
 
 def main() -> int:
@@ -43,7 +45,8 @@ def main() -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     inst, x_plant = sn.gen_instance(args.n, args.m, args.d, args.activation, args.seed,
                                     noise=args.noise)
-    dump_path(sn.instance_to_json(inst), os.path.join(args.out_dir, "instance.json"))
+    instance_path = os.path.join(args.out_dir, "instance.json")
+    dump_path(sn.instance_to_json(inst), instance_path)
     print(f"instance: n={inst.n} m={inst.m} d={inst.d} {inst.activation.kind} "
           f"R_h={inst.R_h:.3f} w_0={inst.w[0]:.2f}")
 
@@ -58,15 +61,23 @@ def main() -> int:
     direction = rng.standard_normal(inst.d)
     x0 = x_ref + r0 * direction / np.linalg.norm(direction)
     print(f"reference optimum: l = {l:.3f}, empirical M = {M_emp:.3f}, r0 = {r0:.3e}")
-    print(f"basin certificate (empirical M): {sn.basin_check(x0, x_ref, M=M_emp, l=l)}; "
-          f"(analytic M): {sn.basin_check(x0, x_ref, M=rep_bounds.M, l=l)}")
+    certificate = {"analytic": sn.basin_check(x0, x_ref, M=rep_bounds.M, l=l),
+                   "empirical": sn.basin_check(x0, x_ref, M=M_emp, l=l)}
+    print(f"basin certificate (empirical M): {certificate['empirical']}; (analytic M): {certificate['analytic']}")
 
     for mode in ("exact", "sketched"):
         cfg = sn.NewtonConfig(mode=mode, eps=1e-10, eps0=args.eps0, seed=args.seed,
                               max_iters=60, stationarity_tol=1e-13, strict=False)
         run = sn.solve(inst, x0, cfg, x_ref=x_ref)
-        dump_path({"golden": run.golden_json(), "wall_times_ms": run.wall_times_ms},
-                  os.path.join(args.out_dir, f"report_{mode}.json"))
+        run.basin_certificate = certificate
+        # the layout of `softnewt run`'s report.json: deterministic golden, wall-clock timing
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "golden": {"instance_path": instance_path, "x0": x0, "x_ref": x_ref,
+                       "config": dataclasses.asdict(cfg), **run.golden_json()},
+            "timing": {"wall_times_ms": run.wall_times_ms, "written_at_unix": time.time()},
+        }
+        dump_path(doc, os.path.join(args.out_dir, f"report_{mode}.json"))
         print(f"\n{mode} mode: status={run.status} after {run.n_iters} iterations")
         print(f"  {'t':>2} {'r_t':>12} {'ratio':>10} {'grad_norm':>12} {'eps_sketch':>10}")
         for t, r in enumerate(run.r_t):

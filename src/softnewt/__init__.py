@@ -5,7 +5,7 @@ and an approximate (sketched) Newton solver with contraction monitoring.
 from .bounds import BoundReport, LogConstant, compute_constants, probe_empirical
 from .derivatives import GradientBundle, eval_p, eval_Q2, grad
 from .generate import gen_instance
-from .hessian import HessianBundle, b_terms, hess_f_pair, hess_L, kernel, kernel_diag
+from .hessian import HessianBundle, b_terms, hess_L, kernel, kernel_diag
 from .model import (
     Activation,
     ModelState,
@@ -42,7 +42,6 @@ __all__ = [
     "gen_instance",
     "grad",
     "hess_L",
-    "hess_f_pair",
     "instance_from_json",
     "instance_to_json",
     "kernel",

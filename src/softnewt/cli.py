@@ -54,7 +54,7 @@ def _build_x0(args, inst: ProblemInstance) -> np.ndarray:
         if not args.x0_values:
             raise ConfigError("x0 rule 'values' requires --x0-values")
         x0 = np.asarray([float(v) for v in args.x0_values.split(",")], dtype=float)
-    elif args.x0 == "stored":
+    else:  # "stored"; argparse's choices admit no other rule
         if not args.x0_path:
             raise ConfigError("x0 rule 'stored' requires --x0-path")
         try:
@@ -69,8 +69,6 @@ def _build_x0(args, inst: ProblemInstance) -> np.ndarray:
             else:
                 raise ConfigError(f"{args.x0_path} holds neither 'x0' nor a run report")
         x0 = np.asarray(doc, dtype=float)
-    else:
-        raise ConfigError(f"unknown x0 rule {args.x0!r}")
     if x0.shape != (inst.d,):
         raise ConfigError(f"x0 needs {inst.d} components, got an array of shape {x0.shape}")
     return x0
@@ -115,21 +113,16 @@ def _reference_optimum(inst: ProblemInstance) -> np.ndarray:
 
 
 def _write_trace_csv(path, report: RunReport) -> None:
+    fmt = lambda v: "" if v is None else repr(float(v))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "r_t", "ratio", "grad_norm", "eps_sketch", "millis"])
-        n = len(report.grad_norms)
-        for t in range(n):
+        # every evaluated iterate has a wall time, and one ratio from t = 1 when r_t is tracked
+        for t, gnorm in enumerate(report.grad_norms):
             r = report.r_t[t] if report.r_t is not None else None
-            ratio = (
-                report.ratios[t - 1]
-                if (report.ratios is not None and 1 <= t <= len(report.ratios))
-                else None
-            )
+            ratio = report.ratios[t - 1] if report.ratios is not None and t >= 1 else None
             epss = report.sketch_eps_per_iter[t] if t < len(report.sketch_eps_per_iter) else None
-            ms = report.wall_times_ms[t] if t < len(report.wall_times_ms) else None
-            fmt = lambda v: "" if v is None else repr(float(v))
-            writer.writerow([t, fmt(r), fmt(ratio), fmt(report.grad_norms[t]), fmt(epss), fmt(ms)])
+            writer.writerow([t, fmt(r), fmt(ratio), fmt(gnorm), fmt(epss), fmt(report.wall_times_ms[t])])
 
 
 def cmd_run(args) -> int:
@@ -169,9 +162,7 @@ def cmd_run(args) -> int:
         except bounds_mod.TooFewAdmissiblePointsError:
             pass  # no Lipschitz pair to measure: no bounds.json, no empirical certificate
     if x_ref is not None:
-        l_ref = args.l_estimate
-        if l_ref is None:
-            l_ref = float(np.linalg.eigvalsh(hess_L(eval_forward(inst, x_ref), inst).H_tot)[0])
+        l_ref = float(np.linalg.eigvalsh(hess_L(eval_forward(inst, x_ref), inst).H_tot)[0])
         report.basin_certificate = {
             "analytic": basin_check(x0, x_ref, M=bounds_mod.compute_constants(inst).M, l=l_ref)
         }
@@ -386,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=float, default=0.05)
     r.add_argument("--eps0", type=float, default=0.01)
     r.add_argument("--max-iters", type=int, default=200)
-    r.add_argument("--l-estimate", type=float, default=None,
-                   help="strong-convexity floor for the basin certificate (default: measured)")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--stationarity-tol", type=float, default=1e-10)
     r.add_argument("--damping", action="store_true")

@@ -21,8 +21,8 @@ is read from them:
   scaled by f in place. It is for diagnostics (spectrum probes,
   route-agreement checks) and is never called by the solver.
 
-``hess_L_entries`` (H_L summed entry by entry), ``b_terms`` and
-``hess_f_pair`` keep the per-entry split form J Q2^T Q2 J + J S J + ..., with
+``hess_L_entries`` (H_L summed entry by entry, through ``_d2f``) and
+``b_terms`` keep the per-entry split form J Q2^T Q2 J + J S J + ..., with
 Q2 = diag(h') A2 and S = A2^T diag(h'' o c) A2 (Q2 J = diag(h') A2 J folds its
 two quadratic parts into the one above). They build P, Q2, q2 = Q2^T c and S
 themselves, never from D, G or the forward pass's q2, and are the
@@ -38,8 +38,7 @@ stack takes one matrix-vector product per row (``model._matvec``) where a
 point takes one, one matrix-matrix product per row where a point takes one,
 and broadcasts its elementwise and outer products. ``kernel`` of a stack
 holds k n x n matrices, so callers chunk their points. ``b_terms`` and
-``hess_L_entries`` take one point and raise ShapeError on a stack, and
-``hess_f_pair`` takes one point.
+``hess_L_entries`` take one point and raise ShapeError on a stack.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .model import ModelState, ProblemInstance, _inner, _matvec, _outer
 
 __all__ = [
     "HessianBundle",
-    "hess_f_pair",
     "hess_L",
     "hess_L_entries",
     "kernel",
@@ -74,22 +72,11 @@ class HessianBundle:
     H_tot: np.ndarray  # d x d
 
 
-def hess_f_pair(state: ModelState, inst: ProblemInstance, i: int, j: int) -> np.ndarray:
-    """Second derivative of the softmax vector along coordinates (i, j).
-
-    Symmetric form: 2<f,a_i><f,a_j> f - <f,a_i o a_j> f - <f,a_j>(f o a_i)
-    - <f,a_i>(f o a_j) + a_i o f o a_j, with a_k = A1[:, k].
-    """
-    if not (0 <= i < inst.d and 0 <= j < inst.d):
-        raise IndexError(f"column indices must lie in [0, {inst.d}), got ({i}, {j})")
-    f = state.f
-    ai = inst.A1[:, i]
-    aj = inst.A1[:, j]
-    return _d2f(f, ai, aj, float(f @ ai), float(f @ aj), float(f @ (ai * aj)))
-
-
 def _d2f(f, ai, aj, fi, fj, fij):
-    """``hess_f_pair``'s symmetric form from a_i, a_j and <f,a_i>, <f,a_j>, <f,a_i o a_j>; broadcasts."""
+    """Symmetric form d2f/dx_i dx_j = 2 fi fj f - fij f - fj f o ai - fi f o aj + ai o f o aj; broadcasts.
+
+    ai = A1[:, i], fi = <f, ai> and fij = <f, ai o aj>.
+    """
     return 2.0 * fi * fj * f - fij * f - fj * (f * ai) - fi * (f * aj) + ai * f * aj
 
 
@@ -124,7 +111,7 @@ def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 
     P and Q2 are built once, then entry (i, j) is summed on its own as
     (Q2 p_j)^T (Q2 p_i) + sum(c o h'' o (A2 p_j) o (A2 p_i)) + c^T Q2 d2f/dx_i dx_j,
-    with d2f/dx_i dx_j in ``hess_f_pair``'s symmetric form. Each row i is
+    with d2f/dx_i dx_j in ``_d2f``'s symmetric form. Each row i is
     evaluated at once over j: every dot product, matrix-vector product and sum
     is the one the entry takes alone, stacked over j, so a row holds d n-vectors
     (O(d n) memory).

@@ -17,7 +17,7 @@ which gives H_tot from the m x d product G = (A2 J) A1 without forming A2 J.
 Only a sketched step forms an m x n factor of B, in its one ``kernel_diag`` call.
 The d x d system is factored by LAPACK's Cholesky (``dpotrf``/``dpotrs``, the
 routines ``scipy.linalg.cho_factor``/``cho_solve`` call) without the wrappers'
-checks.
+checks: ``newton_step`` checks once that every matrix it factors is finite.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .bounds import LogConstant, vector_norm
 from .derivatives import grad
 from .hessian import hess_L, kernel_diag
 from .model import EvaluationOverflowError, ModelState, ProblemInstance, ShapeError, eval_forward
-from .sketch import SketchResult, _deviation, subsample
+from .sketch import SketchResult, _deviation, _symmetric_part, subsample
 
 __all__ = [
     "NewtonConfig",
@@ -91,25 +91,18 @@ class StepDiagnostics:
 
 
 def _spd_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """H^-1 rhs for a d x d float64 H, bitwise ``cho_solve(cho_factor(H, lower=True), rhs)``.
+    """H^-1 rhs for a finite d x d float64 H and a finite rhs, bitwise ``cho_solve(cho_factor(H, lower=True), rhs)``.
 
-    The same LAPACK calls without the wrappers' layers, and the same outcome
-    for every input they reject: a non-finite H, then a failed factorization,
-    then a non-finite rhs. The failed factorization raises
-    NotPositiveDefiniteError with the least eigenvalue of H's symmetric part
-    (the sum of the halves where H + H^T could pass float64); the others
-    raise the wrappers' ValueError. A factorization of a finite H that
-    succeeds has a finite factor, so it needs no check.
+    The same LAPACK calls without the wrappers' layers or their finiteness
+    checks, which the caller makes. A failed factorization raises
+    NotPositiveDefiniteError naming its leading minor, with the least eigenvalue
+    of H's symmetric part (positive after rounding where kappa(H) passes 1/u).
     """
-    if not np.isfinite(H).all():
-        raise ValueError("array must not contain infs or NaNs")
     c, info = dpotrf(H, lower=True, clean=False)
     if info != 0:
-        H_sym = 0.5 * (H + H.T) if np.max(np.abs(H)) <= np.finfo(float).max / 2 else 0.5 * H + 0.5 * H.T
-        lam = float(np.linalg.eigvalsh(H_sym)[0])
-        raise NotPositiveDefiniteError(f"{what} is not positive definite (lambda_min ~ {lam:.6g})", lam)
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
+        lam = float(np.linalg.eigvalsh(_symmetric_part(H))[0])
+        why = f"Cholesky failed at leading minor {info} (lambda_min ~ {lam:.6g})"
+        raise NotPositiveDefiniteError(f"{what} is not numerically positive definite: {why}", lam)
     return dpotrs(c, rhs, lower=True)[0]
 
 
@@ -138,8 +131,8 @@ def newton_step(
     gradient, so the step evaluates nothing at the iterate itself: one
     ``hess_L`` call gives H_tot and, in sketched mode only, one
     ``kernel_diag`` call gives diag(B). A sketched step draws with the seed
-    derived from (cfg.seed, t). A Hessian or a gradient with non-finite
-    entries raises NotPositiveDefiniteError with lambda_min nan.
+    derived from (cfg.seed, t). A Hessian, a sketched Hessian or a gradient
+    with non-finite entries raises NotPositiveDefiniteError with lambda_min nan.
     """
     x_t = state.x
     hb = hess_L(state, inst)
@@ -165,7 +158,10 @@ def newton_step(
             cfg.delta / max(cfg.max_iters, 1),
             _step_seed(cfg.seed, t),
         )
-        H = inst.A1.T @ (sketch.dtilde[:, None] * inst.A1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a drawn weight w_i^2 / (s p_i) may pass float64
+            H = inst.A1.T @ (sketch.dtilde[:, None] * inst.A1)
+        if not np.all(np.isfinite(H)):
+            raise NotPositiveDefiniteError("the sketched Hessian has non-finite entries", math.nan)
         eps_e2e = _deviation(H, hb.H_tot)
     delta_x = _spd_solve(H, grad_tot, "the Hessian" if cfg.mode == "exact" else "the sketched Hessian")
     x_next = x_t - delta_x

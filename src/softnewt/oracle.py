@@ -40,7 +40,7 @@ def fd_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
     vector function, whose Jacobian rows come back); it is called once, on
     the whole stencil. Row 2 i + j of the stack is x with x[i] moved by +h_i
     (j = 0) or -h_i (j = 1), h_i = 1e-5 (1 + |x_i|). The first non-finite
-    value in that order raises.
+    value in that order raises, and so does a quotient past float64.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
@@ -58,7 +58,13 @@ def fd_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
         i, offset = r // 2, float(offsets[r])
         raise ProbeEvaluationError(f"non-finite probe at coordinate {i}, offset {offset:+.3e}", i, offset)
     vals = vals.reshape(d, 2, *vals.shape[1:])
-    return (vals[:, 0] - vals[:, 1]) / (2.0 * h.reshape(d, *[1] * (vals.ndim - 2)))
+    with np.errstate(over="ignore"):  # finite values whose quotient overflows raise below
+        quotient = (vals[:, 0] - vals[:, 1]) / (2.0 * h.reshape(d, *[1] * (vals.ndim - 2)))
+    bad = ~np.isfinite(quotient).all(axis=tuple(range(1, quotient.ndim)))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ProbeEvaluationError(f"difference quotient past float64 at coordinate {i}", i, float(h[i]))
+    return quotient
 
 
 def fd_hessian(

@@ -11,7 +11,8 @@ near-zero-leverage rows). The leverage scores are exact up to rounding: they
 come from a pivoted Cholesky factor of the d x d Gram matrix, so no n x d
 orthogonal factor is formed. The deviation of a pencil, here and in every
 sketched Newton step, has one route, ``_deviation``: the generalized
-spectrum of its symmetric parts, read by LAPACK ``dsygvd`` directly.
+spectrum of its symmetric parts (``_symmetric_part``, the package's one
+rule), read by LAPACK ``dsygvd`` directly.
 """
 
 from __future__ import annotations
@@ -159,15 +160,14 @@ def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -
     """Largest deviation of the generalized spectrum of (A^T Dt A, A^T D A) from 1.
 
     A singular Gram matrix is projected onto its numerical range (eigenvalues
-    above 1e-12 of the largest). A Gram whose symmetric part is not finite
-    gives inf, as ``_deviation`` does. Fills ``result.eps_measured``.
+    above 1e-12 of the largest). A Gram that is not finite gives inf, as
+    ``_deviation`` does. Fills ``result.eps_measured``.
     """
     A = np.asarray(A, dtype=float)
     dweights = np.asarray(dweights, dtype=float)
     H = A.T @ (dweights[:, None] * A)
     Ht = A.T @ (result.dtilde[:, None] * A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H_sym = 0.5 * (H + H.T)
+    H_sym = _symmetric_part(H)
     if np.isfinite(H_sym).all():  # otherwise _deviation reads inf
         vals, vecs = np.linalg.eigh(H_sym)
         keep = vals > 1e-12 * max(vals[-1], 0.0)
@@ -184,16 +184,22 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> float:
 
     The spectrum is LAPACK ``dsygvd`` with itype 1 on the lower triangles,
     the call ``scipy.linalg.eigh(a, b, eigvals_only=True)`` makes, without
-    the wrapper's layers. A pencil it cannot read gives inf: a symmetric
-    part that is not finite (one past float64 included), or a failed
-    ``dsygvd`` (b not positive definite, or no convergence).
+    the wrapper's layers. A pencil it cannot read gives inf: a matrix that
+    is not finite, or a failed ``dsygvd`` (b not positive definite, or no
+    convergence).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = 0.5 * (a + a.T)
-        b = 0.5 * (b + b.T)
+    a = _symmetric_part(a)
+    b = _symmetric_part(b)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return math.inf
     w, _, info = dsygvd(a, b, jobz="N", uplo="L")
     if info != 0:
         return math.inf
     return float(np.max(np.abs(w - 1.0)))
+
+
+def _symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2, or the sum of the halves (the same number, but finite for a finite a) past half the float64 maximum."""
+    if np.max(np.abs(a), initial=0.0) <= np.finfo(float).max / 2:
+        return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T

@@ -47,6 +47,16 @@ def test_probe_error_names_coordinate_and_offset():
     assert exc.value.offset > 0
 
 
+def test_probe_error_for_a_quotient_past_float64():
+    # finite values +-1e308 either side of x_1 = 0: their difference overflows
+    def steep(X):
+        return np.where(X[:, 1] > 0.0, 1e308, -1e308) + X[:, 0]
+
+    with pytest.raises(ProbeEvaluationError, match="quotient past float64 at coordinate 1") as exc:
+        fd_gradient(steep, np.array([0.5, 0.0]))
+    assert exc.value.coordinate == 1 and exc.value.offset == 1e-5
+
+
 def test_spectral_trivial_and_golden(s1_instance, s1_golden, s1_state):
     lo, hi, vals = spectral(np.eye(3))
     assert (lo, hi) == (1.0, 1.0)

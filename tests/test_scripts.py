@@ -18,6 +18,12 @@ def test_run_experiment_smoke(tmp_path):
     assert any(line.split()[:1] == ["M"] for line in table.splitlines())
     for name in ("instance.json", "report_exact.json", "report_sketched.json", "bounds.json"):
         assert (tmp_path / name).is_file(), name
+    for mode in ("exact", "sketched"):
+        # the layout of `softnewt run`'s report: wall-clock fields only under timing
+        doc = json.loads((tmp_path / f"report_{mode}.json").read_text())
+        assert set(doc) == {"schema_version", "golden", "timing"}
+        assert "wall_times_ms" in doc["timing"]
+        assert not {"wall_times_ms", "written_at_unix"} & set(doc["golden"])
 
 
 def test_loc_smoke():

@@ -338,15 +338,28 @@ def test_parameter_validation():
     assert SAMPLING_CONSTANT == 8.0
 
 
+def symmetric_part(a):
+    """(a + a^T) / 2 while no entry passes half the float64 maximum, else the sum of the halves."""
+    return 0.5 * (a + a.T) if np.max(np.abs(a), initial=0.0) <= np.finfo(float).max / 2 else 0.5 * a + 0.5 * a.T
+
+
 def eigh_deviation(a, b):
     """max |lambda - 1| from ``scipy.linalg.eigh`` on the symmetric parts of (a, b), or inf where it raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = 0.5 * (a + a.T), 0.5 * (b + b.T)
+    a, b = symmetric_part(a), symmetric_part(b)
     try:
         w = scipy.linalg.eigh(a, b, eigvals_only=True)
     except (ValueError, np.linalg.LinAlgError):
         return math.inf
     return float(np.max(np.abs(w - 1.0)))
+
+
+HUGE = 1.2e308 * np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+def test_deviation_reads_a_pencil_whose_sums_pass_float64():
+    # HUGE + HUGE^T overflows, but the sum of the halves is HUGE itself
+    assert _deviation(HUGE, HUGE) <= 4 * np.finfo(float).eps
+    assert _deviation(0.5 * HUGE, HUGE) == 0.5
 
 
 @st.composite
@@ -375,7 +388,9 @@ def pencils(draw):
 @example(pencil=(np.array([[np.nan]]), np.eye(1)))
 @example(pencil=(np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]])))
 @example(pencil=(np.array([[1.0, np.inf], [0.0, 1.0]]), -np.eye(2)))  # an infinite upper entry is still checked
-@example(pencil=(np.eye(2), np.array([[1.0, 1e308], [1e308, 1.0]])))  # a symmetric part past float64
+@example(pencil=(np.eye(2), np.array([[1.0, 1e308], [1e308, 1.0]])))  # a sum past float64, an indefinite b
+@example(pencil=(HUGE, HUGE))  # a finite pencil whose sums pass float64
+@example(pencil=(0.5 * HUGE, HUGE))
 def test_generalized_eigvals_equal_scipy_eigh(pencil):
     a, b = pencil
     a_in, b_in = a.copy(), b.copy()
