@@ -87,7 +87,9 @@ def layers(sn, n: int, m: int, d: int) -> dict:
     norm stays near 0.85 at every d. ``exact_step`` and ``sketched_step`` each
     take one ``newton_step`` from it, so a row pair reads the per-iteration
     cost of the two modes; the sketched step draws fewer rows than n from
-    n = 10^4 up and takes the exact fallback below.
+    n = 10^4 up and takes the exact fallback below. Its instance forms its
+    row distribution on the warm-up call and keeps it, so
+    ``ridge_distribution`` times that one-time cost on its own.
 
     ``DENSE_LAYERS`` are left out above ``DENSE_MAX_N``.
     """
@@ -115,6 +117,7 @@ def layers(sn, n: int, m: int, d: int) -> dict:
         "kernel+spectral": lambda: sn.spectral(sn.kernel(st, inst)),
         "hess_L_entries": lambda: hessian.hess_L_entries(st, inst),
         "leverage_scores": lambda: sketch.leverage_scores(inst.A1, dw),
+        "ridge_distribution": lambda: sketch.sampling_distribution(inst.A1, inst.w * inst.w),
         "subsample": lambda: sketch.subsample(inst.A1, dw, 0.3, 0.1, seed=1, num_draws=draws),
         "verify_sandwich": lambda: sketch.verify_sandwich(inst.A1, dw, sk),
         "cholesky_solve": lambda: newton._spd_solve(hb.H_tot, g, "H_tot"),

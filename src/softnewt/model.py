@@ -235,6 +235,16 @@ class ProblemInstance:
             w2 = self.w * self.w
             return self.A1.T @ (w2[:, None] * self.A1)
 
+    @functools.cached_property
+    def ridge_distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, cdf) of ``sketch.sampling_distribution`` for A1 under the weights w^2, formed on first use only.
+
+        A sketched Newton step draws its rows from it; it needs every w_i > 0.
+        """
+        from .sketch import sampling_distribution  # sketch imports this module
+
+        return sampling_distribution(self.A1, self.w * self.w)
+
 
 @dataclass
 class ModelState:

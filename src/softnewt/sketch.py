@@ -9,10 +9,15 @@ with probability >= 1 - delta, by sampling rows with replacement proportionally
 to their leverage scores (mixed with a uniform floor to cap the variance of
 near-zero-leverage rows). The leverage scores are exact up to rounding: they
 come from a pivoted Cholesky factor of the d x d Gram matrix, so no n x d
-orthogonal factor is formed. The deviation of a pencil, here and in every
-sketched Newton step, has one route, ``_deviation``: the generalized
-spectrum of its symmetric parts (``_symmetric_part``, the package's one
-rule), read by LAPACK ``dsygvd`` directly.
+orthogonal factor is formed. ``sampling_distribution`` forms the floored,
+normalized scores and their cdf; ``subsample`` forms them from D itself, or
+takes a pair formed once for nearby weights (a sketched Newton step passes
+its instance's, under the ridge weights w^2) with a count inflated to match.
+Every draw, either way, takes one route, ``_draw``. The deviation of a
+pencil, here and in every sketched Newton step, has one route,
+``_deviation``: the generalized spectrum of its symmetric parts
+(``_symmetric_part``, the package's one rule), read by LAPACK ``dsygvd``
+directly.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .model import _rng
 __all__ = [
     "SketchResult",
     "leverage_scores",
+    "sampling_distribution",
     "subsample",
     "verify_sandwich",
     "sample_count",
@@ -86,8 +92,23 @@ def leverage_scores(A: np.ndarray, dweights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", Q, Q)
 
 
-def sample_count(n: int, d: int, eps0: float, delta: float) -> int:
-    return math.ceil(SAMPLING_CONSTANT * d * math.log(n / delta) / (eps0 * eps0))
+def sample_count(n: int, d: int, eps0: float, delta: float, kappa: float = 0.0) -> int:
+    """s = ceil(C d ln(n/delta) (1 + kappa) / ((1 - kappa) eps0^2)), for 0 <= kappa < 1.
+
+    kappa = 0 is the count for draws by the exact leverage of the weights;
+    a distribution whose probabilities are within (1 - kappa)/(1 + kappa) of
+    those needs (1 + kappa)/(1 - kappa) times as many draws.
+    """
+    return math.ceil(SAMPLING_CONSTANT * d * math.log(n / delta) * (1.0 + kappa) / ((1.0 - kappa) * eps0 * eps0))
+
+
+def sampling_distribution(A: np.ndarray, dweights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, cdf): p_i proportional to max(tau_i, d/n), tau the leverage scores of diag(sqrt(dweights)) A, and its cumulative sum scaled to end at 1."""
+    A = np.asarray(A, dtype=float)
+    n, d = A.shape
+    p = np.maximum(leverage_scores(A, dweights), d / n)
+    p = p / p.sum()
+    return p, _cdf(p)
 
 
 def subsample(
@@ -98,15 +119,24 @@ def subsample(
     seed: int,
     *,
     num_draws: int | None = None,
+    distribution: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SketchResult:
     """Sample a sparse diagonal reweighting of the rows of A.
 
     Draws s = ceil(C d ln(n/delta) / eps0^2) rows independently with
     probability p_i proportional to max(tau_i, d/n), accumulating
     dweights_i / (s p_i) per draw, which keeps A^T Dt A unbiased. When s >= n
-    the exact fallback returns Dt = D with measured deviation 0. ``num_draws``
-    overrides the sample-count formula (the formula exceeds n for any desk-
-    scale instance, so tests of the sampling path set it explicitly).
+    the exact fallback returns Dt = D with measured deviation 0, and no
+    leverage is computed. ``num_draws`` overrides the sample-count formula,
+    which exceeds n on small instances: at d = 8, eps0 = 0.3 and delta = 0.1
+    for every n below about 8000. At (n, d, eps0) = (1200, 2, 0.45) and a
+    delta of 0.05 / 20 it gives 1034.
+
+    ``distribution``, a ``(p, cdf)`` pair from ``sampling_distribution``,
+    replaces the one formed here from the leverage of ``dweights``; the
+    weight of each draw is still dweights_i / (s p_i), so the sketch stays
+    unbiased. A sketched Newton step passes the pair its instance formed once
+    and the count ``sample_count`` gives for it (newton.py).
 
     The draw stream is produced by a counter-based generator keyed on
     ``seed``: identical inputs and seed give a bit-identical result.
@@ -127,10 +157,8 @@ def subsample(
             exact=True,
             num_draws=n,
         )
-    tau = leverage_scores(A, dweights)
-    p = np.maximum(tau, d / n)
-    p = p / p.sum()
-    draws, dtilde = _draw(dweights, p, s, seed)
+    p, cdf = sampling_distribution(A, dweights) if distribution is None else distribution
+    draws, dtilde = _draw(dweights, p, s, seed, cdf)
     return SketchResult(
         kept_indices=draws,
         dtilde=dtilde,
@@ -140,17 +168,32 @@ def subsample(
     )
 
 
-def _draw(dweights: np.ndarray, p: np.ndarray, s: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _cdf(p: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(
+    dweights: np.ndarray, p: np.ndarray, s: int, seed: int, cdf: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """s rows drawn with replacement from the distribution p, and the sum of dweights_i / (s p_i) per row.
 
     The draws are bitwise ``_rng(seed).choice(p.size, size=s, replace=True,
     p=p)``: the same float operations (numpy 2.4) without choice's
-    validation passes over a p that ``subsample`` has just built. ``bincount``
-    sums each row's weights in draw order, as ``np.add.at`` does.
+    validation passes over a p that its caller formed. ``cdf`` is
+    p's as ``sampling_distribution`` forms it, formed here when left out.
+    The uniform keys are searched in sorted order, which lets each search
+    start from the last one's result, and the rows are put back in draw
+    order: a key's row does not depend on the order. ``bincount`` sums each
+    row's weights in draw order, as ``np.add.at`` does.
     """
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(_rng(seed).random(s), side="right")
+    if cdf is None:
+        cdf = _cdf(p)
+    keys = _rng(seed).random(s)
+    order = keys.argsort()
+    draws = np.empty(s, dtype=np.intp)
+    draws[order] = cdf.searchsorted(keys[order], side="right")
     with np.errstate(over="ignore"):  # a weight past float64 is inf
         weights = dweights[draws] / (s * p[draws])
     return draws, np.bincount(draws, weights=weights, minlength=p.size)

@@ -18,6 +18,7 @@ from softnewt.bounds import probe_empirical
 from softnewt.model import DenominatorFloorWarning, EvaluationOverflowError, ShapeError
 from softnewt.newton import NotPositiveDefiniteError, _spd_solve
 from softnewt.oracle import spectral
+from softnewt.sketch import sample_count
 
 
 def exact_cfg(**kw):
@@ -216,6 +217,64 @@ def test_failed_factorization_names_its_leading_minor(tall_instance):
     prefix = "the sketched Hessian is not numerically positive definite: Cholesky failed at leading minor 2 (lambda_min ~ "
     assert rep.error_message.startswith(prefix)
     assert float(rep.error_message[len(prefix):-1]) > 0.0
+
+
+def test_sketched_step_with_a_zero_ridge_weight_takes_the_exact_fallback(tall_instance):
+    # w_i = 0 on a row where diag(B)_i > 0 gives kappa = inf: no count makes the instance's
+    # ridge distribution sound, so the step takes Dt = D' although the base count 1034 is below n
+    x = np.array([0.2, -0.1])
+    kd = sn.kernel_diag(sn.eval_forward(tall_instance, x), tall_instance)
+    i = int(kd.argmax())
+    assert kd[i] > 0.0
+    w = tall_instance.w.copy()
+    w[i] = 0.0
+    inst = dataclasses.replace(tall_instance, w=w)
+    cfg = sn.NewtonConfig(mode="sketched", eps0=0.45, max_iters=20, seed=4)
+    assert sample_count(inst.n, inst.d, cfg.eps0, cfg.delta / cfg.max_iters) == 1034
+    _, diag = step_at(inst, x, cfg)
+    assert diag.sketch.exact and diag.sketch.num_draws == inst.n
+    assert np.array_equal(diag.sketch.dtilde, kd + w * w)
+    assert "ridge_distribution" not in vars(inst)  # never formed
+
+
+def test_sketched_solve_forms_its_distribution_once(tall_instance, monkeypatch):
+    # every step of a sketched solve draws rows, from the one distribution the instance forms on the
+    # first of them: one leverage_scores call and one cdf per instance, none per step
+    import softnewt.sketch as sketch_mod
+
+    calls = {"leverage_scores": 0, "_cdf": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(sketch_mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(sketch_mod, name, counted)
+    inst = dataclasses.replace(tall_instance)  # a fresh instance: no distribution formed yet
+    cfg = sn.NewtonConfig(mode="sketched", eps=1e-8, eps0=0.45, max_iters=20, seed=2)
+    steps = 0
+    for start in (np.array([0.3, -0.2]), np.array([-0.1, 0.4])):
+        rep = sn.solve(inst, start, cfg)
+        assert rep.status == "converged" and rep.n_iters >= 2
+        assert all(eps is not None and eps > 0.0 for eps in rep.sketch_eps_per_iter)  # drawn, not exact
+        steps += rep.n_iters
+    assert steps >= 4 and calls == {"leverage_scores": 1, "_cdf": 1}
+
+
+def test_sketched_steps_meet_the_sandwich_rate():
+    # acceptance criterion 7's rate, at least 90% of 200 seeds within eps0 = 0.3, for the
+    # step's own sketches of D' drawn from the instance's ridge distribution
+    inst, _ = sn.gen_instance(5000, 16, 2, "tanh", 1, noise=0.05)
+    x = np.array([0.3, -0.2])
+    state = sn.eval_forward(inst, x)
+    grad_tot = sn.grad(state, inst).grad_tot
+    dprime = sn.kernel_diag(state, inst) + inst.w * inst.w
+    hits = 0
+    for seed in range(200):
+        cfg = sn.NewtonConfig(mode="sketched", eps0=0.3, seed=seed)
+        _, diag = sn.newton_step(inst, state, grad_tot, cfg)
+        assert not diag.sketch.exact and diag.sketch.num_draws < inst.n
+        hits += sn.verify_sandwich(inst.A1, dprime, diag.sketch) <= 0.3
+    assert hits / 200 >= 0.9, hits
 
 
 @pytest.mark.parametrize("mode", ["exact", "sketched"])
@@ -462,7 +521,7 @@ def test_sketched_step_memory_is_linear_in_n():
     x = 0.3 * np.random.default_rng(1).standard_normal(d)
     state = sn.eval_forward(inst, x)
     grad_tot = sn.grad(state, inst).grad_tot
-    inst.ridge_gram  # formed once per instance, not per step
+    inst.ridge_gram, inst.ridge_distribution  # formed once per instance, not per step
     tracemalloc.start()
     try:
         _, diag = sn.newton_step(inst, state, grad_tot, sn.NewtonConfig(mode="sketched", eps0=0.45))

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
 from softnewt.model import _rng
+from softnewt.newton import _ridge_ratio
 from softnewt.sketch import (
     SAMPLING_CONSTANT,
     _draw,
@@ -138,6 +139,56 @@ def test_leverage_scores_at_scale_extremes(factor, dw_value):
     tau = leverage_scores(factor * A, dw_value * dw)  # RuntimeWarnings are errors here
     assert tau.sum() == pytest.approx(5.0, abs=1e-12)
     np.testing.assert_allclose(tau, ref, rtol=0, atol=leverage_tolerance(40, 5, s))
+
+
+@st.composite
+def ridge_perturbations(draw):
+    """(A, w2, b): a weighted matrix of ``weighted_matrices`` and a diag(B) with |b_i| <= kappa w2_i, kappa in [0, 0.999]."""
+    A, w2 = draw(weighted_matrices())
+    kappa = draw(st.floats(0.0, 0.999))
+    r = draw(hnp.arrays(float, w2.size, elements=st.floats(-1.0, 1.0)))
+    return A, w2, kappa * r * w2
+
+
+def one_heavy_row(n, kappa):
+    """A column of ones with unit weights, perturbed up by kappa on row 0 and down by kappa on every other row."""
+    b = np.full(n, -kappa)
+    b[0] = kappa
+    return np.ones((n, 1)), np.ones(n), b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=ridge_perturbations())
+@example(case=one_heavy_row(30, 0.5))  # the ratio 45/16 against the bound 3
+@example(case=one_heavy_row(30, 1.0 - 2.0**-20))  # kappa near 1: D' near 0 on 29 rows
+def test_ridge_leverage_bounds_the_surrogates_leverage(case):
+    # With D' = w^2 + b, |b_i| <= kappa w_i^2 and kappa < 1: A^T D' A >= (1 - kappa) A^T W A and
+    # D'_i <= (1 + kappa) w_i^2, so tau_i(D') <= tau_i(w^2) (1 + kappa)/(1 - kappa), the bound behind a
+    # sketched step's inflated count. Each computed tau is within leverage_tolerance of the exact one
+    # (test_leverage_scores_match_an_svd), so the computed bound holds up to tol(D') + the inflation times tol(w^2)
+    A, w2, b = case
+    n, d = A.shape
+    kappa = _ridge_ratio(b, w2)
+    assert kappa < 1.0
+    dprime = w2 + b
+    sv = [svd_leverage(A, dw)[1] for dw in (w2, dprime)]
+    if sv[0][0] == 0.0:  # A = 0: every score is 0
+        return
+    for s in sv:
+        rank = int(np.sum(s > 1e-12 * s[0]))
+        assume(s[0] / s[rank - 1] <= 1e6)
+    inflation = (1.0 + kappa) / (1.0 - kappa)
+    slack = leverage_tolerance(n, d, sv[1]) + inflation * leverage_tolerance(n, d, sv[0])
+    assert np.all(leverage_scores(A, dprime) <= inflation * leverage_scores(A, w2) + slack)
+
+
+def test_ridge_ratio_of_a_zero_weight_is_infinite():
+    # w_i = 0 gives kappa = inf whatever diag(B)_i is, as does any ratio from 1 up, without a numpy warning
+    assert _ridge_ratio(np.array([0.0, 0.5]), np.array([0.0, 1.0])) == math.inf
+    assert _ridge_ratio(np.array([1.0, 0.5]), np.array([1.0, 0.0])) == math.inf
+    assert _ridge_ratio(np.array([1e300, 0.0]), np.array([1e-300, 1.0])) == math.inf
+    assert _ridge_ratio(np.array([np.nan, 0.0]), np.array([1.0, 1.0])) == math.inf
+    assert _ridge_ratio(np.array([-0.25, 0.5]), np.array([1.0, 4.0])) == 0.25
 
 
 def test_leverage_scores_reject_non_finite_input():
