@@ -12,6 +12,10 @@ maxima come from the stacks. Every Lipschitz ratio takes one screened pass:
 each pair gets an upper bound per key, in chunks of pairs whose differences
 take at most ``_CHUNK_BYTES``, and only the pairs whose bound can still set
 the maximum are measured, so the probe never holds all differences at once.
+
+A spectral norm is measured by SVD and screened by min(Frobenius, Hoelder).
+Q2 = diag(h') A2 is stacked by its rows h' instead and measured from the
+m x m Gram of A2 (``_norms``), so no m x n matrix is formed for it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivatives import eval_p, eval_Q2, grad
+from .derivatives import eval_p, grad
 from .hessian import g_terms, hess_L, kernel
 from .model import _LOG_MAX, L_H, DenominatorFloorWarning, ProblemInstance, eval_forward
 from .oracle import spectral
@@ -269,13 +273,45 @@ def _pair_diffs(S: np.ndarray, first: np.ndarray, last: np.ndarray):
         yield D
 
 
-def _norms(key: str, D: np.ndarray) -> np.ndarray:
+def _scaled_gram(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, K): K is the Gram of the rows A[a] 2^-e[a], with 2^e[a] the power of two just above max|A[a]| (1 for 0).
+
+    The scaling is exact, and a nonzero scaled row has its largest entry in
+    [1/2, 1), so K neither overflows nor underflows where A A^T would.
+    """
+    _, e = np.frexp(np.max(np.abs(A), axis=1, initial=0.0))
+    As = np.ldexp(A, -e[:, None])
+    return e, As @ As.T
+
+
+def _scaled_rows(V: np.ndarray, gram: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(S, t) with diag(v) A = 2^t diag(s) A_s for each row v of V and its row s of S.
+
+    A_s holds the rows of ``_scaled_gram(A)``, and s_a = v_a 2^(e[a] - t) with
+    2^t the power of two just above the largest |v_a| 2^e[a], so every
+    |s_a| < 1 and the largest s_a^2 K_aa is at least 1/16. The scalings are
+    exact; a row that is zero wherever A is nonzero gives s = 0 and t = 0.
+    """
+    e_A, K = gram
+    live = (V != 0.0) & (np.diagonal(K) > 0.0)
+    t = np.max(np.where(live, np.frexp(V)[1] + e_A, -4096), axis=-1, initial=-4096)
+    t = np.where(live.any(axis=-1), t, 0)
+    return np.ldexp(np.where(live, V, 0.0), e_A - t[:, None]), t
+
+
+def _norms(key: str, D: np.ndarray, gram: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The norm of each slice of a stack, summed as the single-array norm sums it.
 
     Rows of a 2-D stack get the l2 norm sqrt(v @ v) (np.linalg.norm's sum);
     a 3-D stack gets the spectral norm of each matrix, or for P (``lip_p``)
-    its largest column norm.
+    its largest column norm. Q2 = diag(h') A2 (``lip_Q2``) is stacked by its
+    rows v, and ||diag(v) A2||_2 = 2^t sqrt(lambda_max((s s^T) o K)), with
+    ``gram`` = ``_scaled_gram(A2)`` and one batched ``eigvalsh`` over the rows.
     """
+    if key == "lip_Q2":
+        S, t = _scaled_rows(D, gram)
+        lam = np.linalg.eigvalsh(S[:, :, None] * gram[1] * S[:, None, :])[:, -1]
+        return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), t)
     if D.ndim == 2:
         return np.sqrt((D[:, None, :] @ D[:, :, None]).ravel())
     if key == "lip_p":
@@ -283,10 +319,10 @@ def _norms(key: str, D: np.ndarray) -> np.ndarray:
     return np.linalg.norm(D, 2, axis=(1, 2))
 
 
-def _max_norm(key: str, D: np.ndarray, dx) -> float:
-    """max(_norms(key, D) / dx), 0 if empty; a 2-D stack whose squares overflow is measured by ``vector_norm``."""
-    r = float(np.max(_norms(key, D) / dx, initial=0.0))
-    if r == math.inf and D.ndim == 2:
+def _max_norm(key: str, D: np.ndarray, dx, gram: tuple[np.ndarray, np.ndarray]) -> float:
+    """max(_norms(key, D) / dx), 0 if empty; a vector stack whose squares overflow is measured by ``vector_norm``."""
+    r = float(np.max(_norms(key, D, gram) / dx, initial=0.0))
+    if r == math.inf and D.ndim == 2 and key != "lip_Q2":
         r = float(np.max(np.array([vector_norm(v) for v in D]) / dx))
     return r
 
@@ -294,24 +330,38 @@ def _max_norm(key: str, D: np.ndarray, dx) -> float:
 def _spectral_bounds(D: np.ndarray) -> np.ndarray:
     """An upper bound on the spectral norm of each matrix of a stack.
 
-    The Frobenius norm, widened by 1e-8 to cover the SVD's rounding where the
-    two are equal (rank-1 matrices). Below 1e-280 the sum of squares may have
-    underflowed, and NaN bounds nothing: such a matrix gets 0 if it is all
-    zeros and inf otherwise, so it is always measured.
+    The lesser of the Frobenius norm and Hoelder's sqrt(||D||_1 ||D||_inf),
+    widened by 1e-8 to cover the SVD's rounding where a bound is attained
+    (rank-1 matrices, a single nonzero entry). The two square roots are
+    taken apart, so their product neither overflows nor underflows. Below
+    1e-280 the sum of squares may have underflowed, and NaN bounds nothing:
+    such a matrix gets 0 if it is all zeros and inf otherwise, so it is
+    always measured.
     """
-    sq = np.einsum("kij,kij->k", D, D)
-    ub = np.sqrt(sq) * (1.0 + 1e-8)
+    with np.errstate(over="ignore"):
+        sq = np.einsum("kij,kij->k", D, D)
+        W = np.abs(D)
+        holder = np.sqrt(np.max(W.sum(axis=1), axis=1)) * np.sqrt(np.max(W.sum(axis=2), axis=1))
+    ub = np.minimum(np.sqrt(sq), holder) * (1.0 + 1e-8)
     unsure = ~(sq >= 1e-280)
     if unsure.any():
         ub[unsure] = np.where(D[unsure].any(axis=(1, 2)), np.inf, 0.0)
     return ub
 
 
-def _bounds(key: str, D: np.ndarray) -> np.ndarray:
-    """An upper bound on each ``_norms(key, D)``: the norm itself where it takes no SVD."""
+def _bounds(key: str, D: np.ndarray, gram: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """An upper bound on each ``_norms(key, D, gram)``: the norm itself where it takes no SVD or eigensolver.
+
+    For Q2 it is the Frobenius norm 2^t sqrt(sum_a s_a K_aa s_a), in O(m), rounded
+    as the diagonal of (s s^T) o K and widened by 1e-8 for the eigensolver's
+    rounding where the two are equal (rank 1).
+    """
+    if key == "lip_Q2":
+        S, t = _scaled_rows(D, gram)
+        return np.ldexp(np.sqrt(np.sum(S * np.diagonal(gram[1]) * S, axis=-1)) * (1.0 + 1e-8), t)
     if D.ndim == 3 and key != "lip_p":
         return _spectral_bounds(D)
-    return _norms(key, D)
+    return _norms(key, D, gram)
 
 
 def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
@@ -327,10 +377,11 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     ``_CHUNK_BYTES``, or one point, and its spectra one batched ``eigvalsh``
     call. The norm maxima are read from the stacks. Each Lipschitz ratio
     takes one screened pass over the pairs of distinct points: each pair gets
-    the bound ``_bounds(key, D) / ||x_i - x_j||``, and the pairs are measured
-    ``_SVD_BATCH`` at a time in descending bound order until no bound exceeds
-    the maximum so far. Memory holds the stacks (linear in the points), one
-    chunk of differences, and per pair its indices, distance and bound.
+    the bound ``_bounds(key, D, gram) / ||x_i - x_j||``, and the pairs are
+    measured ``_SVD_BATCH`` at a time in descending bound order until no bound
+    exceeds the maximum so far. Memory holds the stacks (linear in the
+    points), the m x m Gram of A2, one chunk of differences, and per pair its
+    indices, distance and bound.
     """
     states, excluded = _admissible_states(inst, np.asarray(sample_points, dtype=float))
     X = states.x
@@ -349,7 +400,7 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
         "lip_alpha_inv": (1.0 / states.alpha)[:, None],
         "lip_f": states.f,
         "lip_c": states.c,
-        "lip_Q2": eval_Q2(states, inst),
+        "lip_Q2": states.hprime,  # Q2 = diag(h') A2, measured through the Gram of A2
         "lip_q2": states.q2,
         "lip_g": grad(states, inst).grad_L,
         "lip_p": eval_p(states, inst),
@@ -360,26 +411,27 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     report.lambda_min_B = lam_min
     report.lambda_max_B = lam_max
 
+    gram = _scaled_gram(inst.A2)
     # squares past float64 read inf here; _max_norm measures such vectors again
     with np.errstate(over="ignore"):
-        emp = {f"norm_{k}": _max_norm(f"lip_{k}", stacks[f"lip_{k}"], 1.0) for k in NORM_KEYS}
+        emp = {f"norm_{k}": _max_norm(f"lip_{k}", stacks[f"lip_{k}"], 1.0, gram) for k in NORM_KEYS}
         emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
         # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points
         emp.update(dict.fromkeys(stacks, 0.0))
         first, last = np.triu_indices(len(X), 1)
-        dx = np.concatenate([_norms("x", D) for D in _pair_diffs(X, first, last)])
+        dx = np.concatenate([_norms("x", D, gram) for D in _pair_diffs(X, first, last)])
         apart = dx != 0.0
         first, last, dx = first[apart], last[apart], dx[apart]
         for key, S in stacks.items():
             # measure the pairs in descending bound order until no bound can raise the maximum
-            ub = np.concatenate([_bounds(key, D) for D in _pair_diffs(S, first, last)]) / dx
+            ub = np.concatenate([_bounds(key, D, gram) for D in _pair_diffs(S, first, last)]) / dx
             order = np.argsort(-ub)
             for start in range(0, len(order), _SVD_BATCH):
                 batch = order[start : start + _SVD_BATCH]
                 batch = batch[ub[batch] > emp[key]]
                 if not len(batch):
                     break
-                emp[key] = max(emp[key], _max_norm(key, S[first[batch]] - S[last[batch]], dx[batch]))
+                emp[key] = max(emp[key], _max_norm(key, S[first[batch]] - S[last[batch]], dx[batch], gram))
 
     report.empirical = emp
     report.tightness = {k: report.analytic[k].tightness(v) for k, v in emp.items()}

@@ -222,29 +222,37 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
 
     The sample points are evaluated in one stacked call, and their gradients
     and Hessians in one stacked call each; only the finite-difference oracles
-    evaluate the perturbed points around them, one stacked call per stencil.
+    evaluate the perturbed points around them, in one stacked call per check
+    that holds every point's stencil.
     """
     rng = _rng(seed)
     d = inst.d
     xs = [0.35 * inst.R * rng.standard_normal(d) / math.sqrt(d) for _ in range(max(trials, 2))]
-    states = eval_forward(inst, np.array(xs))
+    X = np.array(xs)
+    states = eval_forward(inst, X)
     grads = grad(states, inst)
     hbs = hess_L(states.rows(slice(10)), inst)
 
     dev_norm = max(abs(float(np.sum(np.abs(f))) - 1.0) for f in states.f)
     yield "softmax_normalization", dev_norm <= 1e-12, dev_norm, "max |1 - ||f||_1|"
 
-    # the oracles pass each stencil as one (k, d) stack
-    def loss_at(X):
-        return eval_forward(inst, X).loss_tot
+    # the oracles pass every point's stencil in one (k, d) stack; it is evaluated in chunks
+    # of rows whose n-length arrays take at most _CHUNK_BYTES, keeping only what is read
+    def stencil(read):
+        def at(S):
+            return np.concatenate([read(eval_forward(inst, S[c])) for c in bounds_mod._chunks(len(S), 8 * inst.n)])
 
-    def grad_at(X):
-        return grad(eval_forward(inst, X), inst).grad_tot
+        return at
 
-    worst = max(_rel_err(g, fd_gradient(loss_at, x)) for x, g in zip(xs, grads.grad_tot))
+    loss_at = stencil(lambda st: st.loss_tot)
+    grad_at = stencil(lambda st: grad(st, inst).grad_tot)
+
+    fd = fd_gradient(loss_at, X)
+    worst = max(_rel_err(g, g_fd) for g, g_fd in zip(grads.grad_tot, fd))
     yield "gradient_vs_finite_difference", worst <= 1e-6, worst, "relative l2 error"
 
-    worst = max(_rel_err(H, fd_hessian(grad_at, x)) for x, H in zip(xs, hbs.H_tot))
+    fd = fd_hessian(grad_at, X[:10])
+    worst = max(_rel_err(H, H_fd) for H, H_fd in zip(hbs.H_tot, fd))
     yield "hessian_vs_finite_difference", worst <= 1e-5, worst, "relative Frobenius error"
 
     worst = 0.0

@@ -217,19 +217,20 @@ def b_terms(state: ModelState, inst: ProblemInstance) -> list[np.ndarray]:
     curv = state.hdoubleprime * state.c
     Qt = Q2.T @ Q2
     S = inst.A2.T @ (curv[:, None] * inst.A2)
-    df = np.diag(f)
+    # diag(f) products as row and column scalings: the entries diag(f) GEMMs give, for finite inputs
+    fr, fc = f[:, None], f[None, :]
     ff = np.outer(f, f)
     return [
-        df @ Qt @ df,
-        -df @ Qt @ ff,
-        -ff @ Qt @ df,
+        fr * Qt * fc,
+        -(fr * Qt) @ ff,
+        -(ff @ Qt) * fc,
         float(f @ Qt @ f) * ff,
         2.0 * s * ff,
         -np.outer(f, v) - np.outer(v, f),
         np.diag(v),
-        df @ S @ df,
-        -df @ S @ ff,
-        -ff @ S @ df,
+        fr * S * fc,
+        -(fr * S) @ ff,
+        -(ff @ S) * fc,
         float(f @ S @ f) * ff,
         -s * np.diag(f),
     ]

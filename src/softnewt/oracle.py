@@ -7,9 +7,11 @@ which never call the closed forms: they only difference values of the
 function they are given.
 
 That function takes a (k, d) stack of points and returns one value (or one
-gradient row) per point. Each derivative evaluates its whole central
-stencil in one call, in probe order: coordinate by coordinate, and within a
-coordinate the offsets (+h, -h), with h = 1e-5 (1 + |x_i|).
+gradient row) per point. A derivative is taken at one point or at each
+point of a stack, with the central stencils of all its points in one call,
+in probe order: point by point, coordinate by coordinate, and within a
+coordinate the offsets (+h, -h), with h = 1e-5 (1 + |x_i|). A caller whose
+rows are large evaluates that stack in chunks inside the function.
 """
 
 from __future__ import annotations
@@ -36,35 +38,43 @@ class ProbeEvaluationError(ArithmeticError):
 def fd_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function, with O(h^2) truncation; row i is d/dx_i.
 
-    ``func`` maps a (k, d) stack of points to their k values (or k rows of a
-    vector function, whose Jacobian rows come back); it is called once, on
-    the whole stencil. Row 2 i + j of the stack is x with x[i] moved by +h_i
-    (j = 0) or -h_i (j = 1), h_i = 1e-5 (1 + |x_i|). The first non-finite
-    value in that order raises, and so does a quotient past float64.
+    ``x`` is one point, or a (k, d) stack whose gradients come back stacked,
+    each bitwise the one its point gives alone. ``func`` maps a stack of
+    points to their values (or to rows of a vector function, whose Jacobian
+    rows come back) and is called once, on every stencil: row 2 d p + 2 i + j
+    is point p with x[i] moved by +h_i (j = 0) or -h_i (j = 1). A failure
+    raises what a loop over the points would raise first: the first failing
+    point's first non-finite value in stencil order, else its first quotient
+    past float64.
     """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    h = 1e-5 * (1.0 + np.abs(x))
-    offsets = np.column_stack((h, -h)).ravel()
-    stack = np.tile(x, (2 * d, 1))
+    if x.ndim > 2:
+        raise ValueError(f"x must be a point or a (k, d) stack of points, got shape {x.shape}")
+    X = np.atleast_2d(x)
+    k, d = X.shape
+    h = 1e-5 * (1.0 + np.abs(X))
+    offsets = np.stack((h, -h), axis=-1).reshape(k, 2 * d)
+    stack = np.repeat(X, 2 * d, axis=0)
     rows = np.arange(2 * d)
-    stack[rows, rows // 2] += offsets
+    stack.reshape(k, 2 * d, d)[:, rows, rows // 2] += offsets
     vals = np.asarray(func(stack), dtype=float)
-    if vals.shape[:1] != (2 * d,):
-        raise ValueError(f"func must map a ({2 * d}, {d}) stack to {2 * d} values, got shape {vals.shape}")
-    bad = ~np.isfinite(vals).all(axis=tuple(range(1, vals.ndim)))
-    if bad.any():
-        r = int(bad.argmax())
-        i, offset = r // 2, float(offsets[r])
-        raise ProbeEvaluationError(f"non-finite probe at coordinate {i}, offset {offset:+.3e}", i, offset)
-    vals = vals.reshape(d, 2, *vals.shape[1:])
-    with np.errstate(over="ignore"):  # finite values whose quotient overflows raise below
-        quotient = (vals[:, 0] - vals[:, 1]) / (2.0 * h.reshape(d, *[1] * (vals.ndim - 2)))
-    bad = ~np.isfinite(quotient).all(axis=tuple(range(1, quotient.ndim)))
-    if bad.any():
-        i = int(bad.argmax())
-        raise ProbeEvaluationError(f"difference quotient past float64 at coordinate {i}", i, float(h[i]))
-    return quotient
+    if vals.shape[:1] != (2 * d * k,):
+        raise ValueError(f"func must map a ({2 * d * k}, {d}) stack to {2 * d * k} values, got shape {vals.shape}")
+    vals = vals.reshape(k, d, 2, *vals.shape[1:])
+    bad_val = ~np.isfinite(vals).all(axis=tuple(range(3, vals.ndim))).reshape(k, 2 * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # a failed point raises below
+        quotient = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h.reshape(k, d, *[1] * (vals.ndim - 3)))
+    bad_q = ~np.isfinite(quotient).all(axis=tuple(range(2, quotient.ndim)))
+    failed = bad_val.any(axis=1) | bad_q.any(axis=1)
+    if failed.any():
+        p = int(failed.argmax())
+        if bad_val[p].any():
+            r = int(bad_val[p].argmax())
+            i, offset = r // 2, float(offsets[p, r])
+            raise ProbeEvaluationError(f"non-finite probe at coordinate {i}, offset {offset:+.3e}", i, offset)
+        i = int(bad_q[p].argmax())
+        raise ProbeEvaluationError(f"difference quotient past float64 at coordinate {i}", i, float(h[p, i]))
+    return quotient if x.ndim == 2 else quotient[0]
 
 
 def fd_hessian(
@@ -76,16 +86,21 @@ def fd_hessian(
     """Central differences of a vector gradient, symmetrized as (H + H^T)/2.
 
     ``grad_func`` maps a (k, d) stack of points to their k gradient rows; it
-    is called once, on ``fd_gradient``'s stencil. The pre-symmetrization asymmetry
-    flags closed-form bugs; request it with ``return_asymmetry``. Where H + H^T
+    is called once, on ``fd_gradient``'s stencil. A (k, d) stack of points
+    gives k matrices, each bitwise the one its point gives alone. The
+    pre-symmetrization asymmetry flags closed-form bugs; request it with
+    ``return_asymmetry`` (one float per point of a stack). Where H + H^T
     could pass float64 the halves are added instead, so a finite H gives a
     finite result.
     """
-    H = fd_gradient(grad_func, x).T
-    asym = float(np.max(np.abs(H - H.T), initial=0.0))
-    H_sym = 0.5 * (H + H.T) if np.max(np.abs(H), initial=0.0) <= _HALF_MAX else 0.5 * H + 0.5 * H.T
+    H = np.swapaxes(fd_gradient(grad_func, x), -1, -2)
+    HT = np.swapaxes(H, -1, -2)
+    asym = np.max(np.abs(H - HT), axis=(-2, -1), initial=0.0)
+    halves = np.max(np.abs(H), axis=(-2, -1), initial=0.0) > _HALF_MAX
+    with np.errstate(over="ignore"):  # the sum is not read where it could overflow
+        H_sym = np.where(halves[..., None, None], 0.5 * H + 0.5 * HT, 0.5 * (H + HT))
     if return_asymmetry:
-        return H_sym, asym
+        return H_sym, asym if np.ndim(asym) else float(asym)
     return H_sym
 
 

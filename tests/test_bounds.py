@@ -282,16 +282,18 @@ def pairwise_probe(inst, pts):
     for s in states:
         per_point.append({
             "x": s.x, "u": s.u, "alpha": s.alpha, "alpha_inv": 1.0 / s.alpha, "f": s.f, "c": s.c,
-            "Q2": eval_Q2(s, inst), "q2": s.q2, "g": grad(s, inst).grad_L, "p": eval_p(s, inst),
+            "Q2": s.hprime, "q2": s.q2, "g": grad(s, inst).grad_L, "p": eval_p(s, inst),
             "M": hess_L(s, inst).H_L,
             **g_terms(s, inst),
         })
     vec = lambda a, b: float(np.linalg.norm(np.atleast_1d(a) - np.atleast_1d(b)))
     mat = lambda a, b: float(np.linalg.norm(a - b, 2))
     col = lambda a, b: float(np.max(np.linalg.norm(a - b, axis=0)))
+    # Q2_i - Q2_j = diag(h'_i - h'_j) A2, with the difference taken first
+    diag_q2 = lambda a, b: float(np.linalg.norm((a - b)[:, None] * inst.A2, 2))
     emp = {}
     for key in ("u", "alpha", "alpha_inv", "f", "c", "Q2", "q2", "g", "p", "M", "G1", "G2", "G3", "G4", "G5", "G6"):
-        norm = col if key == "p" else mat if key in ("Q2", "M") or key.startswith("G") else vec
+        norm = col if key == "p" else diag_q2 if key == "Q2" else mat if key == "M" or key.startswith("G") else vec
         best = 0.0
         for a, b in itertools.combinations(per_point, 2):
             dx = float(np.linalg.norm(a["x"] - b["x"]))
@@ -301,12 +303,75 @@ def pairwise_probe(inst, pts):
         emp[key if key == "M" else f"lip_{key}"] = best
     for key in ("f", "c", "q2"):
         emp[f"norm_{key}"] = max(float(np.linalg.norm(p[key])) for p in per_point)
-    emp["norm_Q2"] = max(float(np.linalg.norm(p["Q2"], 2)) for p in per_point)
+    emp["norm_Q2"] = max(float(np.linalg.norm(eval_Q2(s, inst), 2)) for s in states)
     emp["norm_p"] = max(float(np.max(np.linalg.norm(p["p"], axis=0))) for p in per_point)
     spectra = [spectral(kernel(s, inst)) for s in states]
     lam_min, lam_max = min(lo for lo, _, _ in spectra), max(hi for _, hi, _ in spectra)
     emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
     return emp, lam_min, lam_max
+
+
+def q2_tolerance(m, n):
+    """Relative gap allowed between the probe's ||diag(v) A2||_2, read from the Gram of A2, and the SVD of v[:, None] * A2.
+
+    With u = 2^-53, W = diag(v) A2 and r = min(m, n); the scalings by powers of two are exact.
+    - The Gram K = A2 A2^T has |dK| <= g_n |A2| |A2|^T, g_n = n u / (1 - n u); the products
+      v_a K_ab v_b round twice more, so (v v^T) o K carries |dM| <= g_(n+2) |W| |W|^T, of norm at
+      most g_(n+2) || |W| ||_2^2 <= g_(n+2) r ||W||_2^2.
+    - ``eigvalsh`` returns an eigenvalue of M + F with ||F||_2 <= p u ||M||_2, where LAPACK's guide
+      leaves p a modest function of the order; it is taken as the order m.
+    So lambda_max is within (g_(n+2) r + m u) relative of ||W||_2^2; its square root halves that
+    and rounds once more (u).
+    - The reference rounds each product v_a A2_ab once: |dW| <= u |W|, of norm at most sqrt(r) u
+      ||W||_2; its SVD is within p u ||W||_2, with p taken as max(m, n).
+    - A Lipschitz ratio divides both by the same distance: one rounding (u) on each side.
+    """
+    u = 2.0**-53
+    g = (n + 2) * u / (1 - (n + 2) * u)
+    return (g * min(m, n) + m * u) / 2 + u + (math.sqrt(min(m, n)) + max(m, n)) * u + 2 * u
+
+
+def subnormal_slack(m, n):
+    """Absolute slack for roundings below the normal range, each off by at most 2^-1075.
+
+    The reference's m n products v_a A2_ab move its norm by at most sqrt(m n) 2^-1075 (Frobenius),
+    and each side's result may round once more; every half unit is taken as a whole 2^-1074.
+    """
+    return (math.sqrt(m * n) + 2.0) * 2.0**-1074
+
+
+def assert_probe_matches(got, expected, inst, pts):
+    """``got`` equals the pairwise reference's empirical map, the Q2 keys within ``q2_tolerance``.
+
+    Below the normal range a rounding errs by an absolute 2^-1075, half the least subnormal
+    (``subnormal_slack``), divided by the pair's distance in a ratio.
+    """
+    assert set(got) == set(expected)
+    assert {k: v for k, v in got.items() if "Q2" not in k} == {k: v for k, v in expected.items() if "Q2" not in k}
+    dx = [float(np.linalg.norm(a - b)) for a, b in itertools.combinations(pts, 2)]
+    dx_min = min([v for v in dx if v > 0.0], default=1.0)
+    tiny = subnormal_slack(inst.m, inst.n)
+    rel = q2_tolerance(inst.m, inst.n)
+    for key, slack in (("norm_Q2", tiny), ("lip_Q2", tiny / dx_min)):
+        assert abs(got[key] - expected[key]) <= rel * expected[key] + slack, (key, got[key], expected[key])
+
+
+def frozen_points(d, count=4):
+    """Distinct probe points, small enough for every instance below to admit them."""
+    return [np.linspace(-0.3, 0.2, d) * (k + 1) / count for k in range(count)]
+
+
+def explicit_case(A2, kind, d=2):
+    n = A2.shape[1]
+    A1 = np.linspace(-0.5, 0.5, n * d).reshape(n, d)
+    inst = sn.ProblemInstance(
+        A1=A1, A2=A2, b=np.full(A2.shape[0], 0.1), w=np.ones(n), activation=sn.Activation(kind),
+        R=max(float(np.linalg.norm(A1, 2)), float(np.linalg.norm(A2, 2)), 0.5),
+    )
+    return inst, frozen_points(d)
+
+
+_A2 = np.array([[0.9, -0.4, 0.3, 1.1, -0.7], [0.2, 0.8, -1.3, 0.5, 0.6], [-1.0, 0.1, 0.7, -0.2, 0.4]])
 
 
 @st.composite
@@ -329,6 +394,9 @@ def probe_cases(draw):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(case=probe_cases())
+@example(case=explicit_case(_A2 * 1e-200, "tanh"))  # the Gram of A2 alone would underflow
+@example(case=explicit_case(_A2, "identity"))  # h' = 1: every Q2 difference is exactly zero
+@example(case=explicit_case(_A2[:1], "softplus"))  # m = 1
 def test_probe_equals_pairwise_reference(case):
     inst, pts = case
     expected = pairwise_probe(inst, pts)
@@ -338,8 +406,47 @@ def test_probe_equals_pairwise_reference(case):
         return
     rep = probe_empirical(inst, pts)
     emp, lam_min, lam_max = expected
-    assert rep.empirical == emp
+    assert_probe_matches(rep.empirical, emp, inst, pts)
     assert (rep.lambda_min_B, rep.lambda_max_B) == (lam_min, lam_max)
+    if inst.activation.kind == "identity":
+        assert rep.empirical["lip_Q2"] == 0.0
+
+
+@st.composite
+def diag_scaled_cases(draw):
+    """Rows v (k 1-6, m 1-5) and an m x n A2 (n 1-7), each at its own scale 10^-300 to 10^300, some rows zero."""
+    k, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    V = draw(hnp.arrays(float, (k, m), elements=st.floats(-2.0, 2.0)))
+    A2 = draw(hnp.arrays(float, (m, n), elements=st.floats(-2.0, 2.0)))
+    V[draw(st.lists(st.integers(0, k - 1), max_size=k))] = 0.0
+    with np.errstate(under="ignore"):
+        return V * 10.0 ** draw(st.integers(-300, 0)), A2 * 10.0 ** draw(st.integers(-300, 300))
+
+
+_V = np.array([[0.3, -1.2, 0.05], [0.0, 0.0, 0.0], [1e-17, 2e-17, -3e-17]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=diag_scaled_cases())
+@example(case=(_V, _A2 * 1e200))  # A2 A2^T would overflow
+@example(case=(_V, _A2 * 1e-200))  # and here underflow
+@example(case=(_V[:, :1], _A2[:1]))  # m = 1
+@example(case=(np.zeros((2, 3)), _A2))  # v = 0, as for the identity activation
+# v's large entry meets a zero row of A2: scaled by max|v| and max|A2| alone, the product underflows
+@example(case=(np.array([[1.0, 1.64023605e-242]]), np.array([[0.0], [1.0]])))
+def test_gram_route_matches_the_svd_of_each_row(case):
+    from softnewt.bounds import _bounds, _norms, _scaled_gram
+
+    V, A2 = case
+    m, n = A2.shape
+    gram = _scaled_gram(A2)
+    got = _norms("lip_Q2", V, gram)
+    ub = _bounds("lip_Q2", V, gram)
+    with np.errstate(under="ignore"):
+        ref = np.array([np.linalg.norm(v[:, None] * A2, 2) for v in V])
+    tiny = subnormal_slack(m, n)
+    assert np.all(np.abs(got - ref) <= q2_tolerance(m, n) * ref + tiny), (got, ref)
+    assert np.all(got <= ub) and np.all(got[~V.any(axis=1)] == 0.0)
 
 
 def test_probe_memory_is_linear_in_points():
@@ -378,27 +485,29 @@ def test_screened_probe_equals_pairwise_reference(n, m, d, kind):
     pts += [pts[4].copy(), pts[15].copy()]
     emp, lam_min, lam_max = pairwise_probe(inst, pts)
     doc = probe_empirical(inst, pts).to_json()
-    assert doc["empirical"] == dict(sorted(emp.items()))
+    assert_probe_matches(doc["empirical"], emp, inst, pts)
     assert (doc["lambda_min_B"], doc["lambda_max_B"]) == (lam_min, lam_max)
 
 
 def test_screened_probe_measures_few_spectral_norms(monkeypatch):
     import softnewt.bounds as bounds_mod
 
-    measured = []
+    measured = {}
     norms = bounds_mod._norms
 
-    def counting(key, D):
+    def counting(key, D, gram):
         if D.ndim == 3 and key != "lip_p":
-            measured.append(len(D))
-        return norms(key, D)
+            measured[key] = measured.get(key, 0) + len(D)
+        return norms(key, D, gram)
 
     monkeypatch.setattr(bounds_mod, "_norms", counting)
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     assert rep.n_admissible == 20
-    # 8 matrix keys x 190 pairs, plus the 20 Q2 norms behind norm_Q2
-    assert sum(measured) - 20 < 8 * 190 / 4, sum(measured)
+    # only M and the six G pieces take SVDs (Q2 goes through the m x m Gram of A2), on
+    # fewer than a sixth of their 7 x 190 pairs
+    assert sorted(measured) == ["M", *(f"lip_G{i}" for i in range(1, 7))]
+    assert sum(measured.values()) < 7 * 190 / 6, measured
 
 
 def test_every_lipschitz_key_is_screened(monkeypatch):
@@ -407,26 +516,29 @@ def test_every_lipschitz_key_is_screened(monkeypatch):
     measured = {}
     max_norm = bounds_mod._max_norm
 
-    def counting(key, D, dx):
+    def counting(key, D, dx, gram):
         if np.ndim(dx):  # a pair batch; the norm maxima pass dx = 1.0
             measured[key] = measured.get(key, 0) + len(D)
-        return max_norm(key, D, dx)
+        return max_norm(key, D, dx, gram)
 
     monkeypatch.setattr(bounds_mod, "_max_norm", counting)
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     lip_keys = [k for k in rep.empirical if k == "M" or k.startswith("lip_")]
     assert len(lip_keys) == 16
-    # every key is measured through the one screened pass, on fewer than half of its 190 pairs
+    # every key is measured through the one screened pass, on at most 40% of its 190 pairs;
+    # lip_Q2's Frobenius screen leaves fewer than a sixth
     assert sorted(measured) == sorted(lip_keys)
-    assert all(0 < count < 190 / 2 for count in measured.values()), measured
+    assert all(0 < count <= 0.4 * 190 for count in measured.values()), measured
+    assert measured["lip_Q2"] < 190 / 6, measured
 
 
 def test_probe_stacks_its_calls(monkeypatch):
     import softnewt.bounds as bounds_mod
-    from softnewt import hessian
+    from softnewt import derivatives, hessian
 
-    calls = {"eval_forward": 0, "_centred_A2": 0, "_G": 0, "eigvalsh": 0}
+    calls = {"eval_forward": 0, "_centred_A2": 0, "_G": 0, "eval_Q2": 0}
+    spectra = []
 
     def counted(module, name):
         original = getattr(module, name)
@@ -440,17 +552,25 @@ def test_probe_stacks_its_calls(monkeypatch):
     counted(bounds_mod, "eval_forward")
     counted(hessian, "_centred_A2")
     counted(hessian, "_G")
-    counted(np.linalg, "eigvalsh")
+    counted(derivatives, "eval_Q2")
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: spectra.append(M.shape) or eigvalsh(M))
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     assert rep.n_admissible == 20
     # one stacked forward pass; hess_L and g_terms one pass each over all points that forms
     # only G = (A2 J) A1; per chunk of points, kernel one pass that forms the centred A2 and
-    # the chunk's spectra one eigvalsh call
-    assert calls["eval_forward"] == 1
-    chunks = math.ceil(20 / max(1, bounds_mod._CHUNK_BYTES // (8 * 64 * 64)))
+    # the chunk's spectra one eigvalsh call. Q2 forms no m x n matrix: norm_Q2 takes one
+    # batched eigvalsh of 20 m x m matrices, and lip_Q2 one per batch of 8 pairs
+    per_chunk = max(1, bounds_mod._CHUNK_BYTES // (8 * 64 * 64))
+    chunks = math.ceil(20 / per_chunk)
     assert chunks < 20
-    assert calls == {"eval_forward": 1, "_centred_A2": chunks, "_G": 2, "eigvalsh": chunks}, calls
+    assert calls == {"eval_forward": 1, "_centred_A2": chunks, "_G": 2, "eval_Q2": 0}, calls
+    assert [k for k, *_ in spectra[:chunks]] == [min(per_chunk, 20 - c) for c in range(0, 20, per_chunk)]
+    assert all(shape[1:] == (64, 64) for shape in spectra[:chunks]), spectra
+    gram_batches = spectra[chunks:]
+    assert gram_batches[0] == (20, 16, 16) and 1 <= len(gram_batches) - 1 <= 190 / 6 / 8, spectra
+    assert all(shape[1:] == (16, 16) and shape[0] <= 8 for shape in gram_batches[1:]), spectra
 
 
 def test_spectral_bounds_cover_underflow_and_zeros():
@@ -462,3 +582,37 @@ def test_spectral_bounds_cover_underflow_and_zeros():
     assert ub[0] >= np.linalg.norm(rank_one, 2)
     # all zeros bound 0; squares that underflow or NaN bound nothing, so inf
     assert list(ub[1:]) == [0.0, math.inf, math.inf]
+    # Hoelder's sqrt(||D||_1 ||D||_inf) is attained by the identity, where Frobenius reads sqrt(8)
+    assert _spectral_bounds(np.eye(8)[None])[0] == 1.0 + 1e-8
+
+
+@st.composite
+def bound_matrices(draw):
+    """A random, rank-1, single-entry or all-zero matrix of 1-6 rows and columns, scaled by 1, 1e-160 or 1e200."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    entries = st.floats(-1e3, 1e3)
+    kind = draw(st.sampled_from(["random", "rank1", "single", "zero"]))
+    D = np.zeros(shape)
+    if kind == "random":
+        D = draw(hnp.arrays(float, shape, elements=entries))
+    elif kind == "rank1":
+        D = np.outer(draw(hnp.arrays(float, shape[0], elements=entries)), draw(hnp.arrays(float, shape[1], elements=entries)))
+    elif kind == "single":
+        D[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = draw(entries)
+    with np.errstate(under="ignore"):
+        return D * draw(st.sampled_from([1.0, 1e-160, 1e200]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(D=bound_matrices())
+@example(D=np.full((4, 6), 1e200))  # rank 1 with both bounds attained; its squares overflow
+@example(D=np.full((2, 3), 1e-160))  # its squares underflow: measured
+def test_spectral_bounds_bound_the_spectral_norm(D):
+    from softnewt.bounds import _spectral_bounds
+
+    ub = _spectral_bounds(D[None])[0]
+    assert ub >= np.linalg.norm(D, 2)
+    if not D.any():
+        assert ub == 0.0
+    elif not np.einsum("ij,ij", D, D) >= 1e-280:
+        assert ub == math.inf

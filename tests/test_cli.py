@@ -516,10 +516,51 @@ def test_verify_evaluates_each_point_once(monkeypatch):
     assert all(passed for _, passed, _, _ in checks)
     # one literal oracle per route-check point
     assert calls["eval_p"] == 5
-    # one stacked call for the sample points, one per FD stencil around them, and the sketch's x = 0
-    assert calls["eval_forward"] == 1 + trials + min(trials, 10) + 1
+    # one stacked call for the sample points, one per finite-difference check for all the stencils
+    # around them (one chunk at n = 64), and the sketch's x = 0
+    assert calls["eval_forward"] == 1 + 1 + 1 + 1
     # the determinism check's two draws go through the leverage sampler
     assert calls["leverage_scores"] >= 2
+
+
+@pytest.mark.parametrize("n", [64, 300])
+def test_verify_takes_one_stacked_call_per_finite_difference_check(monkeypatch, n):
+    inst, _ = sn.gen_instance(n, 16, 8, "tanh", 1, noise=0.05)
+    oracle_calls, callbacks = [], []  # per func call, the row counts of the forward passes inside it
+    inside = [False]
+    for name in ("fd_gradient", "fd_hessian"):
+        original = getattr(cli, name)
+
+        def counted(func, X, *args, _original=original, _name=name, **kwargs):
+            def callback(S):
+                callbacks.append([])
+                inside[0] = True
+                try:
+                    return func(S)
+                finally:
+                    inside[0] = False
+
+            oracle_calls.append((_name, len(X)))
+            return _original(callback, X, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    eval_forward = cli.eval_forward
+
+    def recording(inst_, X):
+        if inside[0]:
+            callbacks[-1].append(len(X))
+        return eval_forward(inst_, X)
+
+    monkeypatch.setattr(cli, "eval_forward", recording)
+    checks = list(cli._verify_checks(inst, 0, 20))
+    assert all(passed for _, passed, _, _ in checks)
+    # one call per check, each calling func once on every point's stencil: 20 points of 16 rows, then 10
+    assert oracle_calls == [("fd_gradient", 20), ("fd_hessian", 10)]
+    assert [sum(rows) for rows in callbacks] == [20 * 16, 10 * 16]
+    # each forward pass inside them holds at most _CHUNK_BYTES of n-length rows
+    per_chunk = cli.bounds_mod._CHUNK_BYTES // (8 * n)
+    assert all(r <= per_chunk for rows in callbacks for r in rows), callbacks
+    assert [len(rows) for rows in callbacks] == [math.ceil(20 * 16 / per_chunk), math.ceil(10 * 16 / per_chunk)]
 
 
 def test_verify_draws_one_fallback_sketch_for_the_sandwich_rate(monkeypatch):
@@ -564,6 +605,18 @@ def test_bounds_table(inst_file, tmp_path, capsys):
     doc = load_path(out)
     assert doc["n_admissible"] == 10
     assert all(doc["tightness"][k] <= 1.0 for k in doc["tightness"] if k.startswith("norm_"))
+
+
+@pytest.mark.parametrize("probes", ["0", "1"])
+def test_bounds_with_fewer_than_two_admissible_points_exits_3(inst_file, tmp_path, capsys, probes):
+    out = tmp_path / "bounds.json"
+    rc = main(["bounds", "--instance", inst_file, "--probes", probes, "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err == {"error": "configuration",
+                   "message": f"need at least 2 admissible probe points for Lipschitz probes, got {probes}"}
+    assert captured.out == "" and not out.exists()
 
 
 def test_verify_on_seed_instance(s1_instance, tmp_path):

@@ -282,6 +282,37 @@ def test_hess_L_entries_equals_loop(case):
     assert np.array_equal(hess_L_entries(state, inst), loop_hess_L_entries(state, inst))
 
 
+def gemm_b_terms(state, inst):
+    """The twelve kernel addends with every diag(f) product a dense matrix product, the reference for ``b_terms``."""
+    Q2 = eval_Q2(state, inst)
+    q2 = Q2.T @ state.c
+    f = state.f
+    v = f * q2
+    s = float(q2 @ f)
+    Qt = Q2.T @ Q2
+    S = inst.A2.T @ ((state.hdoubleprime * state.c)[:, None] * inst.A2)
+    df = np.diag(f)
+    ff = np.outer(f, f)
+    return [
+        df @ Qt @ df, -df @ Qt @ ff, -ff @ Qt @ df, float(f @ Qt @ f) * ff, 2.0 * s * ff,
+        -np.outer(f, v) - np.outer(v, f), np.diag(v),
+        df @ S @ df, -df @ S @ ff, -ff @ S @ df, float(f @ S @ f) * ff, -s * np.diag(f),
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.one_of(curvature_cases(), seeded_cases()))
+@example(case=seeded_case(1, 1, 4, 3, "tanh"))  # n = 1
+@example(case=seeded_case(4, 64, 16, 8, "sigmoid"))
+def test_b_terms_equal_their_gemm_form(case):
+    # a product with diag(f) adds one rounded product to exact zeros, so row and column
+    # scaling gives the same entries for finite inputs
+    inst, x = case
+    state = evaluate(inst, x)
+    for name, got, ref in zip(B_TERM_NAMES, b_terms(state, inst), gemm_b_terms(state, inst), strict=True):
+        assert np.array_equal(got, ref), name
+
+
 @st.composite
 def stack_cases(draw):
     """An instance as above and a stack of 1-8 points, some of them repeated."""

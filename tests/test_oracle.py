@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softnewt as sn
 from softnewt.model import L_H
@@ -143,3 +146,56 @@ def test_probe_error_matches_loop_reference():
 def test_stencil_rejects_wrong_value_count():
     with pytest.raises(ValueError, match="stack"):
         fd_gradient(lambda X: 3.0, np.array([1.0, 2.0]))
+
+
+# row-independent functions of a (k, d) stack, as the oracle requires: each row's value is the
+# one that row gives alone
+M3 = np.array([[2.0, 0.5, -1.0], [0.5, 3.0, 0.25], [-1.0, 0.25, 1.5]])
+STACK_FUNCS = {
+    "sum of squares": (lambda X: 0.5 * np.sum(X * X, axis=-1), None),
+    "linear": (None, lambda X: np.matmul(M3[: X.shape[-1], : X.shape[-1]], X[..., None])[..., 0]),
+    "cubic": (lambda X: np.sum(np.sin(X) * X**3, axis=-1), lambda X: np.cos(X) * X**3 + 3.0 * np.sin(X) * X**2),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    X=st.integers(1, 3).flatmap(
+        lambda d: hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(d)), elements=st.floats(-1e3, 1e3))
+    ),
+    name=st.sampled_from(sorted(STACK_FUNCS)),
+)
+def test_stacked_points_equal_per_point_calls(X, name):
+    scalar, vector = STACK_FUNCS[name]
+    if scalar is not None:
+        stacked = fd_gradient(scalar, X)
+        assert stacked.shape == X.shape
+        for x, row in zip(X, stacked):
+            assert np.array_equal(row, fd_gradient(scalar, x))
+    if vector is not None:
+        H, asym = fd_hessian(vector, X, return_asymmetry=True)
+        assert H.shape == X.shape + X.shape[-1:] and asym.shape == X.shape[:1]
+        for x, H_x, asym_x in zip(X, H, asym):
+            H_ref, asym_ref = fd_hessian(vector, x, return_asymmetry=True)
+            assert np.array_equal(H_x, H_ref) and asym_x == asym_ref
+
+
+def test_stacked_points_raise_the_first_point_loop_error():
+    # point 0's quotient passes float64 (finite values +-1e308 either side of x_1 = 0), and
+    # every value at point 1 is non-finite: a loop over the points raises point 0's error
+    def f(X):
+        steep = np.where(X[:, 1] > 0.0, 1e308, -1e308) + X[:, 0]
+        return np.where(X[:, 0] > 5.0, np.nan, steep)
+
+    X = np.array([[0.5, 0.0], [7.0, 0.3]])
+    errors = []
+    for fn in (lambda: fd_gradient(f, X), lambda: [fd_gradient(f, x) for x in X]):
+        with pytest.raises(ProbeEvaluationError) as exc:
+            fn()
+        errors.append((exc.value.coordinate, exc.value.offset, str(exc.value)))
+    assert errors[0] == errors[1] == (1, 1e-5, "difference quotient past float64 at coordinate 1")
+    # with point 0 fine, point 1's first non-finite value is reported
+    X[0, 1] = 0.5
+    with pytest.raises(ProbeEvaluationError, match="non-finite probe at coordinate 0") as exc:
+        fd_gradient(f, X)
+    assert exc.value.offset == 1e-5 * 8.0
