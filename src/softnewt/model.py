@@ -239,7 +239,7 @@ class ProblemInstance:
     def ridge_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """(p, cdf) of ``sketch.sampling_distribution`` for A1 under the weights w^2, formed on first use only.
 
-        A sketched Newton step draws its rows from it; it needs every w_i > 0.
+        ``sketch.surrogate_sketch`` draws its rows from it; it needs every w_i > 0.
         """
         from .sketch import sampling_distribution  # sketch imports this module
 

@@ -10,14 +10,13 @@ diagonal, which the full kernel is not); the end-to-end spectral deviation of
 the resulting Ht from the true total Hessian is measured every iteration by
 ``sketch._deviation``, from the generalized spectrum of the pair (Ht, H_tot)
 read by LAPACK ``dsygvd`` directly; a pair it cannot read measures inf.
-A step draws its rows from one distribution per instance, the floored
-leverage of diag(w) A1 (``ProblemInstance.ridge_distribution``), so it
-computes no leverage, probability or cdf of its own. With
-kappa = max_i |diag(B)_i| / w_i^2 < 1, those probabilities are within a factor
-(1 - kappa)/(1 + kappa) of the leverage of D', and the step draws
+A step's sketch comes from ``sketch.surrogate_sketch``, the package's one
+sampling policy: rows drawn from one distribution per instance, the floored
+leverage of diag(w) A1 (``ProblemInstance.ridge_distribution``), at
 (1 + kappa)/(1 - kappa) times the count of exact-leverage draws
-(``sketch.sample_count``). At kappa >= 1 (any w_i = 0 gives inf), or when the
-count reaches n, the step takes the exact fallback Dt = D'.
+(``sketch.sample_count``), kappa = max_i |diag(B)_i| / w_i^2; at kappa >= 1
+(any w_i = 0 gives inf), or when the count reaches n, the exact fallback
+Dt = D'.
 
 Each iterate is evaluated once: ``solve`` computes its forward pass and
 gradient, and ``newton_step`` takes both and adds a single ``hess_L`` call,
@@ -30,6 +29,7 @@ checks: ``newton_step`` checks once that every matrix it factors is finite.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -42,7 +42,7 @@ from .bounds import LogConstant, vector_norm
 from .derivatives import grad
 from .hessian import hess_L, kernel_diag
 from .model import EvaluationOverflowError, ModelState, ProblemInstance, ShapeError, eval_forward
-from .sketch import SketchResult, _deviation, _symmetric_part, sample_count, subsample
+from .sketch import SketchResult, _deviation, _symmetric_part, sample_count, surrogate_sketch
 
 __all__ = [
     "NewtonConfig",
@@ -87,6 +87,8 @@ class NewtonConfig:
                 raise ValueError("strict mode requires delta in (0, 0.1)")
             if self.damping:
                 raise ValueError("strict mode runs undamped steps")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError("delta must lie in (0, 1)")
         if not (0.0 < self.eps0 < 0.5):
             raise ValueError("eps0 must lie in (0, 0.5)")
 
@@ -126,16 +128,6 @@ def _step_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(t))).generate_state(1, np.uint64)[0])
 
 
-def _ridge_ratio(kdiag: np.ndarray, w2: np.ndarray) -> float:
-    """kappa = max_i |diag(B)_i| / w_i^2 while every ratio is below 1, else inf (a zero w_i or a nan diag(B)_i too).
-
-    Below 1 every w_i^2 is positive and no ratio can overflow, so no numpy
-    warning is possible; the step reads kappa only there.
-    """
-    r = np.abs(kdiag)
-    return float(np.max(r / w2)) if np.all(r < w2) else math.inf
-
-
 def newton_step(
     inst: ProblemInstance,
     state: ModelState,
@@ -148,11 +140,11 @@ def newton_step(
     ``state`` is the forward pass at the iterate and ``grad_tot`` its total
     gradient, so the step evaluates nothing at the iterate itself: one
     ``hess_L`` call gives H_tot and, in sketched mode only, one
-    ``kernel_diag`` call gives diag(B). A sketched step draws from the
-    instance's ``ridge_distribution``, with the count for its kappa and the
-    seed derived from (cfg.seed, t), or takes the exact fallback (module
-    docstring). A Hessian, a sketched Hessian or a gradient with non-finite
-    entries raises NotPositiveDefiniteError with lambda_min nan.
+    ``kernel_diag`` call gives diag(B). A sketched step takes
+    ``surrogate_sketch`` at the count for cfg.eps0 and the per-step delta,
+    with the seed derived from (cfg.seed, t) (module docstring). A Hessian,
+    a sketched Hessian or a gradient with non-finite entries raises
+    NotPositiveDefiniteError with lambda_min nan.
     """
     x_t = state.x
     hb = hess_L(state, inst)
@@ -166,27 +158,14 @@ def newton_step(
         H = hb.H_tot
     else:
         kdiag = kernel_diag(state, inst)
-        w2 = inst.w * inst.w
-        dprime = kdiag + w2
+        dprime = kdiag + inst.w * inst.w
         if np.any(dprime <= 0.0):
             raise NotPositiveDefiniteError(
                 "diagonal surrogate diag(B) + w^2 has nonpositive entries; raise w",
                 float(dprime.min()),
             )
-        delta_t = cfg.delta / max(cfg.max_iters, 1)
-        s = sample_count(inst.n, inst.d, cfg.eps0, delta_t)
-        if s < inst.n:  # kappa only raises the count: at s >= n the fallback stands
-            kappa = _ridge_ratio(kdiag, w2)
-            s = sample_count(inst.n, inst.d, cfg.eps0, delta_t, kappa) if kappa < 1.0 else inst.n
-        sketch = subsample(
-            inst.A1,
-            dprime,
-            cfg.eps0,
-            delta_t,
-            _step_seed(cfg.seed, t),
-            num_draws=s,
-            distribution=inst.ridge_distribution if s < inst.n else None,
-        )
+        count = functools.partial(sample_count, inst.n, inst.d, cfg.eps0, cfg.delta / max(cfg.max_iters, 1))
+        sketch = surrogate_sketch(inst, kdiag, count, _step_seed(cfg.seed, t))
         with np.errstate(over="ignore", invalid="ignore"):  # a drawn weight w_i^2 / (s p_i) may pass float64
             H = inst.A1.T @ (sketch.dtilde[:, None] * inst.A1)
         if not np.all(np.isfinite(H)):

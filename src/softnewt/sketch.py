@@ -6,35 +6,39 @@ diagonal Dt with
     (1 - eps0) A^T D A  <=  A^T Dt A  <=  (1 + eps0) A^T D A
 
 with probability >= 1 - delta, by sampling rows with replacement proportionally
-to their leverage scores (mixed with a uniform floor to cap the variance of
+to leverage scores (mixed with a uniform floor to cap the variance of
 near-zero-leverage rows). The leverage scores are exact up to rounding: they
 come from a pivoted Cholesky factor of the d x d Gram matrix, so no n x d
 orthogonal factor is formed. ``sampling_distribution`` forms the floored,
-normalized scores and their cdf; ``subsample`` forms them from D itself, or
-takes a pair formed once for nearby weights (a sketched Newton step passes
-its instance's, under the ridge weights w^2) with a count inflated to match.
-Every draw, either way, takes one route, ``_draw``. The deviation of a
-pencil, here and in every sketched Newton step, has one route,
-``_deviation``: the generalized spectrum of its symmetric parts
-(``_symmetric_part``, the package's one rule), read by LAPACK ``dsygvd``
-directly.
-"""
+normalized scores and their cdf, and ``subsample`` draws a given count from
+a given pair through one route, ``_draw``.
 
+The sampling policy has one route, ``surrogate_sketch``, which every sketched
+Newton step and both of ``verify``'s sketch checks call: it draws by the
+instance's leverage under the ridge weights w^2, formed once per instance,
+with the count inflated for the gap kappa between w^2 and D', or takes the
+exact fallback. The deviation of a pencil, here and in every sketched Newton
+step, has one route, ``_deviation``: the generalized spectrum of its
+symmetric parts (``_symmetric_part``, the package's one rule), read by
+LAPACK ``dsygvd`` directly.
+"""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf, dsygvd, dtrtrs
 
-from .model import _rng
+from .model import ProblemInstance, _rng
 
 __all__ = [
     "SketchResult",
     "leverage_scores",
     "sampling_distribution",
     "subsample",
+    "surrogate_sketch",
     "verify_sandwich",
     "sample_count",
     "SAMPLING_CONSTANT",
@@ -49,9 +53,7 @@ SAMPLING_CONSTANT = 8.0
 class SketchResult:
     kept_indices: np.ndarray  # draws in order, with multiplicities
     dtilde: np.ndarray  # length n, zero off the kept set
-    eps_measured: float | None
     exact: bool  # fallback Dt = D engaged
-    num_draws: int
 
 
 def leverage_scores(A: np.ndarray, dweights: np.ndarray) -> np.ndarray:
@@ -111,61 +113,58 @@ def sampling_distribution(A: np.ndarray, dweights: np.ndarray) -> tuple[np.ndarr
     return p, _cdf(p)
 
 
-def subsample(
-    A: np.ndarray,
-    dweights: np.ndarray,
-    eps0: float,
-    delta: float,
-    seed: int,
-    *,
-    num_draws: int | None = None,
-    distribution: tuple[np.ndarray, np.ndarray] | None = None,
+def _ridge_ratio(kdiag: np.ndarray, w2: np.ndarray) -> float:
+    """kappa = max_i |diag(B)_i| / w_i^2 while every ratio is below 1, else inf (a zero w_i or a nan diag(B)_i too).
+
+    Below 1 every w_i^2 is positive and no ratio can overflow, so no numpy
+    warning is possible; ``surrogate_sketch`` reads kappa only there.
+    """
+    r = np.abs(kdiag)
+    return float(np.max(r / w2)) if np.all(r < w2) else math.inf
+
+
+def surrogate_sketch(
+    inst: ProblemInstance, kdiag: np.ndarray, count: Callable[[float], int], seed: int
 ) -> SketchResult:
-    """Sample a sparse diagonal reweighting of the rows of A.
+    """The sketch of D' = diag(B) + w^2 that a sketched Newton step takes, from diag(B) = ``kdiag``.
 
-    Draws s = ceil(C d ln(n/delta) / eps0^2) rows independently with
-    probability p_i proportional to max(tau_i, d/n), accumulating
-    dweights_i / (s p_i) per draw, which keeps A^T Dt A unbiased. When s >= n
-    the exact fallback returns Dt = D with measured deviation 0, and no
-    leverage is computed. ``num_draws`` overrides the sample-count formula,
-    which exceeds n on small instances: at d = 8, eps0 = 0.3 and delta = 0.1
-    for every n below about 8000. At (n, d, eps0) = (1200, 2, 0.45) and a
-    delta of 0.05 / 20 it gives 1034.
+    ``count(kappa)`` is the number of draws from probabilities within
+    (1 - kappa)/(1 + kappa) of the leverage of D' (a Newton step passes
+    ``sample_count`` at its eps0 and per-step delta). With
+    kappa = max_i |diag(B)_i| / w_i^2 < 1 and count(kappa) < n, the sketch
+    draws count(kappa) rows from ``inst.ridge_distribution``; otherwise
+    (kappa >= 1, which any w_i = 0 gives) it is the exact fallback Dt = D',
+    and no distribution is formed. kappa is read only where count(0) < n,
+    since it can only raise the count.
+    """
+    w2 = inst.w * inst.w
+    s = count(0.0)
+    if s < inst.n:
+        kappa = _ridge_ratio(kdiag, w2)
+        s = count(kappa) if kappa < 1.0 else inst.n
+    return subsample(kdiag + w2, inst.ridge_distribution if s < inst.n else None, s, seed)
 
-    ``distribution``, a ``(p, cdf)`` pair from ``sampling_distribution``,
-    replaces the one formed here from the leverage of ``dweights``; the
-    weight of each draw is still dweights_i / (s p_i), so the sketch stays
-    unbiased. A sketched Newton step passes the pair its instance formed once
-    and the count ``sample_count`` gives for it (newton.py).
+
+def subsample(
+    dweights: np.ndarray, distribution: tuple[np.ndarray, np.ndarray] | None, num_draws: int, seed: int
+) -> SketchResult:
+    """Sample a sparse diagonal reweighting Dt of the rows, from ``distribution`` = (p, cdf).
+
+    Draws ``num_draws`` = s rows independently with probabilities p (a pair
+    from ``sampling_distribution``), accumulating dweights_i / (s p_i) per
+    draw, which keeps A^T Dt A unbiased for every A. When s >= n the exact
+    fallback returns Dt = D and ``distribution`` is not read.
 
     The draw stream is produced by a counter-based generator keyed on
     ``seed``: identical inputs and seed give a bit-identical result.
     """
-    A = np.asarray(A, dtype=float)
     dweights = np.asarray(dweights, dtype=float)
-    if not (0.0 < eps0 < 0.5):
-        raise ValueError("eps0 must lie in (0, 0.5)")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    n, d = A.shape
-    s = sample_count(n, d, eps0, delta) if num_draws is None else int(num_draws)
-    if s >= n:
-        return SketchResult(
-            kept_indices=np.arange(n),
-            dtilde=dweights.copy(),
-            eps_measured=0.0,
-            exact=True,
-            num_draws=n,
-        )
-    p, cdf = sampling_distribution(A, dweights) if distribution is None else distribution
-    draws, dtilde = _draw(dweights, p, s, seed, cdf)
-    return SketchResult(
-        kept_indices=draws,
-        dtilde=dtilde,
-        eps_measured=None,
-        exact=False,
-        num_draws=s,
-    )
+    n = dweights.size
+    if num_draws >= n:
+        return SketchResult(kept_indices=np.arange(n), dtilde=dweights.copy(), exact=True)
+    p, cdf = distribution
+    draws, dtilde = _draw(dweights, p, num_draws, seed, cdf)
+    return SketchResult(kept_indices=draws, dtilde=dtilde, exact=False)
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -174,22 +173,18 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw(
-    dweights: np.ndarray, p: np.ndarray, s: int, seed: int, cdf: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw(dweights: np.ndarray, p: np.ndarray, s: int, seed: int, cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """s rows drawn with replacement from the distribution p, and the sum of dweights_i / (s p_i) per row.
 
     The draws are bitwise ``_rng(seed).choice(p.size, size=s, replace=True,
     p=p)``: the same float operations (numpy 2.4) without choice's
     validation passes over a p that its caller formed. ``cdf`` is
-    p's as ``sampling_distribution`` forms it, formed here when left out.
+    p's as ``sampling_distribution`` forms it.
     The uniform keys are searched in sorted order, which lets each search
     start from the last one's result, and the rows are put back in draw
     order: a key's row does not depend on the order. ``bincount`` sums each
     row's weights in draw order, as ``np.add.at`` does.
     """
-    if cdf is None:
-        cdf = _cdf(p)
     keys = _rng(seed).random(s)
     order = keys.argsort()
     draws = np.empty(s, dtype=np.intp)
@@ -204,7 +199,7 @@ def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -
 
     A singular Gram matrix is projected onto its numerical range (eigenvalues
     above 1e-12 of the largest). A Gram that is not finite gives inf, as
-    ``_deviation`` does. Fills ``result.eps_measured``.
+    ``_deviation`` does.
     """
     A = np.asarray(A, dtype=float)
     dweights = np.asarray(dweights, dtype=float)
@@ -218,8 +213,7 @@ def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -
             vecs = vecs[:, keep]
             Ht = vecs.T @ Ht @ vecs
             H = np.diag(vals[keep])
-    result.eps_measured = _deviation(Ht, H) if H.size else 0.0
-    return result.eps_measured
+    return _deviation(Ht, H) if H.size else 0.0
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from softnewt.cli import main
 from softnewt.hessian import hess_L_entries
 from softnewt.oracle import fd_gradient, fd_hessian, spectral
 from softnewt.serialize import dumps, load_path
-from softnewt.sketch import sample_count, subsample, verify_sandwich
+from softnewt.sketch import sample_count, sampling_distribution, subsample, verify_sandwich
 
 
 def _report(num, name, detail):
@@ -155,8 +155,9 @@ def test_criterion_7_sketch_sandwich():
         instances.append((A, dw))
     hits, runs = 0, 0
     for k, (A, dw) in enumerate(instances):
+        dist, s = sampling_distribution(A, dw), sample_count(*A.shape, 0.3, 0.1)
         for seed in range(40):
-            sk = subsample(A, dw, eps0=0.3, delta=0.1, seed=1000 * k + seed)
+            sk = subsample(dw, dist, s, 1000 * k + seed)
             assert not sk.exact
             if verify_sandwich(A, dw, sk) <= 0.3:
                 hits += 1
@@ -165,8 +166,8 @@ def test_criterion_7_sketch_sandwich():
     rate = hits / runs
     assert rate >= 0.9, f"success rate {rate:.3f} < 0.9"
 
-    small = subsample(np.eye(4), np.ones(4), eps0=0.3, delta=0.1, seed=0)
-    assert small.exact and small.eps_measured == 0.0
+    small = subsample(np.ones(4), sampling_distribution(np.eye(4), np.ones(4)), sample_count(4, 4, 0.3, 0.1), 0)
+    assert small.exact
     assert verify_sandwich(np.eye(4), np.ones(4), small) == 0.0
     _report(7, "sketch spectral sandwich", f"200 seeds on 5 instances, success rate {rate:.3f} >= 0.9; exact fallback deviation 0")
 

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -519,8 +521,8 @@ def test_verify_evaluates_each_point_once(monkeypatch):
     # one stacked call for the sample points, one per finite-difference check for all the stencils
     # around them (one chunk at n = 64), and the sketch's x = 0
     assert calls["eval_forward"] == 1 + 1 + 1 + 1
-    # the determinism check's two draws go through the leverage sampler
-    assert calls["leverage_scores"] >= 2
+    # both sketch checks draw from the instance's one distribution, which the determinism check forms
+    assert calls["leverage_scores"] == 1
 
 
 @pytest.mark.parametrize("n", [64, 300])
@@ -565,19 +567,92 @@ def test_verify_takes_one_stacked_call_per_finite_difference_check(monkeypatch, 
 
 def test_verify_draws_one_fallback_sketch_for_the_sandwich_rate(monkeypatch):
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 1, noise=0.05)
-    subsample = cli.subsample
+    route = cli.surrogate_sketch
     draws = []
-    monkeypatch.setattr(cli, "subsample", lambda *args, **kwargs: draws.append(subsample(*args, **kwargs)) or draws[-1])
+    monkeypatch.setattr(cli, "surrogate_sketch", lambda *args: draws.append(route(*args)) or draws[-1])
     checks = {name: (passed, margin, detail) for name, passed, margin, detail in cli._verify_checks(inst, 0, 3)}
     # the first draw takes the exact fallback, whose verdict is every seed's; the determinism check draws twice
-    assert len(draws) == 3 and draws[0].exact
+    assert len(draws) == 3 and draws[0].exact and not draws[1].exact
     assert checks["sketch_sandwich_rate"] == (True, 1.0, "fraction of 20 seeds within eps0")
     # where the sample count stays below n, each of the 20 seeds draws its own sketch
     draws.clear()
-    monkeypatch.setattr(sketch, "sample_count", lambda n, d, eps0, delta: n - 1)
+    monkeypatch.setattr(cli, "sample_count", lambda n, d, eps0, delta, kappa: n - 1)
     checks = {name: (passed, margin, detail) for name, passed, margin, detail in cli._verify_checks(inst, 0, 3)}
     assert len(draws) == 22 and not any(sk.exact for sk in draws)
     assert checks["sketch_sandwich_rate"][2] == "fraction of 20 seeds within eps0"
+
+
+def test_verify_sketch_checks_draw_by_the_solvers_route(monkeypatch):
+    # at n = 3000 the rate's count (1833 at eps0 = 0.3, delta = 0.1) is below n, so all 20 seeds
+    # draw; every draw comes from the one distribution under w^2, and none computes a leverage of D'
+    inst, _ = sn.gen_instance(3000, 16, 2, "tanh", 2, noise=0.05)
+    leverage_weights, draws = [], []
+    leverage_scores, route = sketch.leverage_scores, cli.surrogate_sketch
+    monkeypatch.setattr(sketch, "leverage_scores", lambda A, dw: leverage_weights.append(dw) or leverage_scores(A, dw))
+    monkeypatch.setattr(cli, "surrogate_sketch", lambda *args: draws.append(route(*args)) or draws[-1])
+    checks = {name: (passed, margin) for name, passed, margin, _ in cli._sketch_checks(inst, 1)}
+    assert checks == {"sketch_sandwich_rate": (True, 1.0), "sketch_determinism": (True, 0.0)}
+    assert len(leverage_weights) == 1 and np.array_equal(leverage_weights[0], inst.w * inst.w)
+    kdiag = sn.kernel_diag(sn.eval_forward(inst, np.zeros(2)), inst)
+    count = functools.partial(sketch.sample_count, inst.n, inst.d, 0.3, 0.1)
+    assert len(draws) == 22
+    for k, sk in enumerate(draws[:20]):
+        ref = sketch.surrogate_sketch(inst, kdiag, count, 1 + k)
+        assert not sk.exact and len(sk.kept_indices) == 1833
+        assert np.array_equal(sk.kept_indices, ref.kept_indices) and sk.dtilde.tobytes() == ref.dtilde.tobytes()
+    assert all(len(sk.kept_indices) == 1500 for sk in draws[20:])
+
+
+def _recipe_with_ridge_weight_zero(tmp_path, i):
+    """The n = 64 desk instance with w_i = 0; the recipe's other weights stay."""
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 1, noise=0.05)
+    w = inst.w.copy()
+    w[i] = 0.0
+    path = tmp_path / f"w{i}.json"
+    dump_path(sn.instance_to_json(dataclasses.replace(inst, w=w)), path)
+    return str(path)
+
+
+def test_verify_fails_both_sketch_checks_on_a_nonpositive_surrogate(tmp_path, capsys):
+    # diag(B)_7 at x = 0 is -9.0e-4, so w_7 = 0 leaves D'_7 < 0: a sketched run ends as an error,
+    # and verify lists both sketch checks as failed instead of dropping them
+    path = _recipe_with_ridge_weight_zero(tmp_path, 7)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--instance", path, "--seed", "1", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in load_path(out)["checks"]}
+    assert len(checks) == 9
+    for name in ("sketch_sandwich_rate", "sketch_determinism"):
+        assert not checks[name]["passed"] and "nonpositive" in checks[name]["detail"]
+        assert checks[name]["margin"] == pytest.approx(-9.0e-4, rel=1e-2)
+    assert [name for name, c in checks.items() if not c["passed"]] == ["sketch_sandwich_rate", "sketch_determinism"]
+    assert "failing invariants: sketch_sandwich_rate, sketch_determinism" in capsys.readouterr().err
+    assert main(["run", "--instance", path, "--mode", "sketched", "--eps0", "0.45", "--no-reference",
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert "nonpositive" in load_path(tmp_path / "run" / "report.json")["golden"]["error_message"]
+
+
+def test_verify_passes_with_a_zero_ridge_weight_over_a_positive_diag(tmp_path, capsys):
+    # diag(B)_0 at x = 0 is 2.7e-4 > 0: D' stays positive, kappa is infinite, and both
+    # sketch checks take the exact fallback without forming the ridge distribution
+    path = _recipe_with_ridge_weight_zero(tmp_path, 0)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--instance", path, "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = load_path(out)
+    assert doc["all_passed"] and len(doc["checks"]) == 9
+
+
+@pytest.mark.parametrize("delta", ["0", "-0.5", "nan", "1", "inf"])
+def test_run_rejects_a_delta_outside_the_unit_interval(tmp_path, capsys, delta):
+    # a non-strict run checks delta as a strict one does: exit 3 with one configuration error, no traceback
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--n", "64", "--m", "16", "--d", "8", "--noise", "0.05", "--seed", "1",
+                 "--out", str(inst)]) == 0
+    capsys.readouterr()
+    rc = main(["run", "--instance", str(inst), "--mode", "sketched", "--eps0", "0.45", "--no-strict",
+               f"--delta={delta}", "--no-reference", "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "configuration", "message": "delta must lie in (0, 1)"}
 
 
 def test_verify_memory_holds_one_kernel_at_a_time():

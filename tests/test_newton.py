@@ -232,7 +232,7 @@ def test_sketched_step_with_a_zero_ridge_weight_takes_the_exact_fallback(tall_in
     cfg = sn.NewtonConfig(mode="sketched", eps0=0.45, max_iters=20, seed=4)
     assert sample_count(inst.n, inst.d, cfg.eps0, cfg.delta / cfg.max_iters) == 1034
     _, diag = step_at(inst, x, cfg)
-    assert diag.sketch.exact and diag.sketch.num_draws == inst.n
+    assert diag.sketch.exact and len(diag.sketch.kept_indices) == inst.n
     assert np.array_equal(diag.sketch.dtilde, kd + w * w)
     assert "ridge_distribution" not in vars(inst)  # never formed
 
@@ -272,7 +272,7 @@ def test_sketched_steps_meet_the_sandwich_rate():
     for seed in range(200):
         cfg = sn.NewtonConfig(mode="sketched", eps0=0.3, seed=seed)
         _, diag = sn.newton_step(inst, state, grad_tot, cfg)
-        assert not diag.sketch.exact and diag.sketch.num_draws < inst.n
+        assert not diag.sketch.exact and len(diag.sketch.kept_indices) < inst.n
         hits += sn.verify_sandwich(inst.A1, dprime, diag.sketch) <= 0.3
     assert hits / 200 >= 0.9, hits
 
@@ -462,6 +462,8 @@ def test_config_validation():
         sn.NewtonConfig(mode="bfgs")
     with pytest.raises(ValueError, match="eps0"):
         sn.NewtonConfig(eps0=0.7)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        sn.NewtonConfig(delta=1.0, strict=False)  # in every mode, as eps0 is
 
 
 def test_damping_counts_halvings(s1_instance, s1_reference):
@@ -528,7 +530,7 @@ def test_sketched_step_memory_is_linear_in_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not diag.sketch.exact and diag.sketch.num_draws == 5752
+    assert not diag.sketch.exact and len(diag.sketch.kept_indices) == 5752
     assert peak <= 1.5 * max(m, d) * n * 8, peak
 
 

@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiment.py"
 TESTS = Path(__file__).resolve().parent
 
@@ -34,6 +37,26 @@ def test_loc_smoke():
     package = Path(script).resolve().parent.parent / "src" / "softnewt"
     assert [name for name, _ in rows[:-1]] == sorted(p.name for p in package.glob("*.py"))
     assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1]) > 0
+
+
+def test_make_goldens_writes_the_committed_golden(tmp_path):
+    # the generator into tmp_path in place of tests/golden; tests/golden/s1.json is never rewritten here
+    pytest.importorskip("mpmath")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import make_goldens; "
+        "make_goldens.OUT = sys.argv[2]; make_goldens.main()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SCRIPT.parent), str(tmp_path)], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = json.loads((tmp_path / "s1.json").read_text())
+    golden = json.loads((TESTS / "golden" / "s1.json").read_text())
+    # the sampled sketch's weights at test_sampled_golden's tolerance: a few differ in the last bit
+    np.testing.assert_allclose(
+        written["sketch_sampled"].pop("dtilde"), golden["sketch_sampled"].pop("dtilde"), rtol=1e-14, atol=0
+    )
+    assert written == golden
 
 
 def test_scale_sweep_smoke(tmp_path):

@@ -9,13 +9,14 @@ from hypothesis.extra import numpy as hnp
 
 import softnewt as sn
 from softnewt.model import _rng
-from softnewt.newton import _ridge_ratio
 from softnewt.sketch import (
-    SAMPLING_CONSTANT,
-    _draw,
+    _cdf,
     _deviation,
+    _draw,
+    _ridge_ratio,
     leverage_scores,
     sample_count,
+    sampling_distribution,
     subsample,
     verify_sandwich,
 )
@@ -224,7 +225,7 @@ def test_draw_equals_choice_and_add_at(n, s, seed, shape, data):
     p = rng.random(n) ** shape
     p = p / p.sum()
     dw = np.exp(rng.standard_normal(n))
-    assert_same_draws(_draw(dw, p, s, seed), choice_reference(dw, p, s, seed))
+    assert_same_draws(_draw(dw, p, s, seed, _cdf(p)), choice_reference(dw, p, s, seed))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123456789])
@@ -237,8 +238,8 @@ def test_draw_edge_distributions(seed):
     nearly = nearly / nearly.sum()
     for p, s in ((np.ones(1), 1), (np.ones(1), 5), (np.full(9, 1 / 9), 1), (one_hot, 1), (one_hot, 50), (nearly, 50)):
         dwp = dw[: p.size]
-        assert_same_draws(_draw(dwp, p, s, seed), choice_reference(dwp, p, s, seed))
-    assert np.all(_draw(dw, one_hot, 50, seed)[0] == 4)
+        assert_same_draws(_draw(dwp, p, s, seed, _cdf(p)), choice_reference(dwp, p, s, seed))
+    assert np.all(_draw(dw, one_hot, 50, seed, _cdf(one_hot))[0] == 4)
 
 
 def test_subsample_draws_as_choice():
@@ -252,7 +253,7 @@ def test_subsample_draws_as_choice():
         s = int(rng.integers(1, n))
         p = np.maximum(leverage_scores(A, dw), d / n)
         p = p / p.sum()
-        sk = subsample(A, dw, 0.3, 0.1, seed=k, num_draws=s)
+        sk = subsample(dw, sampling_distribution(A, dw), s, k)
         assert_same_draws((sk.kept_indices, sk.dtilde), choice_reference(dw, p, s, k))
 
 
@@ -261,9 +262,9 @@ def test_exact_fallback_small_instance(s1_golden):
     gf = s1_golden["sketch_exact_fallback"]
     A1 = np.array(gi["A1"])
     dw = np.array(gi["w"]) ** 2
-    sk = subsample(A1, dw, eps0=gf["eps0"], delta=gf["delta"], seed=gf["seed"])
+    s = sample_count(A1.shape[0], A1.shape[1], gf["eps0"], gf["delta"])
+    sk = subsample(dw, sampling_distribution(A1, dw), s, gf["seed"])
     assert sk.exact is True
-    assert sk.eps_measured == 0.0
     np.testing.assert_array_equal(sk.kept_indices, gf["kept_indices"])
     np.testing.assert_array_equal(sk.dtilde, dw)
     assert verify_sandwich(A1, dw, sk) == pytest.approx(0.0, abs=1e-12)
@@ -273,7 +274,7 @@ def test_sampled_golden(s1_golden):
     g = s1_golden["sketch_sampled"]
     A = np.array(g["A"])
     dw = np.array(g["dweights"])
-    sk = subsample(A, dw, eps0=0.25, delta=0.1, seed=g["seed"], num_draws=g["num_draws"])
+    sk = subsample(dw, sampling_distribution(A, dw), g["num_draws"], g["seed"])
     assert not sk.exact
     np.testing.assert_array_equal(sk.kept_indices, g["kept_indices"])
     np.testing.assert_allclose(sk.dtilde, g["dtilde"], rtol=1e-14)
@@ -284,11 +285,11 @@ def test_determinism_bit_for_bit():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((50, 3))
     dw = np.exp(rng.standard_normal(50))
-    a = subsample(A, dw, 0.3, 0.1, seed=123, num_draws=30)
-    b = subsample(A, dw, 0.3, 0.1, seed=123, num_draws=30)
+    a = subsample(dw, sampling_distribution(A, dw), 30, 123)
+    b = subsample(dw, sampling_distribution(A, dw), 30, 123)
     assert np.array_equal(a.kept_indices, b.kept_indices)
     assert a.dtilde.tobytes() == b.dtilde.tobytes()
-    c = subsample(A, dw, 0.3, 0.1, seed=124, num_draws=30)
+    c = subsample(dw, sampling_distribution(A, dw), 30, 124)
     assert not np.array_equal(a.kept_indices, c.kept_indices)
 
 
@@ -299,8 +300,9 @@ def test_unbiasedness_over_seeds():
     target = A.T @ (dw[:, None] * A)
     acc = np.zeros((3, 3))
     n_seeds = 1000
+    dist = sampling_distribution(A, dw)
     for seed in range(n_seeds):
-        sk = subsample(A, dw, 0.3, 0.1, seed=seed, num_draws=64)
+        sk = subsample(dw, dist, 64, seed)
         acc += A.T @ (sk.dtilde[:, None] * A)
     mean = acc / n_seeds
     rel = np.abs(mean - target) / np.maximum(np.abs(target), 1e-12)
@@ -311,11 +313,11 @@ def test_sparsity_bound():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((2500, 2))
     dw = np.exp(rng.standard_normal(2500))
-    sk = subsample(A, dw, 0.3, 0.1, seed=5)
     s_max = sample_count(2500, 2, 0.3, 0.1)
+    sk = subsample(dw, sampling_distribution(A, dw), s_max, 5)
     assert not sk.exact
     assert len(np.unique(sk.kept_indices)) <= min(2500, s_max)
-    assert sk.num_draws == s_max
+    assert len(sk.kept_indices) == s_max
     assert np.all(sk.dtilde >= 0.0)
     assert np.count_nonzero(sk.dtilde) == len(np.unique(sk.kept_indices))
 
@@ -327,8 +329,9 @@ def test_sandwich_success_rate_sampling_path():
     dw = np.exp(rng.standard_normal(2500))
     hits = 0
     n_seeds = 50
+    dist, s = sampling_distribution(A, dw), sample_count(2500, 2, 0.3, 0.1)
     for seed in range(n_seeds):
-        sk = subsample(A, dw, 0.3, 0.1, seed=seed)
+        sk = subsample(dw, dist, s, seed)
         assert not sk.exact
         if verify_sandwich(A, dw, sk) <= 0.3:
             hits += 1
@@ -344,9 +347,10 @@ def test_sandwich_success_rate_at_d8():
     dw = np.exp(rng.standard_normal(n))
     hits = 0
     n_seeds = 20
+    dist, s = sampling_distribution(A, dw), sample_count(n, d, eps0, 0.1)
     for seed in range(n_seeds):
-        sk = subsample(A, dw, eps0, 0.1, seed=seed)
-        assert not sk.exact and sk.num_draws == sample_count(n, d, eps0, 0.1) < n
+        sk = subsample(dw, dist, s, seed)
+        assert not sk.exact and len(sk.kept_indices) == s < n
         if verify_sandwich(A, dw, sk) <= eps0:
             hits += 1
     assert hits / n_seeds >= 0.9
@@ -356,7 +360,7 @@ def test_identity_structure_via_formula_fallback():
     # on a square identity the formula count always exceeds n: exact fallback,
     # and the reweighted Gram is diagonal by construction
     A = np.eye(6)
-    sk = subsample(A, np.ones(6), 0.3, 0.1, seed=0)
+    sk = subsample(np.ones(6), sampling_distribution(A, np.ones(6)), sample_count(6, 6, 0.3, 0.1), 0)
     assert sk.exact
     gram = A.T @ (sk.dtilde[:, None] * A)
     np.testing.assert_array_equal(gram, np.eye(6))
@@ -366,7 +370,7 @@ def test_verify_sandwich_trivial_and_scaling():
     rng = np.random.default_rng(12)
     A = rng.standard_normal((20, 3))
     dw = np.exp(rng.standard_normal(20))
-    sk = subsample(A, dw, 0.3, 0.1, seed=1)  # exact fallback here
+    sk = subsample(dw, sampling_distribution(A, dw), sample_count(20, 3, 0.3, 0.1), 1)  # exact fallback here
     assert verify_sandwich(A, dw, sk) == pytest.approx(0.0, abs=1e-12)
     sk.dtilde = 2.0 * dw
     assert verify_sandwich(A, dw, sk) == pytest.approx(1.0, rel=1e-12)
@@ -375,18 +379,8 @@ def test_verify_sandwich_trivial_and_scaling():
 def test_verify_sandwich_singular_gram():
     A = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])  # rank 1
     dw = np.ones(3)
-    sk = subsample(A, dw, 0.3, 0.1, seed=2)
+    sk = subsample(dw, sampling_distribution(A, dw), sample_count(3, 2, 0.3, 0.1), 2)
     assert verify_sandwich(A, dw, sk) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_parameter_validation():
-    A = np.eye(3)
-    dw = np.ones(3)
-    with pytest.raises(ValueError, match="eps0"):
-        subsample(A, dw, 0.6, 0.1, seed=0)
-    with pytest.raises(ValueError, match="delta"):
-        subsample(A, dw, 0.3, 1.5, seed=0)
-    assert SAMPLING_CONSTANT == 8.0
 
 
 def symmetric_part(a):
