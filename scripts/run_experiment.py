@@ -13,10 +13,8 @@ Example:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from softnewt.bounds import probe_empirical
 from softnewt.cli import _reference_optimum
 from softnewt.model import _rng
 from softnewt.oracle import spectral
-from softnewt.serialize import SCHEMA_VERSION, dump_path
+from softnewt.serialize import dump_path
 
 
 def main() -> int:
@@ -70,14 +68,7 @@ def main() -> int:
                               max_iters=60, stationarity_tol=1e-13, strict=False)
         run = sn.solve(inst, x0, cfg, x_ref=x_ref)
         run.basin_certificate = certificate
-        # the layout of `softnewt run`'s report.json: deterministic golden, wall-clock timing
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "golden": {"instance_path": instance_path, "x0": x0, "x_ref": x_ref,
-                       "config": dataclasses.asdict(cfg), **run.golden_json()},
-            "timing": {"wall_times_ms": run.wall_times_ms, "written_at_unix": time.time()},
-        }
-        dump_path(doc, os.path.join(args.out_dir, f"report_{mode}.json"))
+        dump_path(run.to_json(cfg, instance_path, x_ref), os.path.join(args.out_dir, f"report_{mode}.json"))
         print(f"\n{mode} mode: status={run.status} after {run.n_iters} iterations")
         print(f"  {'t':>2} {'r_t':>12} {'ratio':>10} {'grad_norm':>12} {'eps_sketch':>10}")
         for t, r in enumerate(run.r_t):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -207,21 +207,10 @@ class BoundReport:
         return self.empirical.get("M")
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "R_used": self.R_used,
-            "beta_used": self.beta_used,
-            "L_h": self.L_h,
-            "R_h": self.R_h,
-            "n_admissible": self.n_admissible,
-            "n_excluded": self.n_excluded,
-            "lambda_min_B": self.lambda_min_B,
-            "lambda_max_B": self.lambda_max_B,
-            "analytic": {k: v.to_json() for k, v in sorted(self.analytic.items())},
-            "empirical": dict(sorted(self.empirical.items())),
-            "tightness": dict(sorted(self.tightness.items())),
-        }
+        """Every field, each analytic constant in its own JSON form, and the schema version."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(schema_version=SCHEMA_VERSION, analytic={k: v.to_json() for k, v in self.analytic.items()})
+        return doc
 
 
 def compute_constants(inst: ProblemInstance, *, R: float | None = None, beta: float | None = None) -> BoundReport:

@@ -11,9 +11,9 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,9 @@ from .sketch import sample_count, surrogate_sketch, verify_sandwich
 
 EMIT_NAMES = ("report_json", "trace_csv", "bounds_json", "grad_json", "bterms_json")
 
+# verify's sandwich-rate check draws at seed + k for k < RATE_SEEDS
+RATE_SEEDS = 20
+
 
 class ConfigError(ValueError):
     pass
@@ -40,54 +43,47 @@ def _load_instance(path: str) -> ProblemInstance:
         return instance_from_json(load_path(path))
     except FileNotFoundError as exc:
         raise ConfigError(f"instance file not found: {path}") from exc
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: JSON of the wrong structure
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
 
 
-def _build_x0(args, inst: ProblemInstance) -> np.ndarray:
+def _floats(text: str) -> np.ndarray:
+    """A comma-separated list of numbers, as ``--w`` and ``--x0-values`` take them."""
+    return np.asarray([float(v) for v in text.split(",")], dtype=float)
+
+
+def _build_x0(args, inst: ProblemInstance, seed: int) -> np.ndarray:
     """The start point by ``--x0`` rule; every rule must give a length-d vector."""
     if args.x0 == "zero":
         x0 = np.zeros(inst.d)
     elif args.x0 == "gaussian":
-        x0 = args.x0_scale * _rng(args.seed, stream=0xA11CE).standard_normal(inst.d)
+        x0 = args.x0_scale * _rng(seed, stream=0xA11CE).standard_normal(inst.d)
     elif args.x0 == "values":
-        if not args.x0_values:
+        if args.x0_values is None:
             raise ConfigError("x0 rule 'values' requires --x0-values")
-        x0 = np.asarray([float(v) for v in args.x0_values.split(",")], dtype=float)
+        x0 = args.x0_values
     else:  # "stored"; argparse's choices admit no other rule
         if not args.x0_path:
             raise ConfigError("x0 rule 'stored' requires --x0-path")
         try:
             doc = load_path(args.x0_path)
+            if isinstance(doc, dict):
+                doc = doc["x0"] if "x0" in doc else doc["golden"]["iterates"][-1]
+            x0 = np.asarray(doc, dtype=float)
         except FileNotFoundError as exc:
             raise ConfigError(f"x0 file not found: {args.x0_path}") from exc
-        if isinstance(doc, dict):
-            if "x0" in doc:
-                doc = doc["x0"]
-            elif "golden" in doc and "iterates" in doc["golden"]:
-                doc = doc["golden"]["iterates"][-1]
-            else:
-                raise ConfigError(f"{args.x0_path} holds neither 'x0' nor a run report")
-        x0 = np.asarray(doc, dtype=float)
+        except KeyError as exc:
+            raise ConfigError(f"{args.x0_path} holds neither 'x0' nor a run report") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad x0 file {args.x0_path}: {exc}") from exc
     if x0.shape != (inst.d,):
         raise ConfigError(f"x0 needs {inst.d} components, got an array of shape {x0.shape}")
     return x0
 
 
 def cmd_gen(args) -> int:
-    w = np.asarray([float(v) for v in args.w.split(",")], dtype=float) if args.w else None
-    inst, x_plant = gen_instance(
-        args.n,
-        args.m,
-        args.d,
-        args.activation,
-        args.seed,
-        noise=args.noise,
-        r_target=args.r_target,
-        l_target=args.l_target,
-        beta=args.beta,
-        w=w,
-    )
+    params = inspect.signature(gen_instance).parameters
+    inst, x_plant = gen_instance(**{k: v for k, v in vars(args).items() if k in params})
     doc = instance_to_json(inst)
     doc["x_plant"] = x_plant
     doc["gen_seed"] = args.seed
@@ -126,23 +122,14 @@ def _write_trace_csv(path, report: RunReport) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = NewtonConfig(
-        mode=args.mode,
-        eps=args.eps,
-        delta=args.delta,
-        eps0=args.eps0,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        stationarity_tol=args.stationarity_tol,
-        damping=args.damping,
-        strict=not args.no_strict,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(NewtonConfig) if hasattr(args, f.name)}
+    cfg = NewtonConfig(**given, strict=not args.no_strict)
     emit = frozenset(args.emit.split(","))
     unknown = sorted(emit.difference(EMIT_NAMES))
     if unknown:
         raise ConfigError(f"unknown --emit names {unknown}; known: {', '.join(EMIT_NAMES)}")
     inst = _load_instance(args.instance)
-    x0 = _build_x0(args, inst)
+    x0 = _build_x0(args, inst, cfg.seed)
     outdir = Path(args.out_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -171,22 +158,8 @@ def cmd_run(args) -> int:
                 x0, x_ref, M=bounds_report.M_empirical, l=l_ref
             )
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "golden": {
-            "instance_path": args.instance,
-            "x0": x0,
-            "x_ref": x_ref,
-            "config": dataclasses.asdict(cfg),
-            **report.golden_json(),
-        },
-        "timing": {
-            "wall_times_ms": report.wall_times_ms,
-            "written_at_unix": time.time(),
-        },
-    }
     if "report_json" in emit:
-        dump_path(doc, outdir / "report.json")
+        dump_path(report.to_json(cfg, args.instance, x_ref), outdir / "report.json")
     if "trace_csv" in emit:
         _write_trace_csv(outdir / "trace.csv", report)
     if "bounds_json" in emit and bounds_report is not None:
@@ -225,6 +198,8 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     evaluate the perturbed points around them, in one stacked call per check
     that holds every point's stencil.
     """
+    if not 0 <= seed <= 2**64 - RATE_SEEDS:
+        raise ConfigError(f"verify draws at seed + k for k < {RATE_SEEDS}: seed must lie in [0, 2**64 - {RATE_SEEDS}]")
     rng = _rng(seed)
     d = inst.d
     xs = [0.35 * inst.R * rng.standard_normal(d) / math.sqrt(d) for _ in range(max(trials, 2))]
@@ -296,7 +271,6 @@ def _sketch_checks(inst: ProblemInstance, seed: int):
     """
     kdiag = kernel_diag(eval_forward(inst, np.zeros(inst.d)), inst)
     dw = kdiag + inst.w**2
-    n_seeds = 20
     if not np.all(dw > 0):
         why = "diagonal surrogate diag(B) + w^2 at x = 0 has nonpositive entries; least entry"
         least = float(np.min(dw))
@@ -305,16 +279,16 @@ def _sketch_checks(inst: ProblemInstance, seed: int):
         return
     count = functools.partial(sample_count, inst.n, inst.d, 0.3, 0.1)
     hits = 0
-    for k in range(n_seeds):
+    for k in range(RATE_SEEDS):
         sk = surrogate_sketch(inst, kdiag, count, seed + k)
         hit = verify_sandwich(inst.A1, dw, sk) <= 0.3
         if sk.exact:
             # the fallback Dt = D draws nothing, so every seed reaches this verdict
-            hits = n_seeds * hit
+            hits = RATE_SEEDS * hit
             break
         hits += hit
-    frac = hits / n_seeds
-    yield "sketch_sandwich_rate", frac >= 0.9, frac, f"fraction of {n_seeds} seeds within eps0"
+    frac = hits / RATE_SEEDS
+    yield "sketch_sandwich_rate", frac >= 0.9, frac, f"fraction of {RATE_SEEDS} seeds within eps0"
     # fewer draws than rows, so both go through the sampler unless kappa >= 1 takes the fallback
     half = lambda kappa: max(1, inst.n // 2)
     a, b = (surrogate_sketch(inst, kdiag, half, seed) for _ in range(2))
@@ -378,28 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--activation", default="tanh")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--noise", type=float, default=0.0)
-    g.add_argument("--r-target", type=float, default=1.5)
-    g.add_argument("--l-target", type=float, default=1.0)
-    g.add_argument("--beta", type=float, default=0.05)
-    g.add_argument("--w", default=None, help="comma-separated ridge weights (default: recipe)")
     g.add_argument("--out", required=True)
+    # an option left off is not passed: gen_instance's own default applies
+    recipe = g.add_argument_group("generator options (defaults: gen_instance)", argument_default=argparse.SUPPRESS)
+    recipe.add_argument("--noise", type=float)
+    recipe.add_argument("--r-target", type=float)
+    recipe.add_argument("--l-target", type=float)
+    recipe.add_argument("--beta", type=float)
+    recipe.add_argument("--w", type=_floats, help="comma-separated ridge weights (default: recipe)")
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("run", help="run the Newton solver on an instance")
     r.add_argument("--instance", required=True)
-    r.add_argument("--mode", choices=["exact", "sketched"], default="exact")
     r.add_argument("--x0", choices=["zero", "gaussian", "stored", "values"], default="zero")
     r.add_argument("--x0-scale", type=float, default=0.1)
-    r.add_argument("--x0-values", default=None, help="comma-separated coordinates")
-    r.add_argument("--x0-path", default=None)
-    r.add_argument("--eps", type=float, default=1e-6)
-    r.add_argument("--delta", type=float, default=0.05)
-    r.add_argument("--eps0", type=float, default=0.01)
-    r.add_argument("--max-iters", type=int, default=200)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--stationarity-tol", type=float, default=1e-10)
-    r.add_argument("--damping", action="store_true")
+    r.add_argument("--x0-values", type=_floats, help="comma-separated coordinates")
+    r.add_argument("--x0-path")
+    # an option left off is not passed: NewtonConfig's own default applies
+    solver = r.add_argument_group("solver options (defaults: NewtonConfig)", argument_default=argparse.SUPPRESS)
+    solver.add_argument("--mode", choices=["exact", "sketched"])
+    solver.add_argument("--eps", type=float)
+    solver.add_argument("--delta", type=float)
+    solver.add_argument("--eps0", type=float)
+    solver.add_argument("--max-iters", type=int)
+    solver.add_argument("--seed", type=int)
+    solver.add_argument("--stationarity-tol", type=float)
+    solver.add_argument("--damping", action="store_true")
     r.add_argument("--no-strict", action="store_true", help="lift the eps/delta < 0.1 restriction")
     r.add_argument("--no-reference", action="store_true", help="skip the preliminary exact solve")
     r.add_argument("--out-dir", default=".")

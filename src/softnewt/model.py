@@ -43,13 +43,21 @@ __all__ = [
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` itself; a seed outside [0, 2**64), the range of a Philox key, raises ValueError."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     """The package's random generator: counter-based Philox keyed on seed ^ (stream << 32).
 
     Stream 0 keys on the seed itself; identical seed and stream give an
     identical draw stream on every platform.
     """
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(stream) << np.uint64(32)))
+    key = np.uint64(_check_seed(seed)) ^ np.uint64(stream) << np.uint64(32)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class ShapeError(ValueError):

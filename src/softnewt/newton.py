@@ -33,7 +33,7 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -41,7 +41,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .bounds import LogConstant, vector_norm
 from .derivatives import grad
 from .hessian import hess_L, kernel_diag
-from .model import EvaluationOverflowError, ModelState, ProblemInstance, ShapeError, eval_forward
+from .model import EvaluationOverflowError, ModelState, ProblemInstance, ShapeError, _check_seed, eval_forward
+from .serialize import SCHEMA_VERSION
 from .sketch import SketchResult, _deviation, _symmetric_part, sample_count, surrogate_sketch
 
 __all__ = [
@@ -91,6 +92,7 @@ class NewtonConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not (0.0 < self.eps0 < 0.5):
             raise ValueError("eps0 must lie in (0, 0.5)")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -211,19 +213,20 @@ class RunReport:
         """The last evaluated gradient norm; nan when the start point itself overflowed."""
         return self.grad_norms[-1] if self.grad_norms else math.nan
 
-    def golden_json(self) -> dict:
-        """The deterministic portion of the report (no wall-clock fields)."""
+    def to_json(self, cfg: NewtonConfig, instance_path: str, x_ref: np.ndarray | None) -> dict:
+        """The report document of a run from ``iterates[0]`` under ``cfg``.
+
+        Every field but the wall times goes in the deterministic ``golden``
+        block, with ``n_iters``, the start point, the reference optimum, the
+        config and the instance path; the wall times go in ``timing``.
+        """
+        golden = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_times_ms"}
+        golden.update(n_iters=self.n_iters, x0=self.iterates[0], x_ref=x_ref, config=asdict(cfg),
+                      instance_path=instance_path)
         return {
-            "status": self.status,
-            "n_iters": self.n_iters,
-            "iterates": self.iterates,
-            "grad_norms": self.grad_norms,
-            "loss_tots": self.loss_tots,
-            "r_t": self.r_t,
-            "ratios": self.ratios,
-            "sketch_eps_per_iter": self.sketch_eps_per_iter,
-            "basin_certificate": self.basin_certificate,
-            "error_message": self.error_message,
+            "schema_version": SCHEMA_VERSION,
+            "golden": golden,
+            "timing": {"wall_times_ms": self.wall_times_ms, "written_at_unix": time.time()},
         }
 
 

@@ -77,31 +77,21 @@ def fd_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
     return quotient if x.ndim == 2 else quotient[0]
 
 
-def fd_hessian(
-    grad_func: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    *,
-    return_asymmetry: bool = False,
-):
+def fd_hessian(grad_func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central differences of a vector gradient, symmetrized as (H + H^T)/2.
 
     ``grad_func`` maps a (k, d) stack of points to their k gradient rows; it
     is called once, on ``fd_gradient``'s stencil. A (k, d) stack of points
     gives k matrices, each bitwise the one its point gives alone. The
-    pre-symmetrization asymmetry flags closed-form bugs; request it with
-    ``return_asymmetry`` (one float per point of a stack). Where H + H^T
-    could pass float64 the halves are added instead, so a finite H gives a
-    finite result.
+    unsymmetrized H is ``fd_gradient``'s Jacobian of ``grad_func``. Where
+    H + H^T could pass float64 the halves are added instead, so a finite H
+    gives a finite result.
     """
     H = np.swapaxes(fd_gradient(grad_func, x), -1, -2)
     HT = np.swapaxes(H, -1, -2)
-    asym = np.max(np.abs(H - HT), axis=(-2, -1), initial=0.0)
     halves = np.max(np.abs(H), axis=(-2, -1), initial=0.0) > _HALF_MAX
     with np.errstate(over="ignore"):  # the sum is not read where it could overflow
-        H_sym = np.where(halves[..., None, None], 0.5 * H + 0.5 * HT, 0.5 * (H + HT))
-    if return_asymmetry:
-        return H_sym, asym if np.ndim(asym) else float(asym)
-    return H_sym
+        return np.where(halves[..., None, None], 0.5 * H + 0.5 * HT, 0.5 * (H + HT))
 
 
 def spectral(Msym: np.ndarray):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -265,6 +266,8 @@ def test_report_json_round_trip(s1_instance, s1_golden):
     assert back["empirical"]["norm_f"] == rep.empirical["norm_f"]
     assert back["analytic"]["M"]["exp10"] == rep.analytic["M"].to_json()["exp10"]
     assert back["schema_version"] == 1
+    # a field added to the report is written: every one is in the JSON
+    assert {f.name for f in dataclasses.fields(sn.BoundReport)} <= set(back)
 
 
 def pairwise_probe(inst, pts):

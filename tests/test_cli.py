@@ -1,6 +1,8 @@
+import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -764,6 +766,57 @@ def test_run_stored_file_without_a_start_exits_3(inst_file, tmp_path, capsys):
     assert err["error"] == "configuration" and "holds neither 'x0' nor a run report" in err["message"]
 
 
+# name: (which file, its content; a dict for an instance updates the instance file's document)
+MALFORMED_FILES = {
+    "instance a list": ("instance", []),
+    "w a mapping": ("instance", {"w": {"a": 1}}),
+    "beta null": ("instance", {"beta": None}),
+    "activation a list": ("instance", {"activation": ["tanh"]}),
+    "x0 a mapping": ("x0", {"x0": {"a": 1}}),
+    "report without iterates": ("x0", {"golden": {"iterates": []}}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_malformed_files_exit_3_naming_the_file(name, inst_file, tmp_path, capsys):
+    # valid JSON of the wrong structure: one configuration error that names the file, no traceback
+    which, content = MALFORMED_FILES[name]
+    if which == "instance" and isinstance(content, dict):
+        content = {**load_path(inst_file), **content}
+    path = str(tmp_path / "malformed.json")
+    dump_path(content, path)
+    start = ["--instance", path] if which == "instance" else ["--instance", inst_file, "--x0", "stored", "--x0-path", path]
+    capsys.readouterr()
+    assert main(["run", *start, "--out-dir", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == "configuration" and path in err["message"], err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_sketched_run_rejects_its_seed_before_the_reference_solve(inst_file, tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setattr(cli, "_reference_optimum", lambda inst: pytest.fail("the reference solve ran"))
+    capsys.readouterr()
+    assert main(["run", "--instance", inst_file, "--mode", "sketched", "--eps0", "0.45", "--seed", str(seed),
+                 "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "configuration", "message": f"seed must lie in [0, 2**64), got {seed}"}
+
+
+def _options(command: str) -> set[str]:
+    """The dest of every option of ``command``'s parser."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+def test_run_and_gen_options_are_the_fields_they_set():
+    # run passes NewtonConfig each option given (strict is --no-strict), gen passes gen_instance its parameters
+    assert {f.name for f in dataclasses.fields(sn.NewtonConfig)} - {"strict"} <= _options("run")
+    assert set(inspect.signature(sn.gen_instance).parameters) <= _options("gen")
+
+
 def test_verify_failing_invariant_exits_1(inst_file, tmp_path, capsys, monkeypatch):
     fd_gradient = cli.fd_gradient
     monkeypatch.setattr(cli, "fd_gradient", lambda *args, **kwargs: fd_gradient(*args, **kwargs) + 1.0)
@@ -787,12 +840,16 @@ def _csv(values):
     return ",".join(repr(float(v)) for v in values)
 
 
+# the range of a Philox key, [0, 2**64), and one seed past each end
+SEEDS = st.integers(-1, 2**64)
+
+
 @st.composite
 def cli_sessions(draw):
     """A ``gen`` command line, then one of ``run``, ``verify --trials 3`` or ``bounds --probes 5`` on its output."""
     n, m, d = draw(st.integers(1, 16)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     gen = ["gen", "--n", str(n), "--m", str(m), "--d", str(d), "--activation", draw(st.sampled_from(ALL_KINDS)),
-           "--seed", str(draw(st.integers(0, 999)))]
+           "--seed", str(draw(SEEDS))]
     options = {
         "--w": st.lists(st.sampled_from([0.0, 1e-3, 1.0, 5.0, 1e100, 1e154, 1.3e154, 1e160]), min_size=n,
                         max_size=n).map(_csv),
@@ -804,7 +861,7 @@ def cli_sessions(draw):
     for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
         gen += [f"{name}={draw(options[name])}"]
     command = draw(st.sampled_from(["run", "verify", "bounds"]))
-    seed = ["--seed", str(draw(st.integers(0, 999)))]
+    seed = ["--seed", str(draw(SEEDS))]
     if command == "verify":
         return gen, ["verify", "--trials", "3", *seed]
     if command == "bounds":
@@ -862,6 +919,15 @@ def _assert_contract(command, rc, out, err, runtime_warnings):
 # a finite-difference Hessian whose quotient passes float64
 @example(session=(["gen", "--n", "1", "--m", "1", "--d", "1", "--activation", "identity", "--seed", "0", "--w=1e154"],
                   ["verify", "--trials", "3", "--seed", "1"]))
+# seeds outside [0, 2**64), and a verify seed whose rate check would draw past it
+@example(session=(EDGE_GEN[:-1] + ["-1"], ["bounds", "--probes", "5"]))
+@example(session=(EDGE_GEN[:-1] + [str(2**64)], ["bounds", "--probes", "5"]))
+@example(session=(EDGE_GEN, ["run", "--x0", "gaussian", "--seed", "-1"]))
+@example(session=(EDGE_GEN, ["run", "--x0", "gaussian", "--seed", str(2**64), "--no-reference"]))
+@example(session=(EDGE_GEN, ["verify", "--trials", "3", "--seed", "-1"]))
+@example(session=(EDGE_GEN, ["bounds", "--probes", "5", "--seed", str(2**64)]))
+@example(session=(["gen", "--n", "3000", "--m", "16", "--d", "2", "--noise", "0.05", "--seed", "2"],
+                  ["verify", "--trials", "3", "--seed", str(2**64 - 1)]))
 def test_cli_sessions_end_as_documented(session, capsys):
     gen, follow = session
     with tempfile.TemporaryDirectory() as td:

@@ -464,6 +464,23 @@ def test_config_validation():
         sn.NewtonConfig(eps0=0.7)
     with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
         sn.NewtonConfig(delta=1.0, strict=False)  # in every mode, as eps0 is
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            sn.NewtonConfig(seed=seed)
+    sn.NewtonConfig(seed=2**64 - 1)
+
+
+def test_run_report_json_holds_every_field(s1_instance, s1_reference):
+    # every field but the wall times is in the deterministic golden block; they are in timing
+    cfg = exact_cfg(max_iters=3)
+    rep = sn.solve(s1_instance, np.zeros(2), cfg, x_ref=s1_reference)
+    doc = rep.to_json(cfg, "inst.json", s1_reference)
+    assert set(doc) == {"schema_version", "golden", "timing"}
+    names = {f.name for f in dataclasses.fields(sn.RunReport)} - {"wall_times_ms"}
+    assert names <= set(doc["golden"]) and "wall_times_ms" not in doc["golden"]
+    assert doc["timing"]["wall_times_ms"] is rep.wall_times_ms
+    assert doc["golden"]["x0"] is rep.iterates[0] and doc["golden"]["n_iters"] == rep.n_iters
+    assert doc["golden"]["config"] == dataclasses.asdict(cfg) and doc["golden"]["instance_path"] == "inst.json"
 
 
 def test_damping_counts_halvings(s1_instance, s1_reference):
