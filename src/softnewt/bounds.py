@@ -194,18 +194,6 @@ class BoundReport:
     lambda_min_B: float | None = None
     lambda_max_B: float | None = None
 
-    @property
-    def M(self) -> LogConstant:
-        return self.analytic["M"]
-
-    @property
-    def psd_bound(self) -> LogConstant:
-        return self.analytic["psd_bound"]
-
-    @property
-    def M_empirical(self) -> float | None:
-        return self.empirical.get("M")
-
     def to_json(self) -> dict:
         """Every field, each analytic constant in its own JSON form, and the schema version."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -23,14 +23,14 @@ from .derivatives import eval_p, eval_Q2, grad
 from .generate import gen_instance
 from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entries, kernel, kernel_diag
 from .model import EvaluationOverflowError, ProblemInstance, _rng, eval_forward, instance_from_json, instance_to_json
-from .newton import NewtonConfig, RunReport, basin_check, solve
+from .newton import NewtonConfig, RunReport, _step_seed, basin_check, solve
 from .oracle import ProbeEvaluationError, fd_gradient, fd_hessian
 from .serialize import SCHEMA_VERSION, dump_path, dumps, load_path
 from .sketch import sample_count, surrogate_sketch, verify_sandwich
 
 EMIT_NAMES = ("report_json", "trace_csv", "bounds_json", "grad_json", "bterms_json")
 
-# verify's sandwich-rate check draws at seed + k for k < RATE_SEEDS
+# verify's sandwich-rate check draws the sketches of a solver's steps t < RATE_SEEDS
 RATE_SEEDS = 20
 
 
@@ -151,11 +151,11 @@ def cmd_run(args) -> int:
     if x_ref is not None:
         l_ref = float(np.linalg.eigvalsh(hess_L(eval_forward(inst, x_ref), inst).H_tot)[0])
         report.basin_certificate = {
-            "analytic": basin_check(x0, x_ref, M=bounds_mod.compute_constants(inst).M, l=l_ref)
+            "analytic": basin_check(x0, x_ref, M=bounds_mod.compute_constants(inst).analytic["M"], l=l_ref)
         }
         if bounds_report is not None:
             report.basin_certificate["empirical"] = basin_check(
-                x0, x_ref, M=bounds_report.M_empirical, l=l_ref
+                x0, x_ref, M=bounds_report.empirical["M"], l=l_ref
             )
 
     if "report_json" in emit:
@@ -198,8 +198,6 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     evaluate the perturbed points around them, in one stacked call per check
     that holds every point's stencil.
     """
-    if not 0 <= seed <= 2**64 - RATE_SEEDS:
-        raise ConfigError(f"verify draws at seed + k for k < {RATE_SEEDS}: seed must lie in [0, 2**64 - {RATE_SEEDS}]")
     rng = _rng(seed)
     d = inst.d
     xs = [0.35 * inst.R * rng.standard_normal(d) / math.sqrt(d) for _ in range(max(trials, 2))]
@@ -257,7 +255,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     worst_t = max(rep.tightness[k] for k in sound_keys)
     yield "bound_soundness", worst_t <= 1.0, worst_t, "max tightness over norm/psd/Lipschitz bounds"
     lo, hi = rep.lambda_min_B, rep.lambda_max_B
-    psd = rep.psd_bound
+    psd = rep.analytic["psd_bound"]
     ok = psd.holds(abs(lo)) and psd.holds(abs(hi))
     yield "psd_sandwich", ok, psd.tightness(max(abs(lo), abs(hi))), "kernel spectrum inside +-bound"
 
@@ -267,7 +265,9 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
 def _sketch_checks(inst: ProblemInstance, seed: int):
     """Yield verify's two sketch checks, which draw by the solver's route, ``surrogate_sketch``, at x = 0.
 
-    A surrogate D' with an entry <= 0 fails both, as it ends a sketched run.
+    The rate check draws at the seeds a solver with ``seed`` draws its steps
+    t < RATE_SEEDS at, ``_step_seed(seed, t)``. A surrogate D' with an entry
+    <= 0 fails both, as it ends a sketched run.
     """
     kdiag = kernel_diag(eval_forward(inst, np.zeros(inst.d)), inst)
     dw = kdiag + inst.w**2
@@ -280,7 +280,7 @@ def _sketch_checks(inst: ProblemInstance, seed: int):
     count = functools.partial(sample_count, inst.n, inst.d, 0.3, 0.1)
     hits = 0
     for k in range(RATE_SEEDS):
-        sk = surrogate_sketch(inst, kdiag, count, seed + k)
+        sk = surrogate_sketch(inst, kdiag, count, _step_seed(seed, k))
         hit = verify_sandwich(inst.A1, dw, sk) <= 0.3
         if sk.exact:
             # the fallback Dt = D draws nothing, so every seed reaches this verdict

@@ -67,20 +67,23 @@ class NotPositiveDefiniteError(ArithmeticError):
 @dataclass(frozen=True)
 class NewtonConfig:
     mode: str = "exact"  # "exact" | "sketched"
-    eps: float = 1e-6  # distance target when a reference optimum is known
-    delta: float = 0.05  # failure budget, split uniformly across iterations
-    eps0: float = 0.01  # sketch accuracy
+    eps: float = 1e-6  # distance target when a reference optimum is known; finite, > 0 ((0, 0.1) if strict)
+    delta: float = 0.05  # failure budget, split uniformly across iterations; in (0, 1) ((0, 0.1) if strict)
+    eps0: float = 0.01  # sketch accuracy, in (0, 0.5)
     max_iters: int = 200
     seed: int = 0
-    stationarity_tol: float = 1e-10
+    stationarity_tol: float = 1e-10  # finite, >= 0
     damping: bool = False  # halve the step while loss_tot increases (<= 30 halvings)
     strict: bool = True
 
     def __post_init__(self):
         if self.mode not in ("exact", "sketched"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.eps <= 0 or self.max_iters < 0:
-            raise ValueError("eps must be positive and max_iters nonnegative")
+        # written so that a nan fails every range test
+        if not 0.0 < self.eps < math.inf or self.max_iters < 0:
+            raise ValueError("eps must be positive and finite, and max_iters nonnegative")
+        if not 0.0 <= self.stationarity_tol < math.inf:
+            raise ValueError("stationarity_tol must be nonnegative and finite")
         if self.strict:
             if not (0.0 < self.eps < 0.1):
                 raise ValueError("strict mode requires eps in (0, 0.1)")
@@ -196,6 +199,7 @@ class RunReport:
     r_t: list[float] | None
     ratios: list[float] | None
     sketch_eps_per_iter: list[float | None]
+    sketch_draws_per_iter: list[int | None]  # rows a step drew: 0 for the exact fallback, None in exact mode
     wall_times_ms: list[float]
     basin_certificate: dict[str, bool] = field(default_factory=dict)
     error_message: str | None = None
@@ -262,6 +266,7 @@ def solve(
         r_t=[] if track_r else None,
         ratios=[] if track_r else None,
         sketch_eps_per_iter=[],
+        sketch_draws_per_iter=[],
         wall_times_ms=[],
     )
 
@@ -303,6 +308,8 @@ def solve(
             return stop("error", str(exc))
         report.iterates.append(x.copy())
         report.sketch_eps_per_iter.append(diag.eps_end_to_end)
+        sk = diag.sketch
+        report.sketch_draws_per_iter.append(None if sk is None else 0 if sk.exact else len(sk.kept_indices))
         report.wall_times_ms.append((time.perf_counter() - t0) * 1e3)
     return stop("max_iters")
 

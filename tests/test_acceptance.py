@@ -186,7 +186,7 @@ def contraction_instances():
         x_ref = ref.final_x
         l = spectral(sn.hess_L(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
         pts = [x_ref + dx for dx in random_points(inst, 45000 + k, 10, radius_frac=0.15)]
-        M_emp = probe_empirical(inst, pts).M_empirical
+        M_emp = probe_empirical(inst, pts).empirical["M"]
         r0 = min(0.05 * l / max(M_emp, 1e-12), 0.1 * inst.R)
         setups.append((inst, x_ref, l, M_emp, r0))
     return setups

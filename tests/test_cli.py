@@ -20,6 +20,7 @@ import softnewt as sn
 from softnewt import cli, hessian, sketch
 from softnewt.cli import main
 from softnewt.model import DenominatorFloorWarning
+from softnewt.newton import _step_seed
 from softnewt.serialize import dump_path, dumps, load_path
 
 INSTANCE_KEYS = {"schema_version", "n", "m", "d", "A1", "A2", "b", "w", "activation", "R", "beta"}
@@ -176,6 +177,15 @@ FAILURE_PATHS = {
         lambda f, t: ["gen", "--n", "3", "--m", "2", "--d", "2", "--out", str(t / "missing" / "inst.json")],
         "io", "No such file or directory"),
     "negative eps": (_argv("run", None, "--eps", "-1", "--no-strict"), "configuration", "eps must be positive"),
+    "nan eps": (_argv("run", None, "--eps", "nan", "--no-strict"), "configuration", "eps must be positive and finite"),
+    "infinite eps": (_argv("run", None, "--eps", "inf", "--no-strict"), "configuration",
+                     "eps must be positive and finite"),
+    "nan stationarity-tol": (_argv("run", None, "--stationarity-tol", "nan", "--no-reference"), "configuration",
+                             "stationarity_tol must be nonnegative and finite"),
+    "negative stationarity-tol": (_argv("run", None, "--stationarity-tol", "-1", "--no-reference"),
+                                  "configuration", "stationarity_tol must be nonnegative and finite"),
+    "infinite stationarity-tol": (_argv("run", None, "--stationarity-tol", "inf", "--no-reference"),
+                                  "configuration", "stationarity_tol must be nonnegative and finite"),
     "negative max-iters": (_argv("run", None, "--max-iters", "-1"), "configuration", "max_iters nonnegative"),
 }
 
@@ -599,7 +609,7 @@ def test_verify_sketch_checks_draw_by_the_solvers_route(monkeypatch):
     count = functools.partial(sketch.sample_count, inst.n, inst.d, 0.3, 0.1)
     assert len(draws) == 22
     for k, sk in enumerate(draws[:20]):
-        ref = sketch.surrogate_sketch(inst, kdiag, count, 1 + k)
+        ref = sketch.surrogate_sketch(inst, kdiag, count, _step_seed(1, k))
         assert not sk.exact and len(sk.kept_indices) == 1833
         assert np.array_equal(sk.kept_indices, ref.kept_indices) and sk.dtilde.tobytes() == ref.dtilde.tobytes()
     assert all(len(sk.kept_indices) == 1500 for sk in draws[20:])
@@ -631,6 +641,23 @@ def test_verify_fails_both_sketch_checks_on_a_nonpositive_surrogate(tmp_path, ca
     assert main(["run", "--instance", path, "--mode", "sketched", "--eps0", "0.45", "--no-reference",
                  "--out-dir", str(tmp_path / "run")]) == 2
     assert "nonpositive" in load_path(tmp_path / "run" / "report.json")["golden"]["error_message"]
+
+
+def test_positivity_barrier_stops_a_sketched_run_where_exact_converges(tmp_path, capsys):
+    # uniform w = 0.02 keeps H_tot positive definite along the exact run, but w^2 = 4e-4 lies
+    # below -min diag(B): the sketched run's first surrogate D' = diag(B) + w^2 has an entry <= 0
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--n", "64", "--m", "16", "--d", "8", "--noise", "0.05", "--seed", "1",
+                 "--w", ",".join(["0.02"] * 64), "--out", str(inst)]) == 0
+    run = ["run", "--instance", str(inst), "--no-reference"]
+    assert main([*run, "--out-dir", str(tmp_path / "exact")]) == 0
+    exact = load_path(tmp_path / "exact" / "report.json")["golden"]
+    assert exact["status"] == "converged" and exact["n_iters"] == 3
+    assert main([*run, "--mode", "sketched", "--eps0", "0.45", "--out-dir", str(tmp_path / "sketched")]) == 2
+    sketched = load_path(tmp_path / "sketched" / "report.json")["golden"]
+    assert sketched["status"] == "error" and sketched["n_iters"] == 0
+    assert sketched["error_message"] == "diagonal surrogate diag(B) + w^2 has nonpositive entries; raise w"
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_passes_with_a_zero_ridge_weight_over_a_positive_diag(tmp_path, capsys):
@@ -919,15 +946,14 @@ def _assert_contract(command, rc, out, err, runtime_warnings):
 # a finite-difference Hessian whose quotient passes float64
 @example(session=(["gen", "--n", "1", "--m", "1", "--d", "1", "--activation", "identity", "--seed", "0", "--w=1e154"],
                   ["verify", "--trials", "3", "--seed", "1"]))
-# seeds outside [0, 2**64), and a verify seed whose rate check would draw past it
+# seeds outside [0, 2**64), and the largest seed verify takes
 @example(session=(EDGE_GEN[:-1] + ["-1"], ["bounds", "--probes", "5"]))
 @example(session=(EDGE_GEN[:-1] + [str(2**64)], ["bounds", "--probes", "5"]))
 @example(session=(EDGE_GEN, ["run", "--x0", "gaussian", "--seed", "-1"]))
 @example(session=(EDGE_GEN, ["run", "--x0", "gaussian", "--seed", str(2**64), "--no-reference"]))
 @example(session=(EDGE_GEN, ["verify", "--trials", "3", "--seed", "-1"]))
 @example(session=(EDGE_GEN, ["bounds", "--probes", "5", "--seed", str(2**64)]))
-@example(session=(["gen", "--n", "3000", "--m", "16", "--d", "2", "--noise", "0.05", "--seed", "2"],
-                  ["verify", "--trials", "3", "--seed", str(2**64 - 1)]))
+@example(session=(EDGE_GEN, ["verify", "--trials", "3", "--seed", str(2**64 - 1)]))
 def test_cli_sessions_end_as_documented(session, capsys):
     gen, follow = session
     with tempfile.TemporaryDirectory() as td:

@@ -260,6 +260,16 @@ def test_sketched_solve_forms_its_distribution_once(tall_instance, monkeypatch):
     assert steps >= 4 and calls == {"leverage_scores": 1, "_cdf": 1}
 
 
+@pytest.mark.parametrize("mode, eps0, draws", [("exact", 0.01, None), ("sketched", 0.01, 0), ("sketched", 0.45, 1034)])
+def test_report_records_the_rows_each_step_drew(tall_instance, mode, eps0, draws):
+    # at the default eps0 the count passes n = 1200, so every sketched step is the exact fallback
+    cfg = sn.NewtonConfig(mode=mode, eps=1e-8, eps0=eps0, max_iters=20, seed=2)
+    rep = sn.solve(tall_instance, np.array([0.3, -0.2]), cfg)
+    assert rep.status == "converged" and rep.n_iters >= 2
+    assert rep.sketch_draws_per_iter == [draws] * rep.n_iters
+    assert rep.to_json(cfg, "inst.json", None)["golden"]["sketch_draws_per_iter"] == rep.sketch_draws_per_iter
+
+
 def test_sketched_steps_meet_the_sandwich_rate():
     # acceptance criterion 7's rate, at least 90% of 200 seeds within eps0 = 0.3, for the
     # step's own sketches of D' drawn from the instance's ridge distribution
@@ -380,7 +390,7 @@ def test_basin_check_trivial_and_analytic_vs_empirical(s1_instance, s1_reference
     l = spectral(sn.hess_L(st_ref, s1_instance).H_tot)[0]
     x0 = s1_reference + np.array([0.01, -0.005])
     assert not sn.basin_check(x0, s1_reference, M=rep.analytic["M"], l=l)
-    assert sn.basin_check(x0, s1_reference, M=rep.M_empirical, l=l)
+    assert sn.basin_check(x0, s1_reference, M=rep.empirical["M"], l=l)
     assert sn.basin_check(x0, s1_reference, M=rep.analytic["M"], l=1e300)
 
 
@@ -393,7 +403,7 @@ def basin_setup():
     x_ref = ref.final_x
     l = spectral(sn.hess_L(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
     pts = [x_ref + dx for dx in random_points(inst, 77, 10, radius_frac=0.2)]
-    M_emp = probe_empirical(inst, pts).M_empirical
+    M_emp = probe_empirical(inst, pts).empirical["M"]
     return inst, x_ref, l, M_emp
 
 
@@ -464,10 +474,43 @@ def test_config_validation():
         sn.NewtonConfig(eps0=0.7)
     with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
         sn.NewtonConfig(delta=1.0, strict=False)  # in every mode, as eps0 is
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            sn.NewtonConfig(eps=eps, strict=False)
+    for tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="stationarity_tol must be nonnegative and finite"):
+            sn.NewtonConfig(stationarity_tol=tol)
+    sn.NewtonConfig(stationarity_tol=0.0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             sn.NewtonConfig(seed=seed)
     sn.NewtonConfig(seed=2**64 - 1)
+
+
+# every class of float a config range must sort: nan, +-inf, subnormals, signed zeros, negatives, the range ends
+CONFIG_FLOATS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(eps=CONFIG_FLOATS, delta=CONFIG_FLOATS, eps0=CONFIG_FLOATS, tol=CONFIG_FLOATS, strict=st.booleans())
+def test_config_constructs_iff_every_float_lies_in_its_range(eps, delta, eps0, tol, strict):
+    # eps finite and > 0, delta in (0, 1), both below 0.1 when strict; eps0 in (0, 0.5); stationarity_tol finite, >= 0
+    valid = (
+        math.isfinite(eps) and eps > 0 and (not strict or eps < 0.1)
+        and 0 < delta < (0.1 if strict else 1)
+        and 0 < eps0 < 0.5
+        and math.isfinite(tol) and tol >= 0
+    )
+    build = functools.partial(sn.NewtonConfig, eps=eps, delta=delta, eps0=eps0, stationarity_tol=tol, strict=strict)
+    if valid:
+        build()
+    else:
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_run_report_json_holds_every_field(s1_instance, s1_reference):

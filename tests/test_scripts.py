@@ -7,30 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiment.py"
 TESTS = Path(__file__).resolve().parent
-
-
-def test_run_experiment_smoke(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--n", "8", "--m", "4", "--d", "3", "--seed", "7", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    table = proc.stdout.split("bound tightness")[1]
-    assert any(line.split()[:1] == ["M"] for line in table.splitlines())
-    for name in ("instance.json", "report_exact.json", "report_sketched.json", "bounds.json"):
-        assert (tmp_path / name).is_file(), name
-    for mode in ("exact", "sketched"):
-        # the layout of `softnewt run`'s report: wall-clock fields only under timing
-        doc = json.loads((tmp_path / f"report_{mode}.json").read_text())
-        assert set(doc) == {"schema_version", "golden", "timing"}
-        assert "wall_times_ms" in doc["timing"]
-        assert not {"wall_times_ms", "written_at_unix"} & set(doc["golden"])
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def test_loc_smoke():
-    script = SCRIPT.parent / "loc.py"
+    script = SCRIPTS / "loc.py"
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
@@ -47,7 +29,7 @@ def test_make_goldens_writes_the_committed_golden(tmp_path):
         "make_goldens.OUT = sys.argv[2]; make_goldens.main()"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(SCRIPT.parent), str(tmp_path)], capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", code, str(SCRIPTS), str(tmp_path)], capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     written = json.loads((tmp_path / "s1.json").read_text())
@@ -70,7 +52,7 @@ def test_scale_sweep_smoke(tmp_path):
         "raise SystemExit(scale_sweep.main(['--label', 'change', '--out', sys.argv[2]]))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(SCRIPT.parent), str(out)], capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", code, str(SCRIPTS), str(out)], capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
@@ -101,7 +83,7 @@ def test_scale_sweep_solves_start_inside_the_norm_budget():
         "warnings.simplefilter('error'); calls['solve_exact'](); calls['solve_sketched']()"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(SCRIPT.parent)], capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", code, str(SCRIPTS)], capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
 
