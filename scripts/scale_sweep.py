@@ -10,8 +10,8 @@ records the best-of-3 time of one call, that time divided by the best-of-3
 time of one call of perfbench's reference gemm loop (``perfbench/reference.py``)
 taken right after it, so that host drift cancels, and the ``tracemalloc``
 peak of one call. The dense layers (``DENSE_LAYERS``: the n x n kernel and
-its spectrum, the per-entry Hessian and the empirical probe) run only at
-n <= ``DENSE_MAX_N``. Each invocation appends one run under ``runs[label]``
+its spectrum, the per-entry Hessian, the empirical probe and ``verify``'s
+checks) run only at n <= ``DENSE_MAX_N``. Each invocation appends one run under ``runs[label]``
 with perfbench's environment header and keeps every other run in the file,
 so running a copy of this script from a checkout of the parent commit with
 ``--label parent`` and the same ``--out``, alternating with ``--label
@@ -43,7 +43,7 @@ from reference import gemm_loop  # noqa: E402
 # (n, m, d)
 SHAPES = ((64, 16, 8), (1600, 16, 8), (10_000, 16, 8), (100_000, 16, 8), (100_000, 16, 64), (1_000_000, 16, 8))
 # the layers that form dense n x n kernels, and the per-entry Hessian oracle, run only up to this n
-DENSE_LAYERS = ("kernel+spectral", "hess_L_entries", "probe_empirical")
+DENSE_LAYERS = ("kernel+spectral", "hess_L_entries", "probe_empirical", "verify")
 DENSE_MAX_N = 1600
 REPEATS = 3
 MIN_REPEAT_S = 0.02  # a repeat runs the call enough times to take at least this long
@@ -89,11 +89,13 @@ def layers(sn, n: int, m: int, d: int) -> dict:
     cost of the two modes; the sketched step draws fewer rows than n from
     n = 10^4 up and takes the exact fallback below. Its instance forms its
     row distribution on the warm-up call and keeps it, so
-    ``ridge_distribution`` times that one-time cost on its own.
+    ``ridge_distribution`` times that one-time cost on its own. ``verify``
+    runs every check of ``softnewt verify --trials 20 --seed 1`` and consumes
+    them, as the command does.
 
     ``DENSE_LAYERS`` are left out above ``DENSE_MAX_N``.
     """
-    from softnewt import hessian, newton, sketch
+    from softnewt import cli, hessian, newton, sketch
 
     inst, _ = sn.gen_instance(n, m, d, "tanh", 1, noise=0.05)
     rng = np.random.Generator(np.random.Philox(key=1))
@@ -124,6 +126,7 @@ def layers(sn, n: int, m: int, d: int) -> dict:
         "exact_step": lambda: sn.newton_step(inst, st, g, exact),
         "sketched_step": lambda: sn.newton_step(inst, st, g, sketched),
         "probe_empirical": lambda: sn.probe_empirical(inst, probes),
+        "verify": lambda: list(cli._verify_checks(inst, 1, 20)),
         "solve_exact": lambda: sn.solve(inst, x0, exact),
         "solve_sketched": lambda: sn.solve(inst, x0, sketched),
     }

@@ -8,10 +8,13 @@ formed by subtracting logs.
 The empirical probe evaluates the points in one stacked forward pass and
 each measured quantity in one stacked call (see the stack contract in
 ``hessian``), so every stack is built once over the admissible points. Norm
-maxima come from the stacks. Every Lipschitz ratio takes one screened pass:
-each pair gets an upper bound per key, in chunks of pairs whose differences
-take at most ``_CHUNK_BYTES``, and only the pairs whose bound can still set
-the maximum are measured, so the probe never holds all differences at once.
+maxima come from the stacks. Every Lipschitz ratio takes one pass over the
+pairs, in chunks of pairs whose differences take at most ``_CHUNK_BYTES``, so
+the probe never holds all differences at once. A ratio whose norm needs no
+SVD or eigensolver is measured in that pass. The others (M, Q2 and the six
+G pieces) are screened: the pass gives each pair an upper bound, and only
+the pairs whose bound can still set the maximum are measured. A caller may
+name the entries it reads (``keys``), and only those are measured.
 
 A spectral norm is measured by SVD and screened by min(Frobenius, Hoelder).
 Q2 = diag(h') A2 is stacked by its rows h' instead and measured from the
@@ -28,7 +31,7 @@ import numpy as np
 
 from .derivatives import eval_p, grad
 from .hessian import g_terms, hess_L, kernel
-from .model import _LOG_MAX, L_H, DenominatorFloorWarning, ProblemInstance, eval_forward
+from .model import _LOG_MAX, L_H, DenominatorFloorWarning, ProblemInstance, _chunks, eval_forward
 from .oracle import spectral
 from .serialize import SCHEMA_VERSION
 
@@ -38,12 +41,16 @@ __all__ = ["LogConstant", "BoundReport", "compute_constants", "constants_from_pa
 _LN10 = math.log(10.0)
 
 NORM_KEYS = ("f", "c", "Q2", "q2", "p")
+_PIECE_KEYS = tuple(f"lip_G{i}" for i in range(1, 7))
+# the Lipschitz ratios, and every entry of a report's ``empirical`` map, in report order
+_LIP_KEYS = ("lip_u", "lip_alpha", "lip_alpha_inv", "lip_f", "lip_c", "lip_Q2", "lip_q2", "lip_g", "lip_p", "M",
+             *_PIECE_KEYS)
+_EMPIRICAL_KEYS = (*(f"norm_{k}" for k in NORM_KEYS), "psd_bound", *_LIP_KEYS)
+# the ratios whose norm takes an SVD or an eigensolver, so that ``_bounds`` screens their pairs
+_SCREENED_KEYS = ("lip_Q2", "M", *_PIECE_KEYS)
 
 # pairs measured per _max_norm call in the screened Lipschitz pass
 _SVD_BATCH = 8
-
-# bytes of pair differences, or of stacked n x n kernels, that the probe holds at once
-_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True, order=True)
@@ -233,15 +240,6 @@ def _admissible_states(inst: ProblemInstance, X: np.ndarray):
     return every.rows(keep), len(X) - count
 
 
-def _chunks(count: int, item_bytes: int) -> list[slice]:
-    """Consecutive slices of range(count), each over at most ``_CHUNK_BYTES`` of items.
-
-    A slice holds one item at least, and a count of 0 gives one empty slice.
-    """
-    step = max(1, _CHUNK_BYTES // item_bytes)
-    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
-
-
 def _pair_diffs(S: np.ndarray, first: np.ndarray, last: np.ndarray):
     """S[first] - S[last], in chunks of pairs under ``_CHUNK_BYTES``."""
     for c in _chunks(len(first), S[0].nbytes):
@@ -327,22 +325,28 @@ def _spectral_bounds(D: np.ndarray) -> np.ndarray:
 
 
 def _bounds(key: str, D: np.ndarray, gram: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """An upper bound on each ``_norms(key, D, gram)``: the norm itself where it takes no SVD or eigensolver.
+    """An upper bound on each ``_norms(key, D, gram)`` of a screened key, taken without an SVD or eigensolver.
 
     For Q2 it is the Frobenius norm 2^t sqrt(sum_a s_a K_aa s_a), in O(m), rounded
     as the diagonal of (s s^T) o K and widened by 1e-8 for the eigensolver's
-    rounding where the two are equal (rank 1).
+    rounding where the two are equal (rank 1); for the d x d stacks (M and the
+    G pieces) it is ``_spectral_bounds``.
     """
     if key == "lip_Q2":
         S, t = _scaled_rows(D, gram)
         return np.ldexp(np.sqrt(np.sum(S * np.diagonal(gram[1]) * S, axis=-1)) * (1.0 + 1e-8), t)
-    if D.ndim == 3 and key != "lip_p":
-        return _spectral_bounds(D)
-    return _norms(key, D, gram)
+    return _spectral_bounds(D)
 
 
-def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
-    """Measure every bounded quantity at the admissible probe points.
+def probe_empirical(inst: ProblemInstance, sample_points, *, keys=None) -> BoundReport:
+    """Measure the bounded quantities named by ``keys`` at the admissible probe points.
+
+    ``keys`` names entries of ``_EMPIRICAL_KEYS``; None names every one, and
+    an unknown name raises ValueError. Only the named entries are measured,
+    and ``empirical`` and ``tightness`` hold them in ``_EMPIRICAL_KEYS``
+    order, each equal to the full probe's. The kernel spectrum is taken only
+    for ``psd_bound``; without it ``lambda_min_B`` and ``lambda_max_B`` stay
+    None.
 
     Points whose softmax denominator falls below the declared beta are
     excluded and counted. Fewer than two admissible points cannot support the
@@ -353,24 +357,32 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
     (n^2 floats per point) are chunked: a chunk takes at most
     ``_CHUNK_BYTES``, or one point, and its spectra one batched ``eigvalsh``
     call. The norm maxima are read from the stacks. Each Lipschitz ratio
-    takes one screened pass over the pairs of distinct points: each pair gets
-    the bound ``_bounds(key, D, gram) / ||x_i - x_j||``, and the pairs are
-    measured ``_SVD_BATCH`` at a time in descending bound order until no bound
-    exceeds the maximum so far. Memory holds the stacks (linear in the
-    points), the m x m Gram of A2, one chunk of differences, and per pair its
-    indices, distance and bound.
+    takes one pass over the pairs of distinct points, in chunks of
+    differences, and one of two kinds:
+
+    - exact: a ratio outside ``_SCREENED_KEYS`` takes its norm without an
+      SVD or eigensolver, so the pass measures every pair. NaN ratios are
+      ignored, and the pairs whose ratio reads inf are measured again by
+      ``_max_norm``.
+    - screened: the pass gives each pair the bound
+      ``_bounds(key, D, gram) / ||x_i - x_j||``, and the pairs are measured
+      ``_SVD_BATCH`` at a time in descending bound order until no bound
+      exceeds the maximum so far.
+
+    Memory holds the stacks (linear in the points), the m x m Gram of A2,
+    one chunk of differences, and per pair its indices, distance and bound.
     """
+    wanted = set(_EMPIRICAL_KEYS if keys is None else keys)
+    unknown = sorted(wanted.difference(_EMPIRICAL_KEYS))
+    if unknown:
+        raise ValueError(f"unknown empirical keys {unknown}; known: {', '.join(_EMPIRICAL_KEYS)}")
     states, excluded = _admissible_states(inst, np.asarray(sample_points, dtype=float))
     X = states.x
     report = compute_constants(inst, R=measured_radius(inst, X), beta=float(np.min(states.alpha)))
     report.n_admissible = len(X)
     report.n_excluded = excluded
 
-    lam_min, lam_max = math.inf, -math.inf
-    for c in _chunks(len(X), 8 * inst.n * inst.n):
-        lo, hi, _ = spectral(kernel(states.rows(c), inst))
-        lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
-    # keyed by the report entry each quantity feeds
+    # keyed by the report entry each quantity feeds; the costly ones only where named
     stacks = {
         "lip_u": states.u,
         "lip_alpha": states.alpha[:, None],
@@ -379,28 +391,51 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
         "lip_c": states.c,
         "lip_Q2": states.hprime,  # Q2 = diag(h') A2, measured through the Gram of A2
         "lip_q2": states.q2,
-        "lip_g": grad(states, inst).grad_L,
-        "lip_p": eval_p(states, inst),
-        "M": hess_L(states, inst).H_L,
-        **{f"lip_{k}": G for k, G in g_terms(states, inst).items()},
     }
+    if "lip_g" in wanted:
+        stacks["lip_g"] = grad(states, inst).grad_L
+    if wanted & {"lip_p", "norm_p"}:
+        stacks["lip_p"] = eval_p(states, inst)
+    if "M" in wanted:
+        stacks["M"] = hess_L(states, inst).H_L
+    if not wanted.isdisjoint(_PIECE_KEYS):
+        stacks.update({f"lip_{k}": G for k, G in g_terms(states, inst).items()})
 
-    report.lambda_min_B = lam_min
-    report.lambda_max_B = lam_max
+    emp = {}
+    if "psd_bound" in wanted:
+        lam_min, lam_max = math.inf, -math.inf
+        for c in _chunks(len(X), 8 * inst.n * inst.n):
+            lo, hi, _ = spectral(kernel(states.rows(c), inst))
+            lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
+        report.lambda_min_B = lam_min
+        report.lambda_max_B = lam_max
+        emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
 
     gram = _scaled_gram(inst.A2)
     # squares past float64 read inf here; _max_norm measures such vectors again
     with np.errstate(over="ignore"):
-        emp = {f"norm_{k}": _max_norm(f"lip_{k}", stacks[f"lip_{k}"], 1.0, gram) for k in NORM_KEYS}
-        emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
-        # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points
-        emp.update(dict.fromkeys(stacks, 0.0))
-        first, last = np.triu_indices(len(X), 1)
-        dx = np.concatenate([_norms("x", D, gram) for D in _pair_diffs(X, first, last)])
-        apart = dx != 0.0
-        first, last, dx = first[apart], last[apart], dx[apart]
-        for key, S in stacks.items():
+        for k in NORM_KEYS:
+            if f"norm_{k}" in wanted:
+                emp[f"norm_{k}"] = _max_norm(f"lip_{k}", stacks[f"lip_{k}"], 1.0, gram)
+        ratios = [k for k in _LIP_KEYS if k in wanted]
+        if ratios:
+            # Lipschitz ratios ||q_i - q_j|| / ||x_i - x_j|| over pairs i < j at distinct points
+            first, last = np.triu_indices(len(X), 1)
+            dx = np.concatenate([_norms("x", D, gram) for D in _pair_diffs(X, first, last)])
+            apart = dx != 0.0
+            first, last, dx = first[apart], last[apart], dx[apart]
+        for key in ratios:
+            S = stacks[key]
+            if key not in _SCREENED_KEYS:
+                # the one pass measures every pair; NaN bounds nothing, and inf is measured again
+                r = np.concatenate([_norms(key, D, gram) for D in _pair_diffs(S, first, last)]) / dx
+                past = r == math.inf
+                emp[key] = float(np.max(r, where=~(past | np.isnan(r)), initial=0.0))
+                if past.any():
+                    emp[key] = max(emp[key], _max_norm(key, S[first[past]] - S[last[past]], dx[past], gram))
+                continue
             # measure the pairs in descending bound order until no bound can raise the maximum
+            emp[key] = 0.0
             ub = np.concatenate([_bounds(key, D, gram) for D in _pair_diffs(S, first, last)]) / dx
             order = np.argsort(-ub)
             for start in range(0, len(order), _SVD_BATCH):
@@ -410,6 +445,6 @@ def probe_empirical(inst: ProblemInstance, sample_points) -> BoundReport:
                     break
                 emp[key] = max(emp[key], _max_norm(key, S[first[batch]] - S[last[batch]], dx[batch], gram))
 
-    report.empirical = emp
-    report.tightness = {k: report.analytic[k].tightness(v) for k, v in emp.items()}
+    report.empirical = {k: emp[k] for k in _EMPIRICAL_KEYS if k in wanted}
+    report.tightness = {k: report.analytic[k].tightness(v) for k, v in report.empirical.items()}
     return report

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/converged, 1 verification failure, 2 non-converged run
 (max_iters, diverged, or runtime error) or a runtime error in verify or bounds,
-3 configuration error, a usage error on the command line included.
+3 configuration error, a usage error on the command line included. A reader
+that closes stdout early changes no exit code: the command writes its files,
+drops the rest of stdout and exits as its results give.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from . import bounds as bounds_mod
 from .derivatives import eval_p, eval_Q2, grad
 from .generate import gen_instance
 from .hessian import B_TERM_NAMES, b_terms, hess_L, hess_L_entries, kernel, kernel_diag
-from .model import EvaluationOverflowError, ProblemInstance, _rng, eval_forward, instance_from_json, instance_to_json
+from .model import EvaluationOverflowError, ProblemInstance, _chunks, _rng, eval_forward, instance_from_json, instance_to_json
 from .newton import NewtonConfig, RunReport, _step_seed, basin_check, solve
 from .oracle import ProbeEvaluationError, fd_gradient, fd_hessian
 from .serialize import SCHEMA_VERSION, dump_path, dumps, load_path
@@ -33,9 +36,26 @@ EMIT_NAMES = ("report_json", "trace_csv", "bounds_json", "grad_json", "bterms_js
 # verify's sandwich-rate check draws the sketches of a solver's steps t < RATE_SEEDS
 RATE_SEEDS = 20
 
+# the probe entries verify's bound_soundness check reads, and that its probe measures; psd_bound
+# also gives the kernel spectrum that the psd_sandwich check reads
+SOUND_KEYS = ("norm_f", "norm_c", "norm_Q2", "norm_q2", "norm_p", "psd_bound", "M")
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _say(line: str) -> None:
+    """Print a line to stdout; once a reader has closed it, the line and the rest are dropped.
+
+    A closed stdout is no failure of the command: stdout is pointed at
+    ``os.devnull``, Python's documented recipe, so neither a later print nor
+    the flush at exit raises again.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_instance(path: str) -> ProblemInstance:
@@ -88,7 +108,7 @@ def cmd_gen(args) -> int:
     doc["x_plant"] = x_plant
     doc["gen_seed"] = args.seed
     dump_path(doc, args.out)
-    print(f"wrote {args.out} (n={inst.n}, m={inst.m}, d={inst.d}, {inst.activation.kind})")
+    _say(f"wrote {args.out} (n={inst.n}, m={inst.m}, d={inst.d}, {inst.activation.kind})")
     return 0
 
 
@@ -181,7 +201,7 @@ def cmd_run(args) -> int:
             "frobenius_norms": {name: bounds_mod.vector_norm(t) for name, t in zip(B_TERM_NAMES, terms)},
         }
         dump_path(tdoc, outdir / "b_terms.json")
-    print(f"status={report.status} iters={report.n_iters} grad={report.final_grad_norm:.3e}")
+    _say(f"status={report.status} iters={report.n_iters} grad={report.final_grad_norm:.3e}")
     return 0 if report.status == "converged" else 2
 
 
@@ -213,7 +233,7 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     # of rows whose n-length arrays take at most _CHUNK_BYTES, keeping only what is read
     def stencil(read):
         def at(S):
-            return np.concatenate([read(eval_forward(inst, S[c])) for c in bounds_mod._chunks(len(S), 8 * inst.n)])
+            return np.concatenate([read(eval_forward(inst, S[c])) for c in _chunks(len(S), 8 * inst.n)])
 
         return at
 
@@ -250,9 +270,8 @@ def _verify_checks(inst: ProblemInstance, seed: int, trials: int):
     )
     yield "gradient_chain_consistency", worst <= 1e-12, worst, "||grad_L - P^T q2||"
 
-    rep = bounds_mod.probe_empirical(inst, xs)
-    sound_keys = [k for k in rep.empirical if k.startswith("norm_")] + ["psd_bound", "M"]
-    worst_t = max(rep.tightness[k] for k in sound_keys)
+    rep = bounds_mod.probe_empirical(inst, xs, keys=SOUND_KEYS)
+    worst_t = max(rep.tightness[k] for k in SOUND_KEYS)
     yield "bound_soundness", worst_t <= 1.0, worst_t, "max tightness over norm/psd/Lipschitz bounds"
     lo, hi = rep.lambda_min_B, rep.lambda_max_B
     psd = rep.analytic["psd_bound"]
@@ -308,7 +327,7 @@ def cmd_verify(args) -> int:
         dump_path(doc, args.out)
     for r in results:
         status = "pass" if r["passed"] else "FAIL"
-        print(f"[{status}] {r['name']}: {r['detail']} = {r['margin']:.3e}")
+        _say(f"[{status}] {r['name']}: {r['detail']} = {r['margin']:.3e}")
     if not all_passed:
         failing = ", ".join(r["name"] for r in results if not r["passed"])
         print(f"failing invariants: {failing}", file=sys.stderr)
@@ -326,12 +345,12 @@ def cmd_bounds(args) -> int:
     rep = bounds_mod.probe_empirical(inst, pts)
     if args.out:
         dump_path(rep.to_json(), args.out)
-    print(f"R_used={rep.R_used:.6g} beta_used={rep.beta_used:.6g} admissible={rep.n_admissible} excluded={rep.n_excluded}")
-    print(f"{'quantity':<14} {'bound':>14} {'measured':>13} {'tightness':>11}")
+    _say(f"R_used={rep.R_used:.6g} beta_used={rep.beta_used:.6g} admissible={rep.n_admissible} excluded={rep.n_excluded}")
+    _say(f"{'quantity':<14} {'bound':>14} {'measured':>13} {'tightness':>11}")
     for key in sorted(rep.empirical):
         m, e = rep.analytic[key].mantissa_exp10()
         bound = f"{m:.3f}e{e:+d}" if math.isfinite(m) else "inf"
-        print(f"{key:<14} {bound:>14} {rep.empirical[key]:>13.4e} {rep.tightness[key]:>11.3e}")
+        _say(f"{key:<14} {bound:>14} {rep.empirical[key]:>13.4e} {rep.tightness[key]:>11.3e}")
     return 0
 
 

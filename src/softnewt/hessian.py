@@ -27,8 +27,8 @@ Q2 = diag(h') A2 and S = A2^T diag(h'' o c) A2 (Q2 J = diag(h') A2 J folds its
 two quadratic parts into the one above). They build P, Q2, q2 = Q2^T c and S
 themselves, never from D, G or the forward pass's q2, and are the
 references the routes above are checked against. ``hess_L_entries`` sums
-one row of d entries at a time, each with the same float operations as its
-own literal per-entry sum.
+its entries a chunk of rows at a time, each with the same float operations
+as its own literal per-entry sum.
 
 Stack contract: ``_centred_A2``, ``_g_u``, ``_G``, ``hess_L``,
 ``kernel_diag``, ``kernel`` and ``g_terms`` accept the (k, d) stack state
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import _check, _leading_shape, eval_Q2, eval_p
-from .model import ModelState, ProblemInstance, _inner, _matvec, _outer
+from .model import ModelState, ProblemInstance, _chunks, _inner, _matvec, _outer
 
 __all__ = [
     "HessianBundle",
@@ -111,10 +111,10 @@ def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
 
     P and Q2 are built once, then entry (i, j) is summed on its own as
     (Q2 p_j)^T (Q2 p_i) + sum(c o h'' o (A2 p_j) o (A2 p_i)) + c^T Q2 d2f/dx_i dx_j,
-    with d2f/dx_i dx_j in ``_d2f``'s symmetric form. Each row i is
-    evaluated at once over j: every dot product, matrix-vector product and sum
-    is the one the entry takes alone, stacked over j, so a row holds d n-vectors
-    (O(d n) memory).
+    with d2f/dx_i dx_j in ``_d2f``'s symmetric form. The rows i are evaluated
+    in chunks whose (rows, d, n) arrays take at most ``_CHUNK_BYTES`` (one
+    row at least): every dot product, matrix-vector product and sum is the
+    one the entry takes alone, stacked over i and j.
     """
     _check(state, inst)
     P = eval_p(state, inst)
@@ -127,16 +127,16 @@ def hess_L_entries(state: ModelState, inst: ProblemInstance) -> np.ndarray:
     cAP = c * state.hdoubleprime * AP
     fa = _inner(f, A1t)  # row j: <f, a_j>
     H = np.empty((d, d))
-    for i in range(d):
-        ai = A1t[i]
+    for rows in _chunks(d, 8 * d * inst.n):
+        ai = A1t[rows, None, :]
         # <f, a_i o a_j>; a_i o a_j is a fresh contiguous vector in the per-entry sum, and a
         # strided one takes a different dot kernel
         fij = _inner(f, np.multiply(ai, A1t, order="C"))
-        F = _d2f(f, ai, A1t, fa[i, 0], fa, fij)  # row j: d2f/dx_i dx_j
-        term1 = _inner(QP, QP[i])
-        term2 = np.sum(cAP * AP[i], axis=-1)
-        term3 = _inner(c, _matvec(Q2, F))
-        H[i] = term1[:, 0] + term2 + term3[:, 0]
+        F = _d2f(f, ai, A1t, fa[rows, None], fa, fij)  # [i, j]: d2f/dx_i dx_j
+        term1 = _inner(QP, QP[rows, None, :])
+        term2 = np.sum(cAP * AP[rows, None, :], axis=-1)
+        term3 = _inner(c, np.matmul(Q2, F[..., None])[..., 0])
+        H[rows] = term1[..., 0] + term2 + term3[..., 0]
     return H
 
 

@@ -315,6 +315,19 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
+# bytes that a chunked stack (pair differences, kernels, stencil rows, oracle rows) holds at once
+_CHUNK_BYTES = 2**18
+
+
+def _chunks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each over at most ``_CHUNK_BYTES`` of items.
+
+    A slice holds one item at least, and a count of 0 gives one empty slice.
+    """
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
+
+
 def _overflow_error(z: np.ndarray) -> EvaluationOverflowError:
     """The error of one point whose exponentials, or their sum, overflow; ``z = A1 x``."""
     kmax = int(z.argmax())

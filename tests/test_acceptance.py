@@ -227,6 +227,43 @@ def test_criterion_8_contraction(contraction_instances):
     _report(8, "contraction", f"sketched: {exceptions}/100 seed exceptions, worst ratio {worst_ratio:.3f} <= 0.4; exact within the log budget")
 
 
+def test_criterion_8_contraction_on_sampled_steps():
+    # criterion 8's protocol where every sketched step draws rows: at n = 1200, d = 2 and
+    # eps0 = 0.45 the sample count is below n, so no step takes the exact fallback
+    rng = np.random.default_rng(4343)
+    exceptions, runs = 0, 0
+    worst_ratio = 0.0
+    for seed in (1, 2, 3):
+        inst, _ = sn.gen_instance(1200, 16, 2, "tanh", seed, noise=0.05)
+        cfg = sn.NewtonConfig(mode="exact", eps=1e-13, stationarity_tol=1e-13,
+                              max_iters=100, strict=False)
+        ref = sn.solve(inst, np.zeros(inst.d), cfg)
+        assert ref.status == "converged" and ref.final_grad_norm <= 1e-13
+        x_ref = ref.final_x
+        l = spectral(sn.hess_L(sn.eval_forward(inst, x_ref), inst).H_tot)[0]
+        pts = [x_ref + dx for dx in random_points(inst, 46000 + seed, 10, radius_frac=0.15)]
+        # the certificate reads M alone, so the probe forms none of the 1200 x 1200 kernels
+        M_emp = probe_empirical(inst, pts, keys=("M",)).empirical["M"]
+        r0 = min(0.05 * l / max(M_emp, 1e-12), 0.1 * inst.R)
+        for k in range(20):
+            direction = rng.standard_normal(inst.d)
+            x0 = x_ref + r0 * direction / np.linalg.norm(direction)
+            assert sn.basin_check(x0, x_ref, M=M_emp, l=l)
+            cfg = sn.NewtonConfig(mode="sketched", eps=1e-9, eps0=0.45, delta=0.05,
+                                  seed=2000 * seed + k, max_iters=60,
+                                  stationarity_tol=1e-13, strict=False)
+            rep = sn.solve(inst, x0, cfg, x_ref=x_ref)
+            runs += 1
+            assert rep.sketch_draws_per_iter and all(draws > 0 for draws in rep.sketch_draws_per_iter)
+            if rep.status != "converged" or any(rho > 0.4 for rho in rep.ratios):
+                exceptions += 1
+            elif rep.ratios:
+                worst_ratio = max(worst_ratio, max(rep.ratios))
+    assert runs == 60
+    assert exceptions <= 0.1 * runs, f"{exceptions} exceptions out of {runs}"
+    _report(8, "contraction on sampled steps", f"n=1200: {exceptions}/60 seed exceptions, worst ratio {worst_ratio:.3f} <= 0.4, every step drew rows")
+
+
 def test_criterion_9_run_determinism(tmp_path):
     inst_path = tmp_path / "inst.json"
     assert main(["gen", "--n", "5", "--m", "3", "--d", "2", "--activation", "tanh",

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softnewt as sn
+import softnewt.bounds as bounds_mod
+from softnewt import model
 from softnewt.bounds import (
     LogConstant, TooFewAdmissiblePointsError, constants_from_params, measured_radius, probe_empirical, vector_norm,
 )
@@ -415,6 +417,51 @@ def test_probe_equals_pairwise_reference(case):
         assert rep.empirical["lip_Q2"] == 0.0
 
 
+def bits(values):
+    """The float64 bit patterns of ``values``, so that NaN and -0.0 compare as themselves."""
+    return np.array(list(values), dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=probe_cases(), keys=st.sets(st.sampled_from(bounds_mod._EMPIRICAL_KEYS)))
+@example(case=explicit_case(_A2, "tanh"), keys={"norm_p"})  # P's stack without its ratio
+@example(case=explicit_case(_A2, "sigmoid"), keys={"lip_G3", "psd_bound"})  # one piece of g_terms
+def test_keyed_probe_equals_the_full_probe_on_its_keys(case, keys):
+    inst, pts = case
+    try:
+        full = probe_empirical(inst, pts)
+    except TooFewAdmissiblePointsError:
+        with pytest.raises(TooFewAdmissiblePointsError):
+            probe_empirical(inst, pts, keys=keys)
+        return
+    rep = probe_empirical(inst, pts, keys=keys)
+    order = [k for k in full.empirical if k in keys]
+    assert list(rep.empirical) == order and list(rep.tightness) == order
+    assert bits(rep.empirical.values()) == bits(full.empirical[k] for k in order)
+    assert bits(rep.tightness.values()) == bits(full.tightness[k] for k in order)
+    spectrum = (full.lambda_min_B, full.lambda_max_B) if "psd_bound" in keys else (None, None)
+    assert (rep.lambda_min_B, rep.lambda_max_B) == spectrum
+    assert (rep.R_used, rep.beta_used, rep.n_admissible, rep.n_excluded) == (
+        full.R_used, full.beta_used, full.n_admissible, full.n_excluded)
+
+
+def test_probe_rejects_an_unknown_key(s1_instance):
+    pts = frozen_points(s1_instance.d)
+    with pytest.raises(ValueError, match="unknown empirical keys \\['lip_x'\\]"):
+        probe_empirical(s1_instance, pts, keys=("M", "lip_x"))
+
+
+def test_probe_without_psd_bound_forms_no_kernel(s1_instance, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(bounds_mod, "kernel", no_kernel)
+    keys = [k for k in bounds_mod._EMPIRICAL_KEYS if k != "psd_bound"]
+    rep = probe_empirical(s1_instance, frozen_points(s1_instance.d), keys=keys)
+    assert list(rep.empirical) == keys
+    assert rep.lambda_min_B is None and rep.lambda_max_B is None
+
+
 @st.composite
 def diag_scaled_cases(draw):
     """Rows v (k 1-6, m 1-5) and an m x n A2 (n 1-7), each at its own scale 10^-300 to 10^300, some rows zero."""
@@ -493,8 +540,6 @@ def test_screened_probe_equals_pairwise_reference(n, m, d, kind):
 
 
 def test_screened_probe_measures_few_spectral_norms(monkeypatch):
-    import softnewt.bounds as bounds_mod
-
     measured = {}
     norms = bounds_mod._norms
 
@@ -513,9 +558,7 @@ def test_screened_probe_measures_few_spectral_norms(monkeypatch):
     assert sum(measured.values()) < 7 * 190 / 6, measured
 
 
-def test_every_lipschitz_key_is_screened(monkeypatch):
-    import softnewt.bounds as bounds_mod
-
+def test_spectral_lipschitz_keys_are_screened_and_the_rest_measured_in_one_pass(monkeypatch):
     measured = {}
     max_norm = bounds_mod._max_norm
 
@@ -529,15 +572,16 @@ def test_every_lipschitz_key_is_screened(monkeypatch):
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     lip_keys = [k for k in rep.empirical if k == "M" or k.startswith("lip_")]
     assert len(lip_keys) == 16
-    # every key is measured through the one screened pass, on at most 40% of its 190 pairs;
-    # lip_Q2's Frobenius screen leaves fewer than a sixth
-    assert sorted(measured) == sorted(lip_keys)
+    # M, Q2 and the six G pieces are screened, each measured on at most 40% of its 190 pairs;
+    # lip_Q2's Frobenius screen leaves fewer than a sixth. The other eight take their maxima
+    # from the one pass and measure no pair batch
+    screened = ["M", "lip_Q2", *(f"lip_G{i}" for i in range(1, 7))]
+    assert sorted(measured) == sorted(screened)
     assert all(0 < count <= 0.4 * 190 for count in measured.values()), measured
     assert measured["lip_Q2"] < 190 / 6, measured
 
 
 def test_probe_stacks_its_calls(monkeypatch):
-    import softnewt.bounds as bounds_mod
     from softnewt import derivatives, hessian
 
     calls = {"eval_forward": 0, "_centred_A2": 0, "_G": 0, "eval_Q2": 0}
@@ -565,7 +609,7 @@ def test_probe_stacks_its_calls(monkeypatch):
     # only G = (A2 J) A1; per chunk of points, kernel one pass that forms the centred A2 and
     # the chunk's spectra one eigvalsh call. Q2 forms no m x n matrix: norm_Q2 takes one
     # batched eigvalsh of 20 m x m matrices, and lip_Q2 one per batch of 8 pairs
-    per_chunk = max(1, bounds_mod._CHUNK_BYTES // (8 * 64 * 64))
+    per_chunk = max(1, model._CHUNK_BYTES // (8 * 64 * 64))
     chunks = math.ceil(20 / per_chunk)
     assert chunks < 20
     assert calls == {"eval_forward": 1, "_centred_A2": chunks, "_G": 2, "eval_Q2": 0}, calls

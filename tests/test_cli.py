@@ -6,9 +6,12 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import softnewt as sn
-from softnewt import cli, hessian, sketch
+from softnewt import cli, hessian, model, sketch
 from softnewt.cli import main
 from softnewt.model import DenominatorFloorWarning
 from softnewt.newton import _step_seed
@@ -509,6 +512,36 @@ def test_verify_passes(inst_file, tmp_path, capsys):
     assert "[pass]" in capsys.readouterr().out
 
 
+def test_verify_probe_measures_only_the_keys_its_checks_read(monkeypatch):
+    def unread(*args):
+        raise AssertionError("the probe formed a quantity no verify check reads")
+
+    monkeypatch.setattr(cli.bounds_mod, "grad", unread)
+    monkeypatch.setattr(cli.bounds_mod, "g_terms", unread)
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 1, noise=0.05)
+    checks = {name: passed for name, passed, _, _ in cli._verify_checks(inst, 0, 4)}
+    assert checks["bound_soundness"] and checks["psd_sandwich"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "run"])
+def test_a_reader_that_closes_stdout_early_changes_no_exit_code(command, inst_file, tmp_path):
+    argv, written = {
+        "bounds": (["bounds", "--instance", inst_file, "--out", str(tmp_path / "bounds.json")], ["bounds.json"]),
+        "run": (["run", "--instance", inst_file, "--out-dir", str(tmp_path), "--emit", "report_json,bounds_json"],
+                ["report.json", "bounds.json"]),
+    }[command]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(sn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line, so every write to stdout fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "softnewt.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert all((tmp_path / name).stat().st_size > 0 for name in written)
+
+
 def test_verify_evaluates_each_point_once(monkeypatch):
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 1, noise=0.05)
     calls = {"eval_forward": 0, "eval_p": 0, "leverage_scores": 0}
@@ -572,7 +605,7 @@ def test_verify_takes_one_stacked_call_per_finite_difference_check(monkeypatch, 
     assert oracle_calls == [("fd_gradient", 20), ("fd_hessian", 10)]
     assert [sum(rows) for rows in callbacks] == [20 * 16, 10 * 16]
     # each forward pass inside them holds at most _CHUNK_BYTES of n-length rows
-    per_chunk = cli.bounds_mod._CHUNK_BYTES // (8 * n)
+    per_chunk = model._CHUNK_BYTES // (8 * n)
     assert all(r <= per_chunk for rows in callbacks for r in rows), callbacks
     assert [len(rows) for rows in callbacks] == [math.ceil(20 * 16 / per_chunk), math.ceil(10 * 16 / per_chunk)]
 

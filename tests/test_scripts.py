@@ -63,7 +63,7 @@ def test_scale_sweep_smoke(tmp_path):
     assert layers == [
         "eval_forward", "grad", "hess_L", "kernel_diag", "kernel+spectral", "hess_L_entries", "leverage_scores",
         "ridge_distribution", "subsample", "verify_sandwich", "cholesky_solve", "exact_step", "sketched_step", "probe_empirical",
-        "solve_exact", "solve_sketched",
+        "verify", "solve_exact", "solve_sketched",
     ]
     for row in run["rows"]:
         assert (row["n"], row["m"], row["d"]) == (16, 16, 8)
