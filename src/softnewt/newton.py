@@ -9,7 +9,7 @@ D' = diag_part(B(x_t)) + w o w (the subsampling contract requires a positive
 diagonal, which the full kernel is not); the end-to-end spectral deviation of
 the resulting Ht from the true total Hessian is measured every iteration by
 ``sketch._deviation``, from the generalized spectrum of the pair (Ht, H_tot)
-read by LAPACK ``dsygvd`` directly; a pair it cannot read measures inf.
+reduced by the Cholesky factor of H_tot; a pair it cannot read measures inf.
 A step's sketch comes from ``sketch.surrogate_sketch``, the package's one
 sampling policy: rows drawn from one distribution per instance, the floored
 leverage of diag(w) A1 (``ProblemInstance.ridge_distribution``), at
@@ -22,9 +22,10 @@ Each iterate is evaluated once: ``solve`` computes its forward pass and
 gradient, and ``newton_step`` takes both and adds a single ``hess_L`` call,
 which gives H_tot from the m x d product G = (A2 J) A1 without forming A2 J.
 Only a sketched step forms an m x n factor of B, in its one ``kernel_diag`` call.
-The d x d system is factored by LAPACK's Cholesky (``dpotrf``/``dpotrs``, the
-routines ``scipy.linalg.cho_factor``/``cho_solve`` call) without the wrappers'
-checks: ``newton_step`` checks once that every matrix it factors is finite.
+The d x d system is solved through the Cholesky factor L of its lower triangle
+(``np.linalg.cholesky``) and the two triangular systems of L and L^T
+(``np.linalg.solve``); ``newton_step`` checks once that every matrix it
+factors is finite.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .bounds import LogConstant, vector_norm
 from .derivatives import grad
@@ -106,19 +106,30 @@ class StepDiagnostics:
 
 
 def _spd_solve(H: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """H^-1 rhs for a finite d x d float64 H and a finite rhs, bitwise ``cho_solve(cho_factor(H, lower=True), rhs)``.
+    """H^-1 rhs for a finite d x d float64 H and a finite rhs, from the Cholesky factor L of H's lower triangle.
 
-    The same LAPACK calls without the wrappers' layers or their finiteness
-    checks, which the caller makes. A failed factorization raises
-    NotPositiveDefiniteError naming its leading minor, with the least eigenvalue
-    of H's symmetric part (positive after rounding where kappa(H) passes 1/u).
+    x solves L z = rhs, then L^T x = z. A failed factorization raises
+    NotPositiveDefiniteError naming the least leading minor that fails to
+    factor, searched for only then, with the least eigenvalue of H's
+    symmetric part (positive after rounding where kappa(H) passes 1/u).
     """
-    c, info = dpotrf(H, lower=True, clean=False)
-    if info != 0:
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        minor = next(k for k in range(1, len(H) + 1) if not _factors(H[:k, :k]))
         lam = float(np.linalg.eigvalsh(_symmetric_part(H))[0])
-        why = f"Cholesky failed at leading minor {info} (lambda_min ~ {lam:.6g})"
-        raise NotPositiveDefiniteError(f"{what} is not numerically positive definite: {why}", lam)
-    return dpotrs(c, rhs, lower=True)[0]
+        why = f"Cholesky failed at leading minor {minor} (lambda_min ~ {lam:.6g})"
+        raise NotPositiveDefiniteError(f"{what} is not numerically positive definite: {why}", lam) from None
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def _factors(H: np.ndarray) -> bool:
+    """True iff ``np.linalg.cholesky`` factors H."""
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _uphill(inst: ProblemInstance, x: np.ndarray, limit: float) -> bool:

@@ -8,8 +8,8 @@ diagonal Dt with
 with probability >= 1 - delta, by sampling rows with replacement proportionally
 to leverage scores (mixed with a uniform floor to cap the variance of
 near-zero-leverage rows). The leverage scores are exact up to rounding: they
-come from a pivoted Cholesky factor of the d x d Gram matrix, so no n x d
-orthogonal factor is formed. ``sampling_distribution`` forms the floored,
+come from a symmetric eigendecomposition of the d x d Gram matrix, so no
+n x d orthogonal factor is formed. ``sampling_distribution`` forms the floored,
 normalized scores and their cdf, and ``subsample`` draws a given count from
 a given pair through one route, ``_draw``.
 
@@ -19,8 +19,9 @@ instance's leverage under the ridge weights w^2, formed once per instance,
 with the count inflated for the gap kappa between w^2 and D', or takes the
 exact fallback. The deviation of a pencil, here and in every sketched Newton
 step, has one route, ``_deviation``: the generalized spectrum of its
-symmetric parts (``_symmetric_part``, the package's one rule), read by
-LAPACK ``dsygvd`` directly.
+symmetric parts (``_symmetric_part``, the package's one rule), reduced by
+the Cholesky factor of the second matrix to one symmetric eigenproblem.
+Every d x d factorization goes through ``numpy.linalg``.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf, dsygvd, dtrtrs
 
 from .model import ProblemInstance, _rng
 
@@ -48,6 +48,9 @@ __all__ = [
 # sandwich holds in well over 1 - delta of runs
 SAMPLING_CONSTANT = 8.0
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 @dataclass
 class SketchResult:
@@ -60,15 +63,15 @@ def leverage_scores(A: np.ndarray, dweights: np.ndarray) -> np.ndarray:
     """Row leverage scores of M = diag(sqrt(dweights)) @ A: squared row norms of an orthonormal basis of its range.
 
     M is divided by max|M|, which leaves tau unchanged and keeps the Gram
-    M^T M from overflowing or underflowing. LAPACK's pivoted Cholesky
-    ``dpstrf`` factors P^T M^T M P = L L^T and stops at its default
-    tolerance, d u max_j (M^T M)_jj (u the unit roundoff): a column whose
-    part outside the span of the earlier pivots is below about sqrt(d u) of
-    the largest counts as dependent, and the factor's rank r is the
-    numerical rank. tau is read from one n x r product M K, K holding L11^-T
-    (``dtrtrs``) on the pivot rows and zeros elsewhere. It agrees with an
-    SVD's scores within a multiple of kappa(M)^2 u; the scores sum to r and
-    lie in [0, 1] up to rounding.
+    K = M^T M from overflowing or underflowing. ``np.linalg.eigh`` gives
+    K = V diag(lam) V^T, and tau is read from one n x r product
+    M V_r diag(lam_r)^-1/2 over the r eigenvalues above the rank cut
+    (n + 1) d u lam_max (u the unit roundoff): K is formed within
+    n u ||M||_F^2 <= n d u lam_max of M^T M, and ``eigh`` errs by a modest
+    multiple of u lam_max (taken as d u lam_max), so an eigenvalue below the
+    cut cannot be told from zero. r is the numerical rank. tau agrees with
+    an SVD's scores within a multiple of kappa(M)^2 u; the scores sum to r
+    and lie in [0, 1] up to rounding.
 
     An error in tau cannot bias a sketch: ``subsample`` divides each draw's
     weight by the probability it draws with, so tau moves only the variance.
@@ -87,10 +90,9 @@ def leverage_scores(A: np.ndarray, dweights: np.ndarray) -> np.ndarray:
     if scale == 0.0:
         return np.zeros(n)
     M /= scale
-    L, piv, r, _ = dpstrf(M.T @ M, lower=1)
-    K = np.zeros((d, r))
-    K[piv[:r] - 1] = dtrtrs(L[:r, :r], np.eye(r), lower=1)[0].T
-    Q = M @ K
+    lam, V = np.linalg.eigh(M.T @ M)
+    keep = lam > (n + 1) * d * _UNIT_ROUNDOFF * lam[-1]
+    Q = M @ (V[:, keep] / np.sqrt(lam[keep]))
     return np.einsum("ij,ij->i", Q, Q)
 
 
@@ -219,24 +221,32 @@ def verify_sandwich(A: np.ndarray, dweights: np.ndarray, result: SketchResult) -
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:
     """max |lambda - 1| over the generalized spectrum a v = lambda b v of the symmetric parts of (a, b).
 
-    The spectrum is LAPACK ``dsygvd`` with itype 1 on the lower triangles,
-    the call ``scipy.linalg.eigh(a, b, eigvals_only=True)`` makes, without
-    the wrapper's layers. A pencil it cannot read gives inf: a matrix that
-    is not finite, or a failed ``dsygvd`` (b not positive definite, or no
-    convergence).
+    With L the Cholesky factor of b (``np.linalg.cholesky``, which reads its
+    lower triangle), the spectrum is that of C = L^-1 a L^-T, the reduction
+    LAPACK's ``dsygvd`` makes with itype 1: Y = L^-1 a and C = L^-1 Y^T by
+    ``np.linalg.solve`` (Y^T = a L^-T, a being symmetric), then
+    ``np.linalg.eigvalsh`` on C's lower triangle. A pencil it cannot read
+    gives inf: a matrix that is not finite, a failed factorization (b not
+    positive definite), a C past the float64 range, or an eigensolver that
+    does not converge.
     """
     a = _symmetric_part(a)
     b = _symmetric_part(b)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return math.inf
-    w, _, info = dsygvd(a, b, jobz="N", uplo="L")
-    if info != 0:
+    try:
+        L = np.linalg.cholesky(b)
+        C = np.linalg.solve(L, np.linalg.solve(L, a).T)
+        if not np.isfinite(C).all():
+            return math.inf
+        w = np.linalg.eigvalsh(C)
+    except np.linalg.LinAlgError:
         return math.inf
-    return float(np.max(np.abs(w - 1.0)))
+    return float(max(w[-1] - 1.0, 1.0 - w[0]))  # w ascends
 
 
 def _symmetric_part(a: np.ndarray) -> np.ndarray:
     """(a + a^T) / 2, or the sum of the halves (the same number, but finite for a finite a) past half the float64 maximum."""
-    if np.max(np.abs(a), initial=0.0) <= np.finfo(float).max / 2:
+    if float(np.abs(a).max(initial=0.0)) <= _HALF_MAX:
         return 0.5 * (a + a.T)
     return 0.5 * a + 0.5 * a.T

@@ -99,3 +99,41 @@ def random_points(inst, seed, count, radius_frac=0.5):
         g *= radius_frac * inst.R * rng.uniform(0.1, 1.0) / max(np.linalg.norm(g), 1e-12)
         pts.append(g)
     return pts
+
+
+U = 2.0**-53  # unit roundoff
+
+
+def cholesky_error(d):
+    """c with ||dH||_2 <= c ||H||_2 for a Cholesky factorization of a d x d H that runs to completion.
+
+    It gives L L^T = H + dH with |dH| <= g_(d+1) |L| |L^T|, g_k = k u / (1 - k u) (Higham 2002,
+    "Accuracy and Stability of Numerical Algorithms", Thm 10.3). As || |L| ||_2^2 <= d ||L||_2^2 =
+    d ||H + dH||_2, this is c = d g_(d+1) / (1 - d g_(d+1)).
+    """
+    g = (d + 1) * U / (1 - (d + 1) * U)
+    return d * g / (1 - d * g)
+
+
+def cholesky_verdict(H):
+    """True where every Cholesky factorization of H's lower triangle runs to completion, False where none can, else None.
+
+    - A completed factorization has L L^T = H + dH positive semidefinite, so lambda_min(H) >= -c ||H||_2
+      (c from ``cholesky_error``): below that it fails.
+    - It completes where lambda_min(D^-1/2 H D^-1/2) > c, D = diag(H) (Higham 2002, Thm 10.7, after
+      Demmel), which lambda_min(H) > c max_i H_ii implies.
+    The eigenvalues come from ``eigvalsh``, which reads the same lower triangle, each within d u ||H||_2
+    (LAPACK's guide leaves the factor a modest function of the order; it is taken as the order). Between
+    the two thresholds the outcome depends on the rounding of the LAPACK build: numpy's and scipy's
+    OpenBLAS builds give factors that differ in the last bits from d = 5 on.
+    """
+    d = len(H)
+    lam = np.linalg.eigvalsh(H)
+    norm = max(abs(lam[0]), abs(lam[-1]))
+    slack = d * U * norm
+    c = cholesky_error(d)
+    if lam[0] - slack > c * float(np.max(np.diag(H))):
+        return True
+    if lam[0] + slack < -c * (norm + slack):
+        return False
+    return None

@@ -1,6 +1,9 @@
-"""Static checks over the package source."""
+"""Checks over the package source, and over the modules a session of the package loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,50 @@ def test_package_imports_are_detected():
 def test_oracle_imports_no_package_module():
     # the oracles check the closed forms, so they may not call them
     assert package_imports((PACKAGE_DIR / "oracle.py").read_text()) == []
+
+
+def imported_roots(source: str) -> set[str]:
+    """The top-level names of every module a source imports, at any depth of its code; relative imports are skipped."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_imported_roots_are_detected():
+    source = "import numpy as np\nfrom scipy.linalg import eigh\nfrom . import model\ndef f():\n    import scipy.sparse\n"
+    assert imported_roots(source) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # every d x d factorization goes through numpy.linalg, so a session maps numpy's one LAPACK;
+    # scipy is the tests' independent reference only
+    assert "scipy" not in imported_roots(path.read_text())
+
+
+def test_a_session_loads_no_scipy_module():
+    # a sketched solve that draws rows (the leverage of its ridge distribution, the deviation and the
+    # Cholesky solve), every verify check, and a full probe, in a fresh process without the test suite
+    code = """
+import sys
+import numpy as np
+import softnewt as sn
+from softnewt import cli
+from softnewt.bounds import probe_empirical
+
+inst = sn.gen_instance(1200, 16, 2, "tanh", 1, noise=0.05)[0]
+rep = sn.solve(inst, np.array([0.2, -0.1]), sn.NewtonConfig(mode="sketched", eps0=0.45, max_iters=20, seed=1))
+assert rep.status == "converged" and min(rep.sketch_draws_per_iter) > 0, rep.sketch_draws_per_iter
+small = sn.gen_instance(8, 4, 3, "tanh", 7)[0]
+assert all(passed for _, passed, _, _ in cli._verify_checks(small, 1, 3))
+probe_empirical(small, [np.zeros(3), np.full(3, 0.1), np.array([0.2, -0.1, 0.05])])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
