@@ -3,6 +3,7 @@
 
     python scripts/scale_sweep.py --label change
     python scripts/scale_sweep.py --label parent --out /path/to/BENCH_scale.json
+    python scripts/scale_sweep.py --label change --layers probe_empirical,verify
 
 The script times the package of the checkout it lives in (``src/``), with
 BLAS pinned to one thread. For each shape in ``SHAPES`` and each layer it
@@ -11,7 +12,9 @@ time of one call of perfbench's reference gemm loop (``perfbench/reference.py``)
 taken right after it, so that host drift cancels, and the ``tracemalloc``
 peak of one call. The dense layers (``DENSE_LAYERS``: the n x n kernel and
 its spectrum, the per-entry Hessian, the empirical probe and ``verify``'s
-checks) run only at n <= ``DENSE_MAX_N``. Each invocation appends one run under ``runs[label]``
+checks) run only at n <= ``DENSE_MAX_N``. ``--layers`` names the layers to
+time (all by default), and a shape where none of them runs is skipped
+without building its instance. Each invocation appends one run under ``runs[label]``
 with perfbench's environment header and keeps every other run in the file,
 so running a copy of this script from a checkout of the parent commit with
 ``--label parent`` and the same ``--out``, alternating with ``--label
@@ -93,7 +96,7 @@ def layers(sn, n: int, m: int, d: int) -> dict:
     runs every check of ``softnewt verify --trials 20 --seed 1`` and consumes
     them, as the command does.
 
-    ``DENSE_LAYERS`` are left out above ``DENSE_MAX_N``.
+    The caller leaves out ``DENSE_LAYERS`` above ``DENSE_MAX_N``.
     """
     from softnewt import cli, hessian, newton, sketch
 
@@ -130,9 +133,6 @@ def layers(sn, n: int, m: int, d: int) -> dict:
         "solve_exact": lambda: sn.solve(inst, x0, exact),
         "solve_sketched": lambda: sn.solve(inst, x0, sketched),
     }
-    if n > DENSE_MAX_N:
-        for layer in DENSE_LAYERS:
-            del calls[layer]
     return calls
 
 
@@ -153,16 +153,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="the run's key in the file, e.g. parent or change")
     ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
+    ap.add_argument("--layers", metavar="NAME[,NAME...]", help="the layers to time, in table order (default: all)")
     args = ap.parse_args(argv)
 
     sn = import_softnewt()
     from softnewt.serialize import dump_path, load_path
 
+    known = list(layers(sn, *SHAPES[0]))
+    wanted = known if args.layers is None else args.layers.split(",")
+    unknown = [name for name in wanted if name not in known]
+    if unknown:
+        ap.error(f"unknown layers {unknown}; known: {', '.join(known)}")
     reference = gemm_loop()
     reference()  # warm-up
     rows = []
     for n, m, d in SHAPES:
-        for layer, fn in layers(sn, n, m, d).items():
+        timed = [name for name in known if name in wanted and (n <= DENSE_MAX_N or name not in DENSE_LAYERS)]
+        if not timed:
+            continue
+        calls = layers(sn, n, m, d)
+        for layer in timed:
+            fn = calls[layer]
             fn()  # warm-up
             best = best_call_s(fn)
             reference_s = best_call_s(reference)

@@ -8,7 +8,9 @@ formed by subtracting logs.
 The empirical probe evaluates the points in one stacked forward pass and
 each measured quantity in one stacked call (see the stack contract in
 ``hessian``), so every stack is built once over the admissible points. Norm
-maxima come from the stacks. Every Lipschitz ratio takes one pass over the
+maxima come from the stacks. The kernel spectrum is eigen-solved only at the
+points that can hold its extremes; two Cholesky factorizations prove that
+each other point's spectrum lies inside them (``_kernel_extremes``). Every Lipschitz ratio takes one pass over the
 pairs, in chunks of pairs whose differences take at most ``_CHUNK_BYTES``, so
 the probe never holds all differences at once. A ratio whose norm needs no
 SVD or eigensolver is measured in that pass. The others (M, Q2 and the six
@@ -30,9 +32,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .derivatives import eval_p, grad
-from .hessian import g_terms, hess_L, kernel
+from .hessian import g_terms, hess_L, kernel, kernel_diag
 from .model import _LOG_MAX, L_H, DenominatorFloorWarning, ProblemInstance, _chunks, eval_forward
-from .oracle import spectral
+from .oracle import spectral, symmetric_part
 from .serialize import SCHEMA_VERSION
 
 __all__ = ["LogConstant", "BoundReport", "compute_constants", "constants_from_params", "probe_empirical",
@@ -51,6 +53,8 @@ _SCREENED_KEYS = ("lip_Q2", "M", *_PIECE_KEYS)
 
 # pairs measured per _max_norm call in the screened Lipschitz pass
 _SVD_BATCH = 8
+# unit roundoff
+_U = 2.0**-53
 
 
 @dataclass(frozen=True, order=True)
@@ -338,6 +342,101 @@ def _bounds(key: str, D: np.ndarray, gram: tuple[np.ndarray, np.ndarray]) -> np.
     return _spectral_bounds(D)
 
 
+def _completes(S: np.ndarray) -> bool:
+    """Whether ``np.linalg.cholesky`` factors S with a finite factor.
+
+    It rejects only pivots <= 0, so a NaN passes it; reading the factor's
+    diagonal suffices, as L_ii is taken from S_ii - sum_k L_ik^2.
+    """
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(np.diagonal(L)).all())
+
+
+def _inside(W: np.ndarray, lam_min: float, lam_max: float) -> np.ndarray:
+    """For each exactly symmetric matrix of a (k, n, n) stack, whether two Cholesky factorizations prove
+    that ``eigvalsh`` would put its spectrum inside [lam_min, lam_max].
+
+    The proof is that ``_completes`` holds for (lam_max - tau) I - W and for
+    W - (lam_min + tau) I. Each is formed in W's own place, which is then
+    restored bit for bit (negation is exact, and the diagonal is kept). The
+    slack tau bounds three backward errors, with u = 2^-53, N >= ||W||_2 the
+    Frobenius norm, and s the shift as rounded (the upper side; the lower
+    one is its mirror):
+
+    - forming A = fl(s I - W) rounds only the diagonal: A = s I - W + E with
+      ||E||_2 <= u (|s| + N);
+    - a Cholesky factorization of A that completes gives L L^T = A + F
+      positive semidefinite, with ||F||_2 <= c ||A||_2 + eta. Here c is the
+      constant of Higham 2002 ("Accuracy and Stability of Numerical
+      Algorithms", Thm 10.3) that ``tests/conftest.cholesky_error`` states,
+      and eta = n (n + 1) 2^-1074 covers roundings below the normal range.
+      So lambda_max(W) <= s + ||E||_2 + ||F||_2;
+    - ``eigvalsh`` returns an eigenvalue of W within n u ||W||_2 (LAPACK's
+      guide leaves the factor a modest function of the order; it is taken
+      as the order, as the tests take it).
+
+    Their sum is at most r (|s| + N) + eta with r = (n + 3) u + 2 c, and
+    tau = 2 (r (|lam| + N) + eta) covers it together with |s| <= |lam| + tau
+    and the roundings of s, N and tau. A Frobenius norm whose squares may
+    have underflowed (below 1e-280) reads inf, and an infinite tau
+    certifies nothing.
+    """
+    n = W.shape[-1]
+    g = (n + 1) * _U / (1.0 - (n + 1) * _U)
+    r = (n + 3) * _U + 2.0 * n * g / (1.0 - n * g)
+    eta = n * (n + 1) * 2.0**-1074
+    with np.errstate(over="ignore"):
+        sq = np.einsum("kij,kij->k", W, W)
+        N = np.where(sq >= 1e-280, np.sqrt(sq), np.inf)
+        upper = lam_max - 2.0 * (r * (abs(lam_max) + N) + eta)
+        lower = lam_min + 2.0 * (r * (abs(lam_min) + N) + eta)
+    inside = np.zeros(len(W), dtype=bool)
+    for i, A in enumerate(W):
+        diag = np.diagonal(A).copy()
+        np.negative(A, out=A)
+        A.flat[:: n + 1] = upper[i] - diag
+        inside[i] = _completes(A)
+        np.negative(A, out=A)
+        A.flat[:: n + 1] = diag - lower[i]
+        inside[i] = inside[i] and _completes(A)
+        A.flat[:: n + 1] = diag
+    return inside
+
+
+def _kernel_extremes(states, inst: ProblemInstance) -> tuple[float, float]:
+    """The least and largest ``spectral`` extremes over the kernels B of a stack of points, bit for bit.
+
+    The seeds, the points with the largest and the least entry of diag(B)
+    (one stacked ``kernel_diag``), are eigen-solved first: lambda_max(B) >=
+    max_i B_ii and lambda_min(B) <= min_i B_ii make them the likely
+    extremes. The other kernels are formed in chunks under ``_CHUNK_BYTES``,
+    and each ``symmetric_part`` W passes ``spectral``'s checks. A point is
+    skipped where ``_inside`` proves that ``spectral``, solving the same W,
+    would stay inside the running extremes; a chunk's other points take one
+    batched ``spectral`` call and update them.
+    """
+    n = inst.n
+    with np.errstate(over="ignore", invalid="ignore"):  # the diagonal only picks the seeds
+        diag = kernel_diag(states, inst)
+    seeds = np.unique([np.argmax(np.max(diag, axis=1)), np.argmin(np.min(diag, axis=1))])
+    lam_min, lam_max = math.inf, -math.inf
+    for c in _chunks(len(seeds), 8 * n * n):
+        lo, hi, _ = spectral(kernel(states.rows(seeds[c]), inst))
+        lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
+    rest = np.delete(np.arange(len(diag)), seeds)
+    for c in _chunks(len(rest), 8 * n * n):
+        W = symmetric_part(kernel(states.rows(rest[c]), inst))
+        outside = ~_inside(W, lam_min, lam_max)
+        if outside.any():
+            lo, hi, _ = spectral(W[outside])
+            lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
+        del W  # before the next chunk's kernels are formed
+    return lam_min, lam_max
+
+
 def probe_empirical(inst: ProblemInstance, sample_points, *, keys=None) -> BoundReport:
     """Measure the bounded quantities named by ``keys`` at the admissible probe points.
 
@@ -355,8 +454,13 @@ def probe_empirical(inst: ProblemInstance, sample_points, *, keys=None) -> Bound
     The points are evaluated in one stacked ``eval_forward`` call, and each
     quantity in one stacked call over all of them. Only the dense kernels
     (n^2 floats per point) are chunked: a chunk takes at most
-    ``_CHUNK_BYTES``, or one point, and its spectra one batched ``eigvalsh``
-    call. The norm maxima are read from the stacks. Each Lipschitz ratio
+    ``_CHUNK_BYTES``, or one point. ``lambda_min_B`` and ``lambda_max_B`` come
+    from ``_kernel_extremes``: two seed points, picked from the stacked
+    diag(B), are eigen-solved, and every other point only where two
+    Cholesky factorizations cannot prove its spectrum inside theirs (2 to 5
+    of 20 points at n = 64). Both equal, bit for bit, the least and largest
+    ``spectral`` extremes over all points. The norm maxima are read from the
+    stacks. Each Lipschitz ratio
     takes one pass over the pairs of distinct points, in chunks of
     differences, and one of two kinds:
 
@@ -403,13 +507,8 @@ def probe_empirical(inst: ProblemInstance, sample_points, *, keys=None) -> Bound
 
     emp = {}
     if "psd_bound" in wanted:
-        lam_min, lam_max = math.inf, -math.inf
-        for c in _chunks(len(X), 8 * inst.n * inst.n):
-            lo, hi, _ = spectral(kernel(states.rows(c), inst))
-            lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
-        report.lambda_min_B = lam_min
-        report.lambda_max_B = lam_max
-        emp["psd_bound"] = max(abs(lam_min), abs(lam_max))
+        report.lambda_min_B, report.lambda_max_B = _kernel_extremes(states, inst)
+        emp["psd_bound"] = max(abs(report.lambda_min_B), abs(report.lambda_max_B))
 
     gram = _scaled_gram(inst.A2)
     # squares past float64 read inf here; _max_norm measures such vectors again

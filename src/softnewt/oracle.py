@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["fd_gradient", "fd_hessian", "spectral", "ProbeEvaluationError"]
+__all__ = ["fd_gradient", "fd_hessian", "spectral", "symmetric_part", "ProbeEvaluationError"]
 
 # entries up to half the float64 maximum cannot overflow a sum of two
 _HALF_MAX = np.finfo(float).max / 2
@@ -94,12 +94,14 @@ def fd_hessian(grad_func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
         return np.where(halves[..., None, None], 0.5 * H + 0.5 * HT, 0.5 * (H + HT))
 
 
-def spectral(Msym: np.ndarray):
-    """(lambda_min, lambda_max, ascending spectrum) of a symmetric matrix, or of each of a (k, n, n) stack.
+def symmetric_part(Msym: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 of a square matrix, or of each of a (k, n, n) stack, after ``spectral``'s two checks.
 
-    Symmetrizes first; a matrix asymmetric beyond 1e-8 (relative to its
-    largest entry) is rejected. A stack takes one batched ``eigvalsh`` call
-    and gives length-k arrays of extremes and a (k, n) array of spectra.
+    A matrix with a NaN or infinite entry raises ValueError, and so does one
+    with max |M - M^T| > 1e-8 max(1, max |M|): relative to the largest entry
+    above 1, absolute below it. The result is exactly symmetric. Where
+    M + M^T could pass float64 the halves are added instead, as in
+    ``fd_hessian``, so a finite M gives a finite result.
     """
     M = np.asarray(Msym, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
@@ -107,13 +109,32 @@ def spectral(Msym: np.ndarray):
     MT = np.swapaxes(M, -1, -2)
     # one scratch array serves |M|, |M - M^T| and (M + M^T) / 2, so a stack costs one copy of its size
     W = np.abs(M)
+    # the maximum propagates NaN, so the scale is finite exactly where the matrix is
     scale = np.maximum(1.0, np.max(W, axis=(-2, -1), initial=0.0))
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has a non-finite entry")
     np.abs(np.subtract(M, MT, out=W), out=W)
     if np.any(np.max(W, axis=(-2, -1), initial=0.0) > 1e-8 * scale):
         raise ValueError("matrix is not symmetric within 1e-8")
-    np.add(M, MT, out=W)
+    with np.errstate(over="ignore"):  # the sum is not read where it could overflow
+        np.add(M, MT, out=W)
     W *= 0.5
-    vals = np.linalg.eigvalsh(W)
+    halves = scale > _HALF_MAX
+    if halves.any():
+        W[halves] = 0.5 * M[halves] + 0.5 * MT[halves]
+    return W
+
+
+def spectral(Msym: np.ndarray):
+    """(lambda_min, lambda_max, ascending spectrum) of a symmetric matrix, or of each of a (k, n, n) stack.
+
+    Takes the ``symmetric_part`` first, so a non-finite matrix, or one
+    asymmetric beyond 1e-8 max(1, max |M|), raises ValueError. A stack takes
+    one batched ``eigvalsh`` call and gives length-k arrays of extremes and a
+    (k, n) array of spectra.
+    """
+    M = np.asarray(Msym, dtype=float)
+    vals = np.linalg.eigvalsh(symmetric_part(M))
     if M.ndim == 2:
         return float(vals[0]), float(vals[-1]), vals
     return vals[:, 0], vals[:, -1], vals

@@ -379,6 +379,17 @@ def explicit_case(A2, kind, d=2):
 _A2 = np.array([[0.9, -0.4, 0.3, 1.1, -0.7], [0.2, 0.8, -1.3, 0.5, 0.6], [-1.0, 0.1, 0.7, -0.2, 0.4]])
 
 
+def seed_repeat_case(A2, kind, nudge):
+    """``explicit_case`` plus a copy, scaled by 1 + nudge, of the point whose kernel has the largest diagonal entry.
+
+    That point seeds the probe's lambda_max(B), so an exact repeat has a kernel spectrum with the
+    same extreme.
+    """
+    inst, pts = explicit_case(A2, kind)
+    diag = sn.kernel_diag(sn.eval_forward(inst, np.array(pts)), inst)
+    return inst, pts + [pts[int(np.argmax(diag.max(axis=1)))] * (1.0 + nudge)]
+
+
 @st.composite
 def probe_cases(draw):
     """A random finite instance and 2-8 probe points, some of them repeated."""
@@ -402,6 +413,11 @@ def probe_cases(draw):
 @example(case=explicit_case(_A2 * 1e-200, "tanh"))  # the Gram of A2 alone would underflow
 @example(case=explicit_case(_A2, "identity"))  # h' = 1: every Q2 difference is exactly zero
 @example(case=explicit_case(_A2[:1], "softplus"))  # m = 1
+# the kernel spectrum: a repeated extreme point, whose certificate must fail; a point 2^-45 from it,
+# within tau of the running extreme, which is eigen-solved and moves it; and n = 1
+@example(case=seed_repeat_case(_A2, "tanh", 0.0))
+@example(case=seed_repeat_case(_A2, "tanh", 2.0**-45))
+@example(case=explicit_case(_A2[:, :1], "sigmoid"))
 def test_probe_equals_pairwise_reference(case):
     inst, pts = case
     expected = pairwise_probe(inst, pts)
@@ -460,6 +476,80 @@ def test_probe_without_psd_bound_forms_no_kernel(s1_instance, monkeypatch):
     rep = probe_empirical(s1_instance, frozen_points(s1_instance.d), keys=keys)
     assert list(rep.empirical) == keys
     assert rep.lambda_min_B is None and rep.lambda_max_B is None
+
+
+# multiples of n u ||W||_2 by which a test extreme lies outside W's own: tau is 8 to 122 of them at n = 1 to 8
+_CLUSTER = (-16, -1, 0, *(2**j for j in range(14)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), scale=st.integers(-100, 100),
+    steps=st.tuples(st.sampled_from(_CLUSTER), st.sampled_from(_CLUSTER)),
+)
+@example(n=2, seed=0, scale=0, steps=(0, 0))  # the extremes themselves: never certified
+@example(n=2, seed=0, scale=0, steps=(8192, 8192))  # far past tau: certified
+@example(n=2, seed=0, scale=-150, steps=(8192, 8192))  # squares that underflow certify nothing
+@example(n=1, seed=0, scale=-400, steps=(1, 1))  # a zero matrix
+def test_cholesky_certificate_keeps_the_spectrum_inside(n, seed, scale, steps):
+    """Whenever both factorizations complete, ``eigvalsh`` puts the spectrum inside [lam_min, lam_max].
+
+    W is a random symmetric matrix, and each test extreme is W's own moved outward by a multiple of
+    n u ||W||_2 from ``_CLUSTER``, so the extremes cluster within a few tau of W's on both sides.
+    """
+    from softnewt.bounds import _inside
+
+    W = np.random.default_rng(seed).standard_normal((n, n))
+    with np.errstate(under="ignore"):
+        W = (W + W.T) * 0.5 * 10.0**scale
+    lam = np.linalg.eigvalsh(W)
+    step = n * 2.0**-53 * max(abs(lam[0]), abs(lam[-1]))
+    lam_min, lam_max = float(lam[0] - steps[0] * step), float(lam[-1] + steps[1] * step)
+    stack = W[None].copy()
+    inside = _inside(stack, lam_min, lam_max)[0]
+    assert stack.tobytes() == W.tobytes()  # each shifted matrix was formed in place and undone
+    if inside:
+        assert lam_min <= lam[0] and lam[-1] <= lam_max
+    if min(steps) <= 0 and step > 0.0:
+        assert not inside
+    if min(steps) >= 1024 and 1e-100 < step:
+        assert inside
+
+
+def test_probe_rejects_a_non_finite_kernel():
+    # A2 ~ 1e155: every kernel is NaN, which a batched eigvalsh met as "Eigenvalues did not converge"
+    inst, _ = sn.gen_instance(8, 4, 3, "identity", 7, noise=0.05)
+    inst = dataclasses.replace(inst, A2=inst.A2 * 1e155, R=inst.R * 1e155)
+    pts = [np.full(3, 0.1), np.full(3, -0.1), np.full(3, 0.05)]
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        probe_empirical(inst, pts, keys=("psd_bound",))
+
+
+@pytest.mark.parametrize("role", ["seed", "certified"])
+def test_probe_rejects_an_asymmetric_kernel_at_any_point(monkeypatch, role):
+    from softnewt.oracle import symmetric_part
+
+    inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
+    pts = bounds_style_points(inst, 12, 20)
+    diag = sn.kernel_diag(sn.eval_forward(inst, np.array(pts)), inst)
+    seeds = {int(np.argmax(diag.max(axis=1))), int(np.argmin(diag.min(axis=1)))}
+    solved = []
+    monkeypatch.setattr(bounds_mod, "spectral", lambda M: solved.extend(symmetric_part(M)) or spectral(M))
+    probe_empirical(inst, pts, keys=("psd_bound",))
+    W = [symmetric_part(kernel(sn.eval_forward(inst, x), inst)) for x in pts]
+    eigen_solved = {i for i in range(20) if any(np.array_equal(W[i], M) for M in solved)}
+    # the seeds are eigen-solved, and all but a few other points certified
+    assert seeds <= eigen_solved and len(eigen_solved) <= 4
+    target = min(seeds) if role == "seed" else min(set(range(20)) - eigen_solved)
+
+    def skewed(states, inst):
+        B = kernel(states, inst)
+        B[np.all(states.x == pts[target], axis=1), 0, 1] += 2e-8 * max(1.0, float(np.max(np.abs(B))))
+        return B
+
+    monkeypatch.setattr(bounds_mod, "kernel", skewed)
+    with pytest.raises(ValueError, match="not symmetric"):
+        probe_empirical(inst, pts, keys=("psd_bound",))
 
 
 @st.composite
@@ -585,7 +675,7 @@ def test_probe_stacks_its_calls(monkeypatch):
     from softnewt import derivatives, hessian
 
     calls = {"eval_forward": 0, "_centred_A2": 0, "_G": 0, "eval_Q2": 0}
-    spectra = []
+    spectra, factored = [], []
 
     def counted(module, name):
         original = getattr(module, name)
@@ -600,22 +690,28 @@ def test_probe_stacks_its_calls(monkeypatch):
     counted(hessian, "_centred_A2")
     counted(hessian, "_G")
     counted(derivatives, "eval_Q2")
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: spectra.append(M.shape) or eigvalsh(M))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda M: factored.append(M.shape) or cholesky(M))
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     assert rep.n_admissible == 20
     # one stacked forward pass; hess_L and g_terms one pass each over all points that forms
-    # only G = (A2 J) A1; per chunk of points, kernel one pass that forms the centred A2 and
-    # the chunk's spectra one eigvalsh call. Q2 forms no m x n matrix: norm_Q2 takes one
-    # batched eigvalsh of 20 m x m matrices, and lip_Q2 one per batch of 8 pairs
+    # only G = (A2 J) A1. The kernel spectrum: one stacked kernel_diag picks two seeds, whose
+    # kernels take one pass and one eigvalsh call; then per chunk of the other 18 points,
+    # kernel one pass, one or two Cholesky factorizations per point, and one eigvalsh call
+    # for the few points they leave. Q2 forms no m x n matrix: norm_Q2 takes one batched
+    # eigvalsh of 20 m x m matrices, and lip_Q2 one per batch of 8 pairs
     per_chunk = max(1, model._CHUNK_BYTES // (8 * 64 * 64))
-    chunks = math.ceil(20 / per_chunk)
-    assert chunks < 20
-    assert calls == {"eval_forward": 1, "_centred_A2": chunks, "_G": 2, "eval_Q2": 0}, calls
-    assert [k for k, *_ in spectra[:chunks]] == [min(per_chunk, 20 - c) for c in range(0, 20, per_chunk)]
-    assert all(shape[1:] == (64, 64) for shape in spectra[:chunks]), spectra
-    gram_batches = spectra[chunks:]
+    chunks = math.ceil(18 / per_chunk)
+    assert 1 < chunks < 18
+    assert calls == {"eval_forward": 1, "_centred_A2": 2 + chunks, "_G": 2, "eval_Q2": 0}, calls
+    kernels = [shape for shape in spectra if shape[1:] == (64, 64)]
+    assert spectra[: len(kernels)] == kernels and kernels[0] == (2, 64, 64), spectra
+    # 2 to 4 of the 20 kernels are eigen-solved, the seeds among them
+    assert len(kernels) <= 1 + chunks and 2 <= sum(k for k, *_ in kernels) <= 4, kernels
+    assert set(factored) == {(64, 64)} and 18 <= len(factored) <= 36, factored
+    gram_batches = spectra[len(kernels):]
     assert gram_batches[0] == (20, 16, 16) and 1 <= len(gram_batches) - 1 <= 190 / 6 / 8, spectra
     assert all(shape[1:] == (16, 16) and shape[0] <= 8 for shape in gram_batches[1:]), spectra
 

@@ -84,6 +84,34 @@ def test_spectral_trivial_and_golden(s1_instance, s1_golden, s1_state):
 def test_spectral_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         spectral(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the tolerance is 1e-8 max(1, max|M|): absolute below 1 (not 1e-8 of the largest entry 1e-4),
+    # relative above it
+    spectral(np.array([[1e-4, 0.9e-8], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        spectral(np.array([[1e-4, 1.1e-8], [0.0, 0.0]]))
+    spectral(np.array([[1e6, 0.9e-2], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        spectral(np.array([[1e6, 1.1e-2], [0.0, 0.0]]))
+
+
+def test_spectral_of_entries_whose_sum_overflows():
+    # M + M^T would read inf on the diagonal; the halves are added instead
+    M = np.diag([1e308, -1e308])
+    lo, hi, _ = spectral(M)
+    assert (lo, hi) == (-1e308, 1e308)
+    lo, hi, _ = spectral(np.stack([np.eye(2), M]))
+    assert lo.tolist() == [1.0, -1e308] and hi.tolist() == [1.0, 1e308]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_rejects_a_non_finite_matrix(bad):
+    # NaN compares false, so the asymmetry test alone would let [[nan, 0], [0, 1]] through
+    M = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral(M)
+    stack = np.stack([np.eye(2), M[::-1, ::-1], np.eye(2)])
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral(stack)
 
 
 def loop_fd(func, x):

@@ -75,6 +75,28 @@ def test_scale_sweep_smoke(tmp_path):
         assert s["runs"] == 1 and s["rel_min"] == s["rel_median"] == s["rel_max"] == row["rel"]
 
 
+def test_scale_sweep_times_the_named_layers(tmp_path):
+    out = tmp_path / "BENCH_scale.json"
+    # a dense layer and a cheap one, named out of table order; at the second shape the dense
+    # layer is left out, so only the cheap one runs there
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import scale_sweep; "
+        "scale_sweep.SHAPES = ((16, 16, 8), (24, 16, 2)); scale_sweep.DENSE_MAX_N = 16; "
+        "raise SystemExit(scale_sweep.main(['--label', 'change', '--out', sys.argv[2], *sys.argv[3:]]))"
+    )
+    run = lambda *args: subprocess.run(
+        [sys.executable, "-c", code, str(SCRIPTS), str(out), *args], capture_output=True, text=True, timeout=300,
+    )
+    proc = run("--layers", "probe_empirical,grad")
+    assert proc.returncode == 0, proc.stderr
+    [run_doc] = json.loads(out.read_text())["runs"]["change"]
+    assert [(row["layer"], row["n"]) for row in run_doc["rows"]] == [
+        ("grad", 16), ("probe_empirical", 16), ("grad", 24),
+    ]
+    proc = run("--layers", "grad,nope")
+    assert proc.returncode == 2 and "unknown layers ['nope']" in proc.stderr, proc.stderr
+
+
 def test_scale_sweep_solves_start_inside_the_norm_budget():
     # the solve rows at d = 64 start at a point whose norm is below R, so solve does not warn
     code = (
