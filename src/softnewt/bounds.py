@@ -9,14 +9,16 @@ The empirical probe evaluates the points in one stacked forward pass and
 each measured quantity in one stacked call (see the stack contract in
 ``hessian``), so every stack is built once over the admissible points. Norm
 maxima come from the stacks. The kernel spectrum is eigen-solved only at the
-points that can hold its extremes; two Cholesky factorizations prove that
-each other point's spectrum lies inside them (``_kernel_extremes``). Every Lipschitz ratio takes one pass over the
-pairs, in chunks of pairs whose differences take at most ``_CHUNK_BYTES``, so
-the probe never holds all differences at once. A ratio whose norm needs no
-SVD or eigensolver is measured in that pass. The others (M, Q2 and the six
-G pieces) are screened: the pass gives each pair an upper bound, and only
-the pairs whose bound can still set the maximum are measured. A caller may
-name the entries it reads (``keys``), and only those are measured.
+points that can hold its extremes; B's rank-(m + 1) factor proves that each
+other point's spectrum lies inside them, with no n x n array
+(``_kernel_extremes``, ``_certified``). Every Lipschitz ratio takes one pass
+over the pairs, in chunks of pairs whose differences take at most
+``_CHUNK_BYTES``, so the probe never holds all differences at once. A ratio
+whose norm needs no SVD or eigensolver is measured in that pass. The others
+(M, Q2 and the six G pieces) are screened: the pass gives each pair an upper
+bound, and only the pairs whose bound can still set the maximum are
+measured. A caller may name the entries it reads (``keys``), and only those
+are measured.
 
 A spectral norm is measured by SVD and screened by min(Frobenius, Hoelder).
 Q2 = diag(h') A2 is stacked by its rows h' instead and measured from the
@@ -32,9 +34,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .derivatives import eval_p, grad
-from .hessian import g_terms, hess_L, kernel, kernel_diag
+from .hessian import _centred_A2, _g_u, g_terms, hess_L, kernel, kernel_diag
 from .model import _LOG_MAX, L_H, DenominatorFloorWarning, ProblemInstance, _chunks, eval_forward
-from .oracle import spectral, symmetric_part
+from .oracle import spectral
 from .serialize import SCHEMA_VERSION
 
 __all__ = ["LogConstant", "BoundReport", "compute_constants", "constants_from_params", "probe_empirical",
@@ -55,6 +57,8 @@ _SCREENED_KEYS = ("lip_Q2", "M", *_PIECE_KEYS)
 _SVD_BATCH = 8
 # unit roundoff
 _U = 2.0**-53
+# the floor, as a fraction of the largest entry of Delta, below which ``_certified`` moves a row into the factor
+_FLOOR = 0.05
 
 
 @dataclass(frozen=True, order=True)
@@ -342,68 +346,194 @@ def _bounds(key: str, D: np.ndarray, gram: tuple[np.ndarray, np.ndarray]) -> np.
     return _spectral_bounds(D)
 
 
-def _completes(S: np.ndarray) -> bool:
-    """Whether ``np.linalg.cholesky`` factors S with a finite factor.
+def _gamma(j: int) -> float:
+    """gamma_j = j eps / (1 - j eps), eps = 2^-53: the relative error bound of a sum or dot product of j terms."""
+    return j * _U / (1.0 - j * _U)
 
-    It rejects only pivots <= 0, so a NaN passes it; reading the factor's
-    diagonal suffices, as L_ii is taken from S_ii - sum_k L_ik^2.
+
+def _cholesky_each(S: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of each matrix of a stack, all NaN for a matrix that ``np.linalg.cholesky`` refuses.
+
+    A stack that fails anywhere raises as a whole, so it is split in halves
+    until each failure stands alone. A NaN pivot may pass, so callers read
+    the factor's diagonal for finiteness.
     """
     try:
-        L = np.linalg.cholesky(S)
+        return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(np.diagonal(L)).all())
+        if len(S) == 1:
+            return np.full_like(S, np.nan)
+        half = len(S) // 2
+        return np.concatenate([_cholesky_each(S[:half]), _cholesky_each(S[half:])])
 
 
-def _inside(W: np.ndarray, lam_min: float, lam_max: float) -> np.ndarray:
-    """For each exactly symmetric matrix of a (k, n, n) stack, whether two Cholesky factorizations prove
-    that ``eigvalsh`` would put its spectrum inside [lam_min, lam_max].
+def _slack(Zt: np.ndarray, g: np.ndarray, u: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``_certified``'s slack tau for each side (a row of ``lam``, (2, 1)) and point (a column).
 
-    The proof is that ``_completes`` holds for (lam_max - tau) I - W and for
-    W - (lam_min + tau) I. Each is formed in W's own place, which is then
-    restored bit for bit (negation is exact, and the diagonal is kept). The
-    slack tau bounds three backward errors, with u = 2^-53, N >= ||W||_2 the
-    Frobenius norm, and s the shift as rounded (the upper side; the lower
-    one is its mirror):
-
-    - forming A = fl(s I - W) rounds only the diagonal: A = s I - W + E with
-      ||E||_2 <= u (|s| + N);
-    - a Cholesky factorization of A that completes gives L L^T = A + F
-      positive semidefinite, with ||F||_2 <= c ||A||_2 + eta. Here c is the
-      constant of Higham 2002 ("Accuracy and Stability of Numerical
-      Algorithms", Thm 10.3) that ``tests/conftest.cholesky_error`` states,
-      and eta = n (n + 1) 2^-1074 covers roundings below the normal range.
-      So lambda_max(W) <= s + ||E||_2 + ||F||_2;
-    - ``eigvalsh`` returns an eigenvalue of W within n u ||W||_2 (LAPACK's
-      guide leaves the factor a modest function of the order; it is taken
-      as the order, as the tests take it).
-
-    Their sum is at most r (|s| + N) + eta with r = (n + 3) u + 2 c, and
-    tau = 2 (r (|lam| + N) + eta) covers it together with |s| <= |lam| + tau
-    and the roundings of s, N and tau. A Frobenius norm whose squares may
-    have underflowed (below 1e-280) reads inf, and an infinite tau
-    certifies nothing.
+    ``Zt`` stacks each point's Z^T = [F; f], and g, u and v = h' o c its
+    other factors. A factor with a NaN or infinite entry gives a NaN or
+    infinite tau: every factor's largest entry enters it.
     """
-    n = W.shape[-1]
-    g = (n + 1) * _U / (1.0 - (n + 1) * _U)
-    r = (n + 3) * _U + 2.0 * n * g / (1.0 - n * g)
-    eta = n * (n + 1) * 2.0**-1074
-    with np.errstate(over="ignore"):
-        sq = np.einsum("kij,kij->k", W, W)
-        N = np.where(sq >= 1e-280, np.sqrt(sq), np.inf)
-        upper = lam_max - 2.0 * (r * (abs(lam_max) + N) + eta)
-        lower = lam_min + 2.0 * (r * (abs(lam_min) + N) + eta)
-    inside = np.zeros(len(W), dtype=bool)
-    for i, A in enumerate(W):
-        diag = np.diagonal(A).copy()
-        np.negative(A, out=A)
-        A.flat[:: n + 1] = upper[i] - diag
-        inside[i] = _completes(A)
-        np.negative(A, out=A)
-        A.flat[:: n + 1] = diag - lower[i]
-        inside[i] = inside[i] and _completes(A)
-        A.flat[:: n + 1] = diag
-    return inside
+    n, m = Zt.shape[-1], Zt.shape[-2] - 1
+    F, f = Zt[:, :m], Zt[:, m]
+    with np.errstate(all="ignore"):
+        e = u + (v[:, None, :] @ F)[:, 0]  # the gap
+        F_max = np.maximum(np.max(F, axis=(1, 2)), -np.min(F, axis=(1, 2)))
+        g_max, v_max, u_max, e_max = (np.max(np.abs(a), axis=1) for a in (g, v, u, e))
+        f_max = np.max(np.abs(f), axis=1)
+        N = np.sum(np.abs(g) * np.einsum("kai,kai->ka", F, F), axis=1) + (2 * n * f_max + 1) * u_max
+        e_bar = math.sqrt(n) * (e_max + _gamma(m + 1) * (u_max + m * F_max * v_max))
+        eta = (n + m) ** 2 * 2.0**-1000 * (1 + F_max) ** 2 * (1 + g_max + v_max)
+        return 2 * (6 * _U * (np.abs(lam) + u_max) + (n + m + 6) * _U * N + 2 * math.sqrt(n) * f_max * e_bar + eta)
+
+
+def _certified(states, inst: ProblemInstance, lam_min: float, lam_max: float) -> np.ndarray:
+    """For each point of a stack, whether B's factors prove that ``spectral`` of its kernel stays inside
+    [lam_min, lam_max]. No n x n array is formed: a point costs O(n (m + 1 + b)^2), b as below.
+
+    B* is the kernel of the factors as ``kernel`` reads them, in exact
+    arithmetic: F = D diag(f) (bitwise ``kernel``'s), and g and u from
+    ``_g_u``. With v = h' o c, the ``hessian`` identity u = -F^T v gives
+    B* = Z C Z^T - diag(u) + f e^T + e f^T, with Z = [F^T f],
+    C = [[diag(g), -v], [-v^T, 0]], and the gap e = u + F^T v that the
+    rounding of u leaves, ||f e^T + e f^T||_2 <= 2 ||f|| ||e||. The upper side
+    (s = 1) proves lambda_max(B*) <= t + r with t = lam_max - tau; the lower
+    side (s = -1) proves lambda_max(-B*) <= t + r with t = -lam_min - tau and
+    -C in place of C. For one side, with eps = 2^-53 the unit roundoff:
+
+    - Delta = t + s u, rounded. The rows where Delta falls below the floor
+      phi = ``_FLOOR`` max Delta move into the factor as unit columns e_i of
+      weight phi - Delta_i > 0: with Delta' = max(Delta, phi), Z' = [Z, e_i]
+      and C' = diag(s C, phi - Delta_i), tI - sB* is Delta' - Z' C' Z'^T up to
+      the gap and the roundings below.
+    - With q = 1 / Delta', rounded, and Y = diag(q)^(1/2) Z',
+      diag(1/q) - Z' C' Z'^T is positive semidefinite when I - Y C' Y^T is.
+      That holds when I - L^T C' L is, for any L L^T = A with A >= Y^T Y
+      positive definite (Sylvester: for each x, z = Y^T x has
+      z^T C' z <= z^T A^-1 z <= x^T x).
+    - A is the Gram Z'^T diag(q) Z' as rounded, with its diagonal raised by
+      the factor 1 + s0, s0 = 4 k (gamma_(n+2) + 2 gamma_(k+1)) + 4 eps, k the
+      width of Z'. The Gram's rounding is at most gamma_(n+2) sqrt(G_aa G_bb)
+      in entry (a, b), and a Cholesky factorization that completes errs by
+      at most gamma_(k+1) sqrt(A_aa A_bb) there (Higham 2002, "Accuracy and
+      Stability of Numerical Algorithms", Thm 10.3). Each error matrix is
+      then at most k times that in 2-norm relative to the diagonal, so
+      L L^T >= Y^T Y at any conditioning of the Gram: nearly dependent
+      columns only weaken the certificate. A diagonal entry below 2^-500 is
+      refused, so that roundings below the normal range stay far inside s0.
+    - K = L^T (C' L), with C' L formed from C''s structure, is rounded by
+      at most e_K = gamma_(2k+2) || |L|^T |C'| |L| ||_2
+      <= gamma_(2k+2) sum_ab |C'_ab| ||L_a|| ||L_b||, with rows L_a of L and
+      ||L_a||^2 = A_aa to within the factorization's error, and a
+      Cholesky factorization of M = (1 - mu) I - K that completes
+      proves I - L^T C' L >= 0 for mu = 2 (e_K + (c_k + eps)(1 + ||K||) + eta_M),
+      with c_k = k gamma_(k+1) / (1 - k gamma_(k+1)) the factorization's
+      relative backward error (``tests/conftest.cholesky_error``) and eta_M
+      covering roundings below the normal range. A norm here is bounded by
+      k times the largest entry.
+
+    Back in B, 1/q and the moved rows' rounded weights put the diagonal
+    within 4.1 eps max|Delta| <= 4.1 eps (1 + eps)(|t| + max|u|) of t + s u, so
+    lambda_max(sB*) <= t + r with r = 4.1 eps (1 + eps)(|t| + max|u|) + 2 ||f|| ||e||.
+
+    The slack tau (``_slack``) then covers r and the kernel's and the
+    eigensolver's roundings: W = symmetric_part(kernel) is B* within
+    gamma_(m+5) N in 2-norm, with
+    N = sum_a |g_a| ||F_a||^2 + (2 n max|f| + 1) max|u| bounding
+    || |F|^T diag|g| |F| + |f||u|^T + |u||f|^T + diag|u| ||_2, and ``eigvalsh``
+    returns each eigenvalue of W within n eps ||W||_2 (LAPACK's guide leaves
+    the factor a modest function of the order; it is taken as the order, as
+    the tests take it). So
+
+        tau = 2 (6 eps (|lam| + max|u|) + (n + m + 6) eps N + 2 sqrt(n) max|f| e_bar + eta_B),
+
+    lam the side's extreme, with e as rounded and
+    e_bar = sqrt(n) (max|e| + gamma_(m+1) (max|u| + m max|F| max|v|)) >= ||e||.
+    The factor 2 covers |t| <= |lam| + tau and the roundings of t, tau and
+    these bounds. A vector norm is bounded by sqrt(n) times its largest
+    entry, so no sum of squares can underflow, and
+    eta_B = (n + m)^2 2^-1000 (1 + max|F|)^2 (1 + max|g| + max|v|) bounds the
+    roundings below the normal range of the kernel and of N's sums. No
+    certified point's ``eigvalsh`` can then pass lam.
+
+    The route refuses a point with a non-finite factor or slack, a floor
+    that is not positive, more than m + 1 moved rows or a factor as wide as
+    B (n <= m + 1 + b), a Gram diagonal below 2^-500, or a Cholesky
+    factorization that fails.
+    """
+    n, m = inst.n, inst.m
+    k0 = m + 1
+    certified = np.zeros(len(states.x), dtype=bool)
+    if n <= k0 or not len(states.x):
+        return certified
+    f, v = states.f, states.hprime * states.c
+    # Z^T = [F; f] in one array: D diag(f) row by row as ``kernel`` forms it, and 1 f = f
+    Zt = np.concatenate([_centred_A2(states, inst), np.ones((len(f), 1, n))], axis=1)
+    Zt *= f[:, None, :]
+    g, u = _g_u(states)
+    sign = np.array([[1.0], [-1.0]])  # the upper and the lower side, on a leading axis
+    lam = np.array([[lam_max], [-lam_min]])
+    tau = _slack(Zt, g, u, v, lam)
+    with np.errstate(all="ignore"):  # a non-finite tau is refused below
+        Delta = (lam - tau)[..., None] + sign[..., None] * u
+        phi = _FLOOR * np.max(Delta, axis=-1)
+    moved = Delta < phi[..., None]
+    b = np.sum(moved, axis=-1)
+    live = np.all(np.isfinite(tau) & (phi > 0) & (b <= min(k0, n - k0 - 1)), axis=0)
+    if not live.all():
+        if not live.any():
+            return certified
+        Zt, g, v = Zt[live], g[live], v[live]
+        Delta, phi, moved, b = Delta[:, live], phi[:, live], moved[:, live], b[:, live]
+
+    # the Gram of Y = diag(q)^(1/2) [Z, e_i], each moved row's unit column after Z's m + 1 columns;
+    # a side with fewer moved rows than the widest pads with columns that stand apart (Gram 1, weight 0)
+    width = int(b.max())
+    k = k0 + width
+    rows = np.argsort(~moved, axis=-1, kind="stable")[..., :width]
+    has = np.arange(width) < b[..., None]
+    ii = np.arange(k)
+    A = np.zeros(Delta.shape[:2] + (k, k))
+    with np.errstate(all="ignore"):  # a q or Gram past float64 is refused below
+        q = 1.0 / np.maximum(Delta, phi[..., None])
+        for side in (0, 1):  # one side's q Z^T at a time
+            A[side, :, :k0, :k0] = (q[side, :, None, :] * Zt) @ np.swapaxes(Zt, -1, -2)
+        q_rows = np.where(has, np.take_along_axis(q, rows, axis=-1), 0.0)
+        A[..., :k0, k0:] = q_rows[..., None, :] * np.take_along_axis(Zt[None], rows[..., None, :], axis=-1)
+        A[..., k0:, :k0] = np.swapaxes(A[..., :k0, k0:], -1, -2)
+        A[..., ii[k0:], ii[k0:]] = np.where(has, q_rows, 1.0)
+        fine = np.isfinite(A).all(axis=(-2, -1)) & np.all(np.diagonal(A, axis1=-2, axis2=-1) >= 2.0**-500, axis=-1)
+        A[..., ii, ii] *= 1.0 + 4 * k * (_gamma(n + 2) + 2 * _gamma(k + 1)) + 4 * _U
+        r = np.sqrt(np.diagonal(A, axis1=-2, axis2=-1))  # ||L_a|| ~ r_a for the rows L_a of L
+        L = _cholesky_each(A.reshape(-1, k, k)).reshape(A.shape)
+        del Zt, A  # each stack is freed as soon as it is read, so that the next reuses its memory
+
+        # C' is diag(c) (s g, 0, the moved rows' weights, 0 for the padding) and -s v between the first m
+        # rows and row m; C' L is formed from that structure, and K = L^T (C' L)
+        sv = sign[..., None] * v
+        weights = np.where(has, phi[..., None] - np.take_along_axis(Delta, rows, axis=-1), 0.0)
+        c = np.concatenate([sign[..., None] * g, np.zeros(sv.shape[:-1] + (1,)), weights], axis=-1)
+        CL = c[..., None] * L
+        CL[..., :m, :] -= sv[..., None] * L[..., m, None, :]
+        CL[..., m, :] -= np.einsum("...a,...ab->...b", sv, L[..., :m, :])
+        M = np.swapaxes(L, -1, -2) @ CL
+        del CL
+        # || |L|^T |C'| |L| ||_2 <= sum_ab |C'_ab| ||L_a|| ||L_b||
+        e_K = np.sum(np.abs(c) * r * r, axis=-1) + 2 * r[..., m] * np.sum(np.abs(sv) * r[..., :m], axis=-1)
+        e_K *= _gamma(2 * k + 2)
+        c_max = np.maximum(np.max(np.abs(c), axis=-1), np.max(np.abs(sv), axis=-1))
+        eta = 2.0**-1000 * k * k * (1 + np.max(r, axis=-1)) * (1 + c_max)
+        c_k = k * _gamma(k + 1) / (1.0 - k * _gamma(k + 1))
+        mu = 2 * (e_K + (c_k + _U) * (1 + k * np.max(np.abs(M), axis=(-2, -1))) + eta)
+        M *= -1.0  # M = (1 - mu) I - K, formed in K's place
+        M[..., ii, ii] += (1.0 - mu)[..., None]
+    # a matrix with a non-finite entry or a diagonal entry <= 0 has no finite factor, so it is not tried
+    fine &= np.isfinite(M).all(axis=(-2, -1)) & np.all(np.diagonal(M, axis1=-2, axis2=-1) > 0, axis=-1)
+    proved = fine.copy()
+    M = M[fine] if not fine.all() else M.reshape(-1, k, k)  # all fine: no copy
+    proved[fine] = np.isfinite(np.diagonal(_cholesky_each(M), axis1=-2, axis2=-1)).all(axis=-1)
+    certified[live] = proved.all(axis=0)
+    return certified
 
 
 def _kernel_extremes(states, inst: ProblemInstance) -> tuple[float, float]:
@@ -412,28 +542,31 @@ def _kernel_extremes(states, inst: ProblemInstance) -> tuple[float, float]:
     The seeds, the points with the largest and the least entry of diag(B)
     (one stacked ``kernel_diag``), are eigen-solved first: lambda_max(B) >=
     max_i B_ii and lambda_min(B) <= min_i B_ii make them the likely
-    extremes. The other kernels are formed in chunks under ``_CHUNK_BYTES``,
-    and each ``symmetric_part`` W passes ``spectral``'s checks. A point is
-    skipped where ``_inside`` proves that ``spectral``, solving the same W,
-    would stay inside the running extremes; a chunk's other points take one
-    batched ``spectral`` call and update them.
+    extremes. The other points are taken in chunks whose factors Z (n x
+    (m + 1) per point) take at most ``_CHUNK_BYTES``, and ``_certified``
+    proves from the factors that ``spectral`` would keep most of them inside
+    the running extremes. The points it refuses are formed and eigen-solved
+    in chunks of kernels under ``_CHUNK_BYTES``, and update the extremes.
+    Every kernel formed passes ``spectral``'s checks.
     """
-    n = inst.n
     with np.errstate(over="ignore", invalid="ignore"):  # the diagonal only picks the seeds
         diag = kernel_diag(states, inst)
     seeds = np.unique([np.argmax(np.max(diag, axis=1)), np.argmin(np.min(diag, axis=1))])
-    lam_min, lam_max = math.inf, -math.inf
-    for c in _chunks(len(seeds), 8 * n * n):
-        lo, hi, _ = spectral(kernel(states.rows(seeds[c]), inst))
-        lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
+    lam = _solved_extremes(states, inst, seeds, (math.inf, -math.inf))
     rest = np.delete(np.arange(len(diag)), seeds)
-    for c in _chunks(len(rest), 8 * n * n):
-        W = symmetric_part(kernel(states.rows(rest[c]), inst))
-        outside = ~_inside(W, lam_min, lam_max)
-        if outside.any():
-            lo, hi, _ = spectral(W[outside])
-            lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
-        del W  # before the next chunk's kernels are formed
+    for c in _chunks(len(rest), 8 * inst.n * (inst.m + 1)):
+        points = rest[c]
+        lam = _solved_extremes(states, inst, points[~_certified(states.rows(points), inst, *lam)], lam)
+    return lam
+
+
+def _solved_extremes(states, inst: ProblemInstance, points: np.ndarray, lam: tuple[float, float]):
+    """``lam`` = (least, largest) widened by the ``spectral`` extremes of the kernels at ``points``, formed in
+    chunks of kernels under ``_CHUNK_BYTES``."""
+    lam_min, lam_max = lam
+    for c in _chunks(len(points), 8 * inst.n * inst.n) if len(points) else ():
+        lo, hi, _ = spectral(kernel(states.rows(points[c]), inst))
+        lam_min, lam_max = min(lam_min, float(lo.min())), max(lam_max, float(hi.max()))
     return lam_min, lam_max
 
 
@@ -452,16 +585,16 @@ def probe_empirical(inst: ProblemInstance, sample_points, *, keys=None) -> Bound
     pairwise Lipschitz probes and raise ``TooFewAdmissiblePointsError``.
 
     The points are evaluated in one stacked ``eval_forward`` call, and each
-    quantity in one stacked call over all of them. Only the dense kernels
-    (n^2 floats per point) are chunked: a chunk takes at most
-    ``_CHUNK_BYTES``, or one point. ``lambda_min_B`` and ``lambda_max_B`` come
-    from ``_kernel_extremes``: two seed points, picked from the stacked
-    diag(B), are eigen-solved, and every other point only where two
-    Cholesky factorizations cannot prove its spectrum inside theirs (2 to 5
-    of 20 points at n = 64). Both equal, bit for bit, the least and largest
-    ``spectral`` extremes over all points. The norm maxima are read from the
-    stacks. Each Lipschitz ratio
-    takes one pass over the pairs of distinct points, in chunks of
+    quantity in one stacked call over all of them. Only the kernel spectrum's
+    stacks are chunked: the dense kernels (n^2 floats per point) and B's
+    factors (n (m + 1) per point), a chunk under ``_CHUNK_BYTES`` or one
+    point. ``lambda_min_B`` and ``lambda_max_B`` come from
+    ``_kernel_extremes``: two seed points, picked from the stacked diag(B),
+    are eigen-solved, and every other point only where ``_certified`` cannot
+    prove from B's factors that its spectrum lies inside theirs (0 to 3 of
+    the other 18 points at n = 64). Both equal, bit for bit, the least and
+    largest ``spectral`` extremes over all points. The norm maxima are read
+    from the stacks. Each Lipschitz ratio takes one pass over the pairs of distinct points, in chunks of
     differences, and one of two kinds:
 
     - exact: a ratio outside ``_SCREENED_KEYS`` takes its norm without an

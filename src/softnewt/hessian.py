@@ -8,8 +8,15 @@ A2 J = D diag(f)), u = <q2, f> f - f o q2 and g = h'^2 + h'' o c,
 
 B has this one representation: the m x n factor D (``_centred_A2``), the
 m-vector g and the n-vector u (``_g_u``), and f, all formed in O(n m)
-without J from the forward pass (q2 is ``ModelState.q2``). Everything else
-is read from them:
+without J from the forward pass (q2 is ``ModelState.q2``). With
+F = D diag(f) and v = h' o c, q2 - <q2, f> 1 = D^T v, so u = -F^T v and B is
+diagonal plus rank m + 1:
+
+    B = Z C Z^T - diag(u),  Z = [F^T f],  C = [[diag(g), -v], [-v^T, 0]].
+
+``bounds._certified`` reads the kernel spectrum through this factor (where
+u and -F^T v differ by rounding, it bounds the gap). Everything else is read
+from the factors:
 
 - ``hess_L`` is the production route: H_L and H_tot in O(n m d + n d^2), no
   n x n array at any n. It never forms D: its m x d product

@@ -478,42 +478,74 @@ def test_probe_without_psd_bound_forms_no_kernel(s1_instance, monkeypatch):
     assert rep.lambda_min_B is None and rep.lambda_max_B is None
 
 
-# multiples of n u ||W||_2 by which a test extreme lies outside W's own: tau is 8 to 122 of them at n = 1 to 8
-_CLUSTER = (-16, -1, 0, *(2**j for j in range(14)))
+# multiples of tau by which a test extreme lies outside the point's own: at or inside it (<= 0) never certifies
+_TAU_STEPS = (-4, -1, -0.25, 0, 0.25, 0.5, 1, 2, 16, 2**10)
+_FAULT_FIELDS = ("f", "c", "hprime", "hdoubleprime", "q2", "a2f")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), scale=st.integers(-100, 100),
-    steps=st.tuples(st.sampled_from(_CLUSTER), st.sampled_from(_CLUSTER)),
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), m=st.integers(1, 4), kind=st.sampled_from(ALL_KINDS),
+    scale=st.integers(-6, 6), steps=st.tuples(st.sampled_from(_TAU_STEPS), st.sampled_from(_TAU_STEPS)),
+    fault=st.tuples(st.sampled_from(_FAULT_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf])),
 )
-@example(n=2, seed=0, scale=0, steps=(0, 0))  # the extremes themselves: never certified
-@example(n=2, seed=0, scale=0, steps=(8192, 8192))  # far past tau: certified
-@example(n=2, seed=0, scale=-150, steps=(8192, 8192))  # squares that underflow certify nothing
-@example(n=1, seed=0, scale=-400, steps=(1, 1))  # a zero matrix
-def test_cholesky_certificate_keeps_the_spectrum_inside(n, seed, scale, steps):
-    """Whenever both factorizations complete, ``eigvalsh`` puts the spectrum inside [lam_min, lam_max].
+@example(seed=0, n=20, m=4, kind="tanh", scale=0, steps=(0, 0), fault=("c", math.nan))  # the extremes themselves
+@example(seed=0, n=20, m=4, kind="tanh", scale=0, steps=(16, 16), fault=("f", math.inf))
+@example(seed=1, n=6, m=4, kind="sigmoid", scale=0, steps=(2**10, 2**10), fault=("q2", -math.inf))  # n = m + 2
+@example(seed=2, n=5, m=4, kind="identity", scale=0, steps=(2**10, 2**10), fault=("a2f", math.nan))  # n = m + 1
+def test_factor_certificate_keeps_the_spectrum_inside(seed, n, m, kind, scale, steps, fault):
+    """A point that ``_certified`` certifies has its ``eigvalsh`` extremes inside the test extremes.
 
-    W is a random symmetric matrix, and each test extreme is W's own moved outward by a multiple of
-    n u ||W||_2 from ``_CLUSTER``, so the extremes cluster within a few tau of W's on both sides.
+    Each test extreme is the point's own moved outward by a multiple of that side's tau (``_slack``), so
+    the extremes cluster within a few tau of the point's on both sides; a point at or inside its own
+    extremes is never certified. Extremes 4 (||W||_2 + max|u|) outside its own put every row of Delta above
+    the floor, and such a point is certified wherever the route applies (n >= m + 2) and nothing
+    saturates; so is one 16 tau or more outside whose rows of Delta at its own extremes stand clear of the
+    floor, few enough of them below it.
+    A NaN or infinite factor is never certified.
     """
-    from softnewt.bounds import _inside
+    from softnewt.bounds import _certified, _slack
+    from softnewt.hessian import _centred_A2, _g_u
+    from softnewt.oracle import symmetric_part
 
-    W = np.random.default_rng(seed).standard_normal((n, n))
-    with np.errstate(under="ignore"):
-        W = (W + W.T) * 0.5 * 10.0**scale
-    lam = np.linalg.eigvalsh(W)
-    step = n * 2.0**-53 * max(abs(lam[0]), abs(lam[-1]))
-    lam_min, lam_max = float(lam[0] - steps[0] * step), float(lam[-1] + steps[1] * step)
-    stack = W[None].copy()
-    inside = _inside(stack, lam_min, lam_max)[0]
-    assert stack.tobytes() == W.tobytes()  # each shifted matrix was formed in place and undone
-    if inside:
-        assert lam_min <= lam[0] and lam[-1] <= lam_max
-    if min(steps) <= 0 and step > 0.0:
-        assert not inside
-    if min(steps) >= 1024 and 1e-100 < step:
-        assert inside
+    rng = np.random.default_rng(seed)
+    A1, A2 = rng.standard_normal((n, 2)), rng.standard_normal((m, n)) * 10.0**scale
+    inst = sn.ProblemInstance(
+        A1=A1, A2=A2, b=rng.standard_normal(m), w=np.ones(n), activation=sn.Activation(kind),
+        R=max(float(np.linalg.norm(A1, 2)), float(np.linalg.norm(A2, 2)), 0.5),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DenominatorFloorWarning)
+        states = sn.eval_forward(inst, rng.standard_normal((3, 2)))
+    lam = np.linalg.eigvalsh(symmetric_part(kernel(states, inst)))
+    lo, hi = lam[:, 0], lam[:, -1]
+    Zt = np.concatenate([_centred_A2(states, inst), np.ones((3, 1, n))], axis=1) * states.f[:, None, :]
+    g, u = _g_u(states)
+    v = states.hprime * states.c
+    for r in range(3):
+        one = states.rows([r])
+        tau = _slack(Zt[[r]], g[[r]], u[[r]], v[[r]], np.array([[hi[r]], [-lo[r]]]))[:, 0]
+        lam_min, lam_max = lo[r] - steps[0] * tau[1], hi[r] + steps[1] * tau[0]
+        certified = _certified(one, inst, lam_min, lam_max)[0]
+        if certified:
+            assert lam_min <= lo[r] and hi[r] <= lam_max
+        if min(steps) <= 0:
+            assert not certified
+        # Delta at the point's own extremes: where no row lies near the floor, as many rows move at 16 tau,
+        # and the route takes the point when they are few enough
+        own = np.array([hi[r] + u[r], -lo[r] - u[r]])
+        if n >= m + 2 and scale <= 1 and min(steps) >= 16 and np.all(own.max(axis=1) > 0):
+            own /= own.max(axis=1)[:, None]
+            moved = np.sum(own < bounds_mod._FLOOR, axis=1)
+            if not np.any(np.abs(own - bounds_mod._FLOOR) < 0.01) and np.max(moved) <= min(m + 1, n - m - 2):
+                assert certified
+        far = 4 * (max(abs(lo[r]), abs(hi[r])) + float(np.max(np.abs(u[r]))))
+        if n >= m + 2 and scale <= 1 and far > 0:
+            assert _certified(one, inst, lo[r] - far, hi[r] + far)[0]
+        broken = states.rows([r])
+        getattr(broken, fault[0])[0, 0] = fault[1]
+        with np.errstate(invalid="ignore"):
+            assert not _certified(broken, inst, lo[r] - far, hi[r] + far)[0]
 
 
 def test_probe_rejects_a_non_finite_kernel():
@@ -525,7 +557,7 @@ def test_probe_rejects_a_non_finite_kernel():
         probe_empirical(inst, pts, keys=("psd_bound",))
 
 
-@pytest.mark.parametrize("role", ["seed", "certified"])
+@pytest.mark.parametrize("role", ["seed", "refused"])
 def test_probe_rejects_an_asymmetric_kernel_at_any_point(monkeypatch, role):
     from softnewt.oracle import symmetric_part
 
@@ -540,7 +572,15 @@ def test_probe_rejects_an_asymmetric_kernel_at_any_point(monkeypatch, role):
     eigen_solved = {i for i in range(20) if any(np.array_equal(W[i], M) for M in solved)}
     # the seeds are eigen-solved, and all but a few other points certified
     assert seeds <= eigen_solved and len(eigen_solved) <= 4
-    target = min(seeds) if role == "seed" else min(set(range(20)) - eigen_solved)
+    target = min(seeds)
+    if role == "refused":
+        # a certified point, made to fail the certificate: its kernel is then formed and checked
+        target = min(set(range(20)) - eigen_solved)
+        certified = bounds_mod._certified
+        monkeypatch.setattr(
+            bounds_mod, "_certified",
+            lambda states, inst, lo, hi: certified(states, inst, lo, hi) & ~np.all(states.x == pts[target], axis=1),
+        )
 
     def skewed(states, inst):
         B = kernel(states, inst)
@@ -675,7 +715,7 @@ def test_probe_stacks_its_calls(monkeypatch):
     from softnewt import derivatives, hessian
 
     calls = {"eval_forward": 0, "_centred_A2": 0, "_G": 0, "eval_Q2": 0}
-    spectra, factored = [], []
+    spectra, factored, kernels = [], [], []
 
     def counted(module, name):
         original = getattr(module, name)
@@ -688,32 +728,57 @@ def test_probe_stacks_its_calls(monkeypatch):
 
     counted(bounds_mod, "eval_forward")
     counted(hessian, "_centred_A2")
+    counted(bounds_mod, "_centred_A2")  # the factor route's own binding
     counted(hessian, "_G")
     counted(derivatives, "eval_Q2")
     eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: spectra.append(M.shape) or eigvalsh(M))
     monkeypatch.setattr(np.linalg, "cholesky", lambda M: factored.append(M.shape) or cholesky(M))
+    monkeypatch.setattr(
+        bounds_mod, "kernel", lambda states, inst: kernels.append(len(states.x)) or kernel(states, inst),
+    )
     inst, _ = sn.gen_instance(64, 16, 8, "tanh", 11, noise=0.05)
     rep = probe_empirical(inst, bounds_style_points(inst, 12, 20))
     assert rep.n_admissible == 20
     # one stacked forward pass; hess_L and g_terms one pass each over all points that forms
     # only G = (A2 J) A1. The kernel spectrum: one stacked kernel_diag picks two seeds, whose
-    # kernels take one pass and one eigvalsh call; then per chunk of the other 18 points,
-    # kernel one pass, one or two Cholesky factorizations per point, and one eigvalsh call
-    # for the few points they leave. Q2 forms no m x n matrix: norm_Q2 takes one batched
-    # eigvalsh of 20 m x m matrices, and lip_Q2 one per batch of 8 pairs
-    per_chunk = max(1, model._CHUNK_BYTES // (8 * 64 * 64))
-    chunks = math.ceil(18 / per_chunk)
-    assert 1 < chunks < 18
-    assert calls == {"eval_forward": 1, "_centred_A2": 2 + chunks, "_G": 2, "eval_Q2": 0}, calls
-    kernels = [shape for shape in spectra if shape[1:] == (64, 64)]
-    assert spectra[: len(kernels)] == kernels and kernels[0] == (2, 64, 64), spectra
-    # 2 to 4 of the 20 kernels are eigen-solved, the seeds among them
-    assert len(kernels) <= 1 + chunks and 2 <= sum(k for k, *_ in kernels) <= 4, kernels
-    assert set(factored) == {(64, 64)} and 18 <= len(factored) <= 36, factored
-    gram_batches = spectra[len(kernels):]
+    # kernels take one pass and one eigvalsh call; the other 18 points take one chunk of B's
+    # factors (one _centred_A2 pass, 30 points fit under _CHUNK_BYTES) and one batched Cholesky
+    # factorization of the 36 small Grams (both sides of each point) and one of the 36 small
+    # matrices I - R^T C' R. Kernels are formed only for the seeds and for the points the factors
+    # leave, none at this instance. Q2 forms no m x n matrix: norm_Q2 takes one batched eigvalsh
+    # of 20 m x m matrices, and lip_Q2 one per batch of 8 pairs
+    assert model._CHUNK_BYTES // (8 * 64 * 17) >= 18
+    assert kernels == [2], kernels
+    assert calls == {"eval_forward": 1, "_centred_A2": 3, "_G": 2, "eval_Q2": 0}, calls
+    assert spectra[0] == (2, 64, 64) and (64, 64) not in [shape[1:] for shape in spectra[1:]], spectra
+    k = {shape[1] for shape in factored}
+    assert len(factored) == 2 and all(shape[0] == 36 for shape in factored) and len(k) == 1, factored
+    assert 17 <= min(k) < 64 and all(shape[1:] == (min(k), min(k)) for shape in factored), factored
+    gram_batches = spectra[1:]
     assert gram_batches[0] == (20, 16, 16) and 1 <= len(gram_batches) - 1 <= 190 / 6 / 8, spectra
     assert all(shape[1:] == (16, 16) and shape[0] <= 8 for shape in gram_batches[1:]), spectra
+
+
+def test_probe_forms_no_more_kernels_than_its_seed_chunk():
+    # at n = 300 a kernel takes 720 KB, so each chunk of kernels holds one: the seeds are formed one at a
+    # time, and the 18 certified points form none, so the probe's peak is the seed chunk's
+    inst, _ = sn.gen_instance(300, 16, 8, "tanh", 11, noise=0.05)
+    pts = bounds_style_points(inst, 12, 20)
+    states = sn.eval_forward(inst, np.array(pts[:1]))
+    probe_empirical(inst, pts, keys=("psd_bound",))  # first calls import what they need: not measured
+    tracemalloc.start()
+    try:
+        spectral(kernel(states, inst))
+        seed_chunk = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rep = probe_empirical(inst, pts, keys=("psd_bound",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.lambda_max_B is not None
+    # the probe also holds its 20 states, their diag(B) and a chunk of factors, together under half a kernel
+    assert peak <= seed_chunk + 8 * 300 * 300 / 2, (peak, seed_chunk)
 
 
 def test_spectral_bounds_cover_underflow_and_zeros():

@@ -349,3 +349,28 @@ def test_stacked_routes_equal_rows(case):
     for r, state in enumerate(points):
         lo_r, hi_r, spectrum = spectral(kernel(state, inst))
         assert (lo[r], hi[r]) == (lo_r, hi_r) and np.array_equal(spectra[r], spectrum)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.one_of(curvature_cases(), seeded_cases()))
+@example(case=seeded_case(1, 1, 4, 3, "tanh"))  # n = 1
+@example(case=seeded_case(6, 5, 16, 3, "sigmoid"))  # n < m + 1
+@example(case=seeded_case(4, 64, 16, 8, "softplus"))
+def test_kernel_factor_identity(case):
+    # with F = D diag(f) and v = h' o c, u = -F^T v and B = Z C Z^T - diag(u) with Z = [F^T f] and
+    # C = [[diag(g), -v], [-v^T, 0]], each to the rounding of the sums that form u, D and B
+    inst, x = case
+    state = evaluate(inst, x)
+    F = _centred_A2(state, inst) * state.f
+    g, u = _g_u(state)
+    f, v = state.f, state.hprime * state.c
+    A2v = np.abs(inst.A2).T @ np.abs(v)
+    gap_bound = 4 * (inst.n + inst.m + 4) * 2.0**-53 * f * (A2v + float(A2v @ f)) + 1e-300
+    assert np.all(np.abs(u + F.T @ v) <= gap_bound)
+    Z = np.column_stack([F.T, f])
+    C = np.block([[np.diag(g), -v[:, None]], [-v[None, :], np.zeros((1, 1))]])
+    Fv = np.abs(F).T @ np.abs(v)
+    terms = np.abs(F).T @ (np.abs(g)[:, None] * np.abs(F)) + np.diag(np.abs(u))
+    terms += np.outer(f, np.abs(u) + Fv) + np.outer(np.abs(u) + Fv, f)
+    bound = 4 * (inst.m + 8) * 2.0**-53 * terms + np.outer(f, gap_bound) + np.outer(gap_bound, f)
+    assert np.all(np.abs(Z @ C @ Z.T - np.diag(u) - kernel(state, inst)) <= bound)
